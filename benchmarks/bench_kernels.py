@@ -6,7 +6,8 @@ Run from the repository root:
 
 Both implementations are always importable regardless of the
 VARBESOV_BACKEND setting, so this script times them side by side and also
-times a full mixed-norm solve under each backend.
+times a full mixed-norm solve under each backend.  Without numba only the
+numpy column and the numpy mixed-norm solve are timed.
 """
 
 import math
@@ -99,7 +100,7 @@ def main():
         "(__import__('os').environ.get('VARBESOV_BACKEND', 'auto'),"
         " (time.perf_counter() - t0) / 5 * 1e3))"
     )
-    for backend in ("numba", "numpy"):
+    for backend in ("numba", "numpy") if K.USE_NUMBA else ("numpy",):
         env = dict(os.environ, VARBESOV_BACKEND=backend)
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 

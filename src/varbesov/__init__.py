@@ -9,7 +9,8 @@ from .exponents import (ExponentField, conjugate, constant_exponent,
                         cos_bump_exponent, exponent_from_family, harmonic_sum,
                         log_holder_constants, log_smooth_exponent,
                         two_level_exponent)
-from .lebesgue import luxemburg_norm, modular, omega
+from ._solve import ThresholdNotConverged
+from .lebesgue import Modular, luxemburg_norm, modular, omega
 from .mixed import (FieldSequence, check_holder, check_monotone_limit,
                     inner_lambda, mixed_modular, mixed_norm)
 from .duality import (extremal_witness, infinity_witness, pairing,
@@ -33,7 +34,8 @@ __all__ = [
     "ExponentField", "conjugate", "constant_exponent", "cos_bump_exponent",
     "exponent_from_family", "harmonic_sum", "log_holder_constants",
     "log_smooth_exponent", "two_level_exponent",
-    "luxemburg_norm", "modular", "omega",
+    "ThresholdNotConverged",
+    "Modular", "luxemburg_norm", "modular", "omega",
     "FieldSequence", "check_holder", "check_monotone_limit", "inner_lambda",
     "mixed_modular", "mixed_norm",
     "extremal_witness", "infinity_witness", "pairing", "random_dual_search",

@@ -11,6 +11,10 @@ variable ``VARBESOV_BACKEND`` selects the active flavor:
 The two paths agree up to floating-point summation order; determinism is
 guaranteed per backend (all reductions are sequential in the loop forms,
 pairwise in numpy).
+
+``log_modular`` is the numpy pass behind every threshold solve (through
+``lebesgue.Modular``) and behind the numpy ``scaled_modular``; it has no
+loop form.
 """
 
 import math
@@ -38,6 +42,7 @@ if _choice in ("auto", "numba"):
 BACKEND = "numba" if USE_NUMBA else "numpy"
 
 _INF = math.inf
+_SUM_MIN = 1e-290  # plain sums below this are redone relative to the top term
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +163,55 @@ def _eta_shift_curve_loop(alpha, coords, anchors, period, big_r, out):
 # numpy twins
 # ---------------------------------------------------------------------------
 
+def log_modular(base, c, log_lam, buf, p=None, mass=0.0, pmass=0.0):
+    """One pass of the exp-log fused modular over finite-exponent nodes.
+
+    With w = exp(base - c * log_lam) and the total rho = mass + sum(w),
+    returns (log rho, d log rho / d log lam, -(sum(p w) + pmass) / rho); the
+    last entry is nan when ``p`` is None.  ``buf`` is scratch of the nodes'
+    length and is overwritten; only in-place ufuncs touch it.  The sum is
+    taken relative to the largest term only when the plain sum overflows or
+    comes near underflow, so log rho and the slopes stay finite wherever one
+    term is nonzero.
+    """
+    np.multiply(c, -log_lam, out=buf)
+    buf += base
+    np.exp(buf, out=buf)
+    s = float(buf.sum())
+    shift = 0.0
+    if not _SUM_MIN < s < _INF:
+        np.multiply(c, -log_lam, out=buf)
+        buf += base
+        shift = float(buf.max()) if buf.size else -_INF
+        if shift == -_INF:
+            log_rho = math.log(mass) if mass > 0.0 else -_INF
+            return log_rho, 0.0, (-pmass / mass if mass > 0.0 else math.nan)
+        buf -= shift
+        np.exp(buf, out=buf)
+        s = float(buf.sum())
+    log_rho = shift + math.log(s)
+    if mass > 0.0:
+        log_rho = float(np.logaddexp(math.log(mass), log_rho))
+    scale = math.exp(shift - log_rho)  # terms of buf per unit of rho
+    d_lam = -float(np.dot(c, buf)) * scale
+    if p is None:
+        return log_rho, d_lam, math.nan
+    d_mu = -float(np.dot(p, buf)) * scale
+    if pmass > 0.0:
+        d_mu -= math.exp(math.log(pmass) - log_rho)
+    return log_rho, d_lam, d_mu
+
+
 def _scaled_modular_np(log_t, p, rq, log_mu, log_lam, cell, budget):
-    u = log_t - rq * log_lam - log_mu
     infp = np.isinf(p)
-    if np.any(u[infp] > 0.0):
+    if np.any(log_t[infp] - rq[infp] * log_lam - log_mu > 0.0):
         return _INF
     fin = ~infp
+    pf = p[fin]
+    base = pf * (log_t[fin] - log_mu) + math.log(cell)
     with np.errstate(over="ignore"):
-        terms = np.exp(p[fin] * u[fin])
-    total = float(np.sum(terms)) * cell
-    return _INF if math.isinf(total) else total
+        log_rho = log_modular(base, pf * rq[fin], log_lam, np.empty_like(base))[0]
+        return float(np.exp(log_rho))
 
 
 def _plain_modular_np(t, p, cell):

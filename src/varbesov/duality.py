@@ -18,17 +18,16 @@ import math
 import numpy as np
 
 from . import _kernels
-from ._solve import solve_threshold
 from .grid import Field, integrate, require_same_grid
 from .exponents import conjugate
 from .lebesgue import luxemburg_norm, _log_abs
-from .mixed import FieldSequence, mixed_norm
+from .mixed import FieldSequence, _LevelSolver, mixed_norm
 from .reports import CheckReport
 
 logger = logging.getLogger(__name__)
 
 BETA_FLOOR = 1e-10
-BETA_BRACKET_LOW = 1e-12
+BETA_REL_TOL = 1e-10
 
 
 def pairing(fs, gs):
@@ -40,15 +39,6 @@ def pairing(fs, gs):
     for f, g in zip(fs, gs):
         total += integrate(Field(f.grid, np.abs(f.values) * np.abs(g.values)))
     return total
-
-
-def _solve_beta(log_af, p_flat, rq_flat, log_k, cell, hint):
-    def fn(beta):
-        return _kernels.scaled_modular(
-            log_af, p_flat, rq_flat, log_k, math.log(beta), cell, 4.0
-        )
-
-    return solve_threshold(fn, hint, rel_tol=1e-10)
 
 
 def extremal_witness(fs, p, q):
@@ -67,29 +57,26 @@ def extremal_witness(fs, p, q):
         raise ValueError("witness of the zero sequence is undefined")
 
     grid = fs.grid
-    k_norm = mixed_norm(fs, p, q)
+    # the beta_j are the level infima of the norm solve at mu = K: solve them
+    # on the same evaluator, warm-started from its last tangents
+    solver = _LevelSolver(fs, p, q)
+    k_norm = solver.norm()
     log_k = math.log(k_norm)
-    p_flat = p.values.ravel()
     rq = 1.0 / q.values
-    rq_flat = rq.ravel()
-    cell = grid.cell
 
     betas = []
     hs = []
-    hint = 1.0 / fs.levels
     for j, f in enumerate(fs):
         if f.max_abs() == 0.0:
             betas.append(0.0)
             hs.append(Field(grid, np.zeros(grid.shape)))
             continue
-        log_af = _log_abs(f.values).ravel()
-        beta = _solve_beta(log_af, p_flat, rq_flat, log_k, cell, hint)
+        beta = solver.inner(j, log_k, rel_tol=BETA_REL_TOL)[0]
         if not beta > BETA_FLOOR:
             logger.warning("dropping level %d: beta=%.3e below floor", j, beta)
             betas.append(0.0)
             hs.append(Field(grid, np.zeros(grid.shape)))
             continue
-        hint = beta
         betas.append(beta)
         af = np.abs(f.values)
         base = af / (k_norm * beta ** rq)

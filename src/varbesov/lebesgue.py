@@ -9,6 +9,7 @@ threshold solving on lambda, using the unit ball property
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -45,13 +46,148 @@ def modular(f, p):
     )
 
 
-def _scaled_modular_fn(log_af, p_flat, rq_flat, cell, log_mu=0.0, budget=4.0):
-    def fn(lam):
-        return _kernels.scaled_modular(
-            log_af, p_flat, rq_flat, log_mu, math.log(lam), cell, budget
-        )
+_ROUND = 8.0 * sys.float_info.epsilon  # rounding per unit of exponent size
+_LOG_MAX = math.log(sys.float_info.max)
 
-    return fn
+
+def _exp(x):
+    """exp that saturates to inf instead of raising."""
+    return math.exp(x) if x < _LOG_MAX else math.inf
+
+
+class Modular:
+    """Scaled modular of a field or a level stack, precomputed for solves.
+
+    For levels f_j, exponent p and, optionally, q (omitted: q = 1), level j
+    at scales lam, mu > 0 has the modular
+
+        rho_j(lam, mu) = rho_p(f_j / (mu lam^{1/q(x)}))
+                       = sum over nodes of exp(a - c log lam - p log mu)
+
+    with a = p log|f_j| + log(cell) and c = p/q over finite-p nodes (the
+    lam^{1/inf} = 1 convention makes c = 0 where q = inf).  Construction
+    precomputes a (one row per level) and c; ``solve`` then inverts in lam,
+    where each evaluation is one pass over a preallocated buffer returning
+    log rho with its partial derivatives in log lam and log mu.
+
+    The other nodes enter in closed form: q = inf nodes with finite p carry
+    a lam-independent mass; p = inf nodes put a floor on log lam at
+    q (log|f| - log mu), or make the level infeasible where q = inf too.
+
+    The solver sees rho raised by a bound on its rounding error, so a point
+    reported feasible is feasible for any evaluator accurate to a few ulps
+    (such as ``modular``).
+    """
+
+    def __init__(self, levels, p, q=None):
+        levels = tuple(levels)
+        require_same_grid(*levels, p, *(() if q is None else (q,)))
+        pv = p.values.ravel()
+        if q is None:
+            rq = np.ones_like(pv)
+        else:
+            qv = q.values.ravel()
+            rq = np.where(np.isinf(qv), 0.0, 1.0 / qv)
+        fin = np.isfinite(pv)
+        dep = fin & (rq > 0.0)
+        ind = fin & (rq == 0.0)
+        floor = ~fin & (rq > 0.0)
+        cap = ~fin & (rq == 0.0)
+        log_cell = math.log(p.grid.cell)
+        self.p = pv[dep]
+        self.c = self.p * rq[dep]
+        self._p_ind = pv[ind]
+        self._floor_q = 1.0 / rq[floor]
+        self.rows = []
+        self._rows_ind = []
+        self._floor_log = []
+        self._cap_log = []
+        self._lam_dependent = []
+        self._row_size = []
+        for f in levels:
+            la = _log_abs(f.values).ravel()
+            row = self.p * la[dep] + log_cell
+            self.rows.append(row)
+            self._rows_ind.append(self._p_ind * la[ind] + log_cell)
+            self._floor_log.append(la[floor])
+            self._cap_log.append(float(np.max(la[cap], initial=-math.inf)))
+            live = row > -math.inf
+            self._lam_dependent.append(bool(np.any(live)))
+            self._row_size.append(float(np.max(np.abs(row[live]), initial=0.0)))
+        self._c_max = float(np.max(self.c, initial=0.0))
+        self._p_max = float(np.max(self.p, initial=0.0))
+        self._sum_size = math.log2(max(self.p.size, 1))
+        self._base = np.empty_like(self.p)
+        self._buf = np.empty_like(self.p)
+
+    def solve(self, j, log_mu=0.0, hint=1.0, rel_tol=NORM_REL_TOL):
+        """(lam, d log lam / d log mu) for lam = inf{lam > 0 : rho_j(lam, mu)
+        <= 1} at mu = exp(log_mu).
+
+        lam is 0 for a zero level and inf when the lam-independent part
+        alone exceeds the unit ball; the derivative is nan where it is
+        undefined.  A finite lam is a point evaluated on the feasible side,
+        within rel_tol of one evaluated on the infeasible side.
+        """
+        if self._cap_log[j] > log_mu:
+            return math.inf, math.nan
+        with np.errstate(over="ignore"):
+            return self._solve(j, log_mu, hint, rel_tol)
+
+    def _solve(self, j, log_mu, hint, rel_tol):
+        mass = pmass = 0.0
+        if self._p_ind.size:
+            w = np.exp(self._rows_ind[j] - self._p_ind * log_mu)
+            mass = float(w.sum())
+            pmass = float(np.dot(self._p_ind, w))
+        if mass > 1.0 or (mass == 1.0 and self._lam_dependent[j]):
+            return math.inf, math.nan
+
+        floor, floor_slope = -math.inf, 0.0
+        floor_log = self._floor_log[j]
+        if floor_log.size:
+            lf = (floor_log - log_mu) * self._floor_q
+            k = int(np.argmax(lf))
+            if lf[k] > -math.inf:
+                qk = float(self._floor_q[k])
+                # a few ulps up, so that |f| <= mu lam^{1/q} holds as computed
+                floor = float(lf[k]) + 4.0 * _ROUND * qk * (
+                    1.0 + abs(float(floor_log[k])) + abs(log_mu))
+                floor_slope = -qk
+        if not self._lam_dependent[j]:
+            return (_exp(floor), floor_slope) if floor > -math.inf else (0.0, 0.0)
+
+        base = self.rows[j]
+        if log_mu != 0.0:
+            base = np.multiply(self.p, -log_mu, out=self._base)
+            base += self.rows[j]
+        p, c, buf = self.p, self.c, self._buf
+        # every term's exponent is a sum of three products: bound their
+        # rounding, and the summation's, so that a point reported feasible
+        # is feasible for any evaluator accurate to a few ulps
+        slack = _ROUND * (self._row_size[j] + self._p_max * abs(log_mu) + self._sum_size)
+        c_slack = _ROUND * self._c_max
+        if floor > -math.inf:
+            log_rho = _kernels.log_modular(base, c, floor, buf, None, mass)[0]
+            if log_rho + slack + c_slack * abs(floor) <= 0.0:
+                return _exp(floor), floor_slope
+            hint = max(hint, _exp(floor))
+
+        feasible = [math.nan, math.nan, math.nan]
+
+        def fn(lam):
+            log_lam = math.log(lam)
+            log_rho, d_lam, d_mu = _kernels.log_modular(
+                base, c, log_lam, buf, p, mass, pmass)
+            v = _exp(log_rho + slack + c_slack * abs(log_lam))
+            if v <= 1.0:
+                feasible[:] = (lam, d_lam, d_mu)
+            return v, d_lam
+
+        lam = solve_threshold(fn, hint, rel_tol=rel_tol)
+        if lam == feasible[0] and feasible[1] < 0.0:
+            return lam, -feasible[2] / feasible[1]
+        return lam, math.nan
 
 
 def luxemburg_norm(f, p, rel_tol=NORM_REL_TOL):
@@ -65,8 +201,5 @@ def luxemburg_norm(f, p, rel_tol=NORM_REL_TOL):
     m = f.max_abs()
     if m == 0.0:
         return 0.0
-    log_af = _log_abs(f.values).ravel()
-    ones = np.ones(log_af.shape[0])
-    fn = _scaled_modular_fn(log_af, p.values.ravel(), ones, f.grid.cell)
     hint = m * max(1.0, f.grid.box_measure)
-    return solve_threshold(fn, hint, rel_tol=rel_tol)
+    return Modular((f,), p).solve(0, hint=hint, rel_tol=rel_tol)[0]

@@ -1,11 +1,23 @@
 """Mixed Lebesgue-sequence space: modular, norm, Holder, monotone limits.
 
 The modular of a sequence (f_j) is the sum over levels of the per-level
-infimum inf{lam_j > 0 : rho_p(f_j / lam_j^{1/q(x)}) <= 1}, with the
+infimum lam_j = inf{lam > 0 : rho_p(f_j / lam^{1/q(x)}) <= 1}, with the
 convention lam^{1/inf} = 1 (q = inf nodes are lambda-independent).  The norm
-is the gauge of that modular in the scale parameter mu.  Both inversions are
-monotone threshold solves; the norm solve keeps warm per-level hints so the
-nested iteration stays cheap.
+is the gauge of that modular in the scale parameter mu.  Both are threshold
+solves (``_solve.solve_threshold``) on one ``lebesgue.Modular`` evaluator
+per (sequence, p, q), nested: an outer solve in mu around one lambda solve
+per level.
+
+Every log rho_j is a log-sum-exp of functions affine in (log lam, log mu),
+so both solves run Newton on convex maps.  Each inner evaluation also
+returns the partials of log rho_j, which give the implicit derivative
+d log lam_j / d log mu = -(d log rho_j / d log mu) / (d log rho_j / d log lam)
+at the solution.  Averaged over levels with weights lam_j, it is the slope
+of the outer map, so the outer solve is Newton too; and since log lam_j is
+convex in log mu, the tangent prediction from the previous outer point starts
+each level solve on its infeasible side, a Newton step or two from the
+crossing.  Only the p = inf everywhere norm, evaluated by the essential
+supremum formula, has no derivative and is solved by the safeguard path.
 """
 
 import math
@@ -16,7 +28,7 @@ import numpy as np
 from . import _kernels
 from ._solve import solve_threshold
 from .grid import Field, require_same_grid
-from .lebesgue import luxemburg_norm, _log_abs
+from .lebesgue import Modular, luxemburg_norm, _log_abs
 from .reports import CheckReport, graded_report
 
 NORM_REL_TOL = 1e-9
@@ -73,56 +85,61 @@ def sequence_from_values(grid, arrays):
 
 
 class _LevelSolver:
-    """Per-level lambda solves with cached logs and warm hints."""
+    """Per-level lambda solves on one Modular, warm-started along tangents.
+
+    Solving level j at log mu_0 also gives s_j = d log lam_j / d log mu
+    (implicitly, from the partials of log rho_j at the solution).  A later
+    solve at log mu starts from the tangent prediction
+    log lam_j(mu_0) + s_j (log mu - log mu_0); log lam_j is convex in
+    log mu, so the prediction sits on the infeasible side, where Newton is
+    monotone.
+    """
 
     def __init__(self, fs, p, q):
-        require_same_grid(*fs.entries, p, q)
-        g = fs.grid
-        self.cell = g.cell
-        self.p_flat = p.values.ravel()
-        self.q_flat = q.values.ravel()
-        self.rq_flat = np.where(
-            np.isinf(self.q_flat), 0.0, 1.0 / self.q_flat
-        )
-        self.log_af = [_log_abs(f.values).ravel() for f in fs]
-        self.zero = [f.max_abs() == 0.0 for f in fs]
-        self.lam_dependent = [
-            bool(np.any(np.isfinite(la) & np.isfinite(self.q_flat)))
-            for la in self.log_af
-        ]
-        self.hints = [1.0] * fs.levels
+        self.evaluator = Modular(fs, p, q)
         self.levels = fs.levels
+        self._hint = _norm_hint(fs)
+        self._tangents = [None] * fs.levels  # (log mu, log lam, slope)
 
     def inner(self, j, log_mu=0.0, rel_tol=INNER_REL_TOL):
-        if self.zero[j]:
-            return 0.0
-        la = self.log_af[j]
+        """(lam_j, d log lam_j / d log mu) at mu = exp(log_mu)."""
+        tangent = self._tangents[j]
+        hint = 1.0
+        if tangent is not None:
+            mu0, lam0, slope = tangent
+            hint = math.exp(min(max(lam0 + slope * (log_mu - mu0), -700.0), 700.0))
+        lam, slope = self.evaluator.solve(j, log_mu, hint, rel_tol)
+        if 0.0 < lam < math.inf and math.isfinite(slope):
+            self._tangents[j] = (log_mu, math.log(lam), slope)
+        return lam, slope
 
-        def fn(lam):
-            return _kernels.scaled_modular(
-                la, self.p_flat, self.rq_flat, log_mu, math.log(lam),
-                self.cell, 4.0,
-            )
-
-        if not self.lam_dependent[j]:
-            return 0.0 if fn(1.0) <= 1.0 else math.inf
-        if fn(1e280) > 1.0:
-            return math.inf
-        lam = solve_threshold(fn, self.hints[j], rel_tol=rel_tol)
-        if 0.0 < lam < math.inf:
-            self.hints[j] = lam
-        return lam
-
-    def modular(self, log_mu=0.0, early=False):
+    def modular(self, log_mu=0.0):
+        """Sum over levels of lam_j at mu = exp(log_mu)."""
         total = 0.0
         for j in range(self.levels):
-            v = self.inner(j, log_mu=log_mu)
-            total += v
+            total += self.inner(j, log_mu)[0]
             if math.isinf(total):
                 return math.inf
-            if early and total > 1.0:
-                return total
         return total
+
+    def scaled(self, mu):
+        """The norm's threshold map: (sum_j lam_j, d log sum / d log mu) at
+        mu, or inf (without a derivative) once a level is infeasible."""
+        log_mu = math.log(mu)
+        total = slope = 0.0
+        for j in range(self.levels):
+            lam, s = self.inner(j, log_mu)
+            if math.isinf(lam):
+                return math.inf
+            if lam > 0.0:
+                total += lam
+                slope += lam * s
+        if not 0.0 < total < math.inf:
+            return total
+        return total, slope / total
+
+    def norm(self, rel_tol=NORM_REL_TOL):
+        return solve_threshold(self.scaled, self._hint, rel_tol=rel_tol)
 
 
 def inner_lambda(f, p, q, hint=1.0, rel_tol=INNER_REL_TOL):
@@ -131,9 +148,7 @@ def inner_lambda(f, p, q, hint=1.0, rel_tol=INNER_REL_TOL):
     Returns 0 for f = 0 and inf when no lambda satisfies the constraint
     (possible only through lambda-independent q = inf mass).
     """
-    solver = _LevelSolver(FieldSequence((f,)), p, q)
-    solver.hints[0] = hint
-    return solver.inner(0, rel_tol=rel_tol)
+    return Modular((f,), p, q).solve(0, 0.0, hint, rel_tol)[0]
 
 
 def _esssup_levels(fs, q):
@@ -162,6 +177,11 @@ def mixed_modular(fs, p, q):
     return _LevelSolver(fs, p, q).modular()
 
 
+def _norm_hint(fs):
+    """A scale on the feasible side of the mixed norm."""
+    return fs.max_abs() * max(1.0, fs.grid.box_measure) * fs.levels
+
+
 def mixed_norm(fs, p, q, rel_tol=NORM_REL_TOL):
     """Norm of the mixed space: inf{mu > 0 : modular((f_j)/mu) <= 1}.
 
@@ -171,24 +191,17 @@ def mixed_norm(fs, p, q, rel_tol=NORM_REL_TOL):
     require_same_grid(*fs.entries, p, q)
     if np.all(np.isinf(q.values)):
         return max(luxemburg_norm(f, p) for f in fs)
-    m = fs.max_abs()
-    if m == 0.0:
+    if fs.max_abs() == 0.0:
         return 0.0
-    hint = m * max(1.0, fs.grid.box_measure) * fs.levels
     if np.all(np.isinf(p.values)):
         level_fn = _esssup_levels(fs, q)
 
         def fn(mu):
             return level_fn(math.log(mu), early=True)
 
-        return solve_threshold(fn, hint, rel_tol=rel_tol)
+        return solve_threshold(fn, _norm_hint(fs), rel_tol=rel_tol)
 
-    solver = _LevelSolver(fs, p, q)
-
-    def fn(mu):
-        return solver.modular(log_mu=math.log(mu), early=True)
-
-    return solve_threshold(fn, hint, rel_tol=rel_tol)
+    return _LevelSolver(fs, p, q).norm(rel_tol=rel_tol)
 
 
 def check_monotone_limit(fs, truncation_sets, p, q, rel_tol=1e-6):

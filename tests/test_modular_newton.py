@@ -1,0 +1,280 @@
+"""The Modular evaluator under the Newton solve, at the extremes.
+
+Every result is compared, in log space, with an independent oracle: the
+closed forms for constant exponents, or scipy's brentq on a log-sum-exp of
+the modular.  Every result is also checked on its feasible side with the
+natural-power evaluator ``_kernels.plain_modular``.
+"""
+
+import math
+import statistics
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import logsumexp
+
+from varbesov import _kernels, _solve, lebesgue, mixed
+from varbesov.exponents import (ExponentField, constant_exponent,
+                                cos_bump_exponent, log_smooth_exponent)
+from varbesov.grid import Field, Grid, default_grid
+from varbesov.lebesgue import Modular, luxemburg_norm
+from varbesov.mixed import (FieldSequence, _LevelSolver, inner_lambda,
+                            mixed_norm)
+from varbesov.random_fields import band_limited_sequence
+
+GRID = Grid(1, 256, 8.0)
+LOG_CELL = math.log(GRID.cell)
+REL_TOL = 1e-9
+
+# |f| = scale * shape, shape in (0, 1]: a smooth positive bump with a zero
+# tail, so zero samples are part of every field
+_X = GRID.axis_coordinates()
+
+
+def _shape(seed):
+    rng = np.random.default_rng(seed)
+    bump = np.exp(-((_X - rng.uniform(-2.0, 2.0)) / rng.uniform(0.5, 3.0)) ** 2)
+    bump *= 1.0 + 0.3 * np.cos(rng.uniform(0.5, 2.0) * _X)
+    bump[np.abs(_X) > 6.0] = 0.0
+    return bump / bump.max()
+
+
+def _field(log10_scale, seed):
+    return Field(GRID, 10.0 ** log10_scale * _shape(seed))
+
+
+def _log_abs(f):
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(f.values))
+
+
+def _log_lp(f, p0):
+    """log of the constant-exponent norm (sum |f|^p0 cell)^(1/p0)."""
+    return logsumexp(p0 * _log_abs(f) + LOG_CELL) / p0
+
+
+def _plain(t, p):
+    return _kernels.plain_modular(t, np.broadcast_to(p, t.shape), GRID.cell)
+
+
+def _assert_bracket(modular_at, x, power=1.0):
+    """modular_at(x) <= 1 < modular_at(x / (1 + rel_tol)^power) with the
+    independent evaluator; ``power`` turns x into the norm scale x^{1/power}."""
+    assert modular_at(x) <= 1.0
+    assert modular_at(x / (1.0 + REL_TOL) ** power) > 1.0
+
+
+magnitudes = st.floats(-150.0, 150.0)
+seeds = st.integers(0, 10_000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(magnitudes, seeds, st.sampled_from([1.0001, 1.01, 2.0, 7.5]))
+def test_luxemburg_constant_exponent_extremes(log10_scale, seed, p0):
+    f = _field(log10_scale, seed)
+    nrm = luxemburg_norm(f, constant_exponent(GRID, p0))
+    assert math.log(nrm) == pytest.approx(_log_lp(f, p0), abs=2e-9)
+    # rescale before the natural-power check so 1e+-150 stays in range
+    unit = np.abs(f.values) / 10.0 ** log10_scale
+    _assert_bracket(lambda x: _plain(unit / (x / 10.0 ** log10_scale), p0), nrm)
+
+
+@settings(max_examples=25, deadline=None)
+@given(magnitudes, seeds, st.floats(1.0001, 1.2), st.floats(0.5, 3.0))
+def test_luxemburg_variable_exponent_against_brentq(log10_scale, seed, a, b):
+    # p = a + b / log(e + |x|) reaches down to p = 1.0001
+    f = _field(log10_scale, seed)
+    p = log_smooth_exponent(GRID, a, b)
+    pv = p.values
+    la = _log_abs(f)
+
+    def log_rho(u):
+        return logsumexp(pv * (la - u) + LOG_CELL)
+
+    guess = _log_lp(f, float(pv.min()))
+    u_star = brentq(log_rho, guess - 50.0, guess + 50.0, xtol=1e-14, rtol=1e-15)
+    nrm = luxemburg_norm(f, p)
+    assert math.log(nrm) == pytest.approx(u_star, abs=2e-9)
+    unit = np.abs(f.values) / 10.0 ** log10_scale
+    _assert_bracket(lambda x: _plain(unit / (x / 10.0 ** log10_scale), pv), nrm)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(-150.0, 150.0), seeds, st.sampled_from([1.0001, 1.5, 3.0]),
+       st.sampled_from([400.0, 1000.0]))
+def test_mixed_norm_large_q(log10_scale, seed, p0, q0):
+    # three levels two decades apart: with q >= 400 the top level carries the
+    # norm and the others' lam_j underflow on the way
+    fs = FieldSequence(tuple(
+        _field(log10_scale - k, seed + k) for k in (0, 2, 1)))
+    nrm = mixed_norm(fs, constant_exponent(GRID, p0), constant_exponent(GRID, q0))
+    log_norms = np.array([_log_lp(f, p0) for f in fs])
+    expected = logsumexp(q0 * log_norms) / q0
+    assert math.log(nrm) == pytest.approx(expected, abs=2e-9)
+    # feasible side of the sequence modular sum_j rho_p(f_j / mu)^{q/p}, on
+    # samples rescaled by the same power of ten as mu
+    units = [np.abs(f.values) / 10.0 ** log10_scale for f in fs]
+    _assert_bracket(
+        lambda x: sum(_plain(u / (x / 10.0 ** log10_scale), p0) ** (q0 / p0)
+                      for u in units),
+        nrm)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), seeds, st.sampled_from([1.0001, 2.0]),
+       st.sampled_from([1.5, 400.0]))
+def test_all_zero_levels(n_zero, seed, p0, q0):
+    zero = Field(GRID, np.zeros(GRID.shape))
+    f = _field(0.0, seed)
+    entries = [zero] * n_zero
+    entries.insert(seed % (n_zero + 1), f)
+    p, q = constant_exponent(GRID, p0), constant_exponent(GRID, q0)
+    nrm = mixed_norm(FieldSequence(tuple(entries)), p, q)
+    assert math.log(nrm) == pytest.approx(_log_lp(f, p0), abs=2e-9)
+    assert mixed_norm(FieldSequence((zero,) * n_zero), p, q) == 0.0
+    assert inner_lambda(zero, p, q) == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.floats(0.05, 0.999) | st.floats(1.001, 3.0),
+       st.floats(-1.5, 1.5), st.sampled_from([1.0001, 2.0]),
+       st.sampled_from([1.5, 400.0]))
+def test_q_infinity_mass_on_both_sides_of_one(seed, mass, log_target, p0, q0):
+    # q = inf on the left half: there the modular does not depend on lam
+    # and carries ``mass``; the closed form is
+    # lam = (S_dep / (1 - mass))^{q/p} when mass < 1, and inf otherwise.
+    # Compared on the norm scale lam^{p/q} (set to exp(log_target) below):
+    # d log rho / d log lam is -(p/q)(1 - mass) there, so log lam is only
+    # defined to q/p times the rounding of log rho.
+    shape = _shape(seed)
+    left = _X < 0.0
+    ind = shape * left
+    dep = shape * ~left
+    if not (np.any(ind > 0.0) and np.any(dep > 0.0)):
+        return
+    s_ind = float(np.sum(ind ** p0)) * GRID.cell
+    s_dep = float(np.sum(dep ** p0)) * GRID.cell
+    log_dep = 0.0
+    if mass < 1.0:
+        log_dep = (log_target + math.log1p(-mass) - math.log(s_dep)) / p0
+    vals = ind * (mass / s_ind) ** (1.0 / p0) + dep * math.exp(log_dep)
+    f = Field(GRID, vals)
+    q = ExponentField(GRID, np.where(left, np.inf, q0))
+    p = constant_exponent(GRID, p0)
+    lam = inner_lambda(f, p, q)
+    if mass > 1.0:
+        assert lam == math.inf
+        return
+    assert p0 / q0 * math.log(lam) == pytest.approx(log_target, abs=1e-10)
+    rq = np.where(left, 0.0, 1.0 / q0)
+    _assert_bracket(lambda x: _plain(np.abs(vals) / x ** rq, p0), lam, q0 / p0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.floats(-1.5, 1.5), st.sampled_from([1.0001, 2.0, 5.0]),
+       st.sampled_from([1.0, 2.0, 400.0]))
+def test_p_infinity_floor_nodes(seed, log_sup, p0, q0):
+    # p = inf on the outer band: lam is the larger of the band's floor
+    # sup |f|^q and the finite band's closed form S^{q/p}
+    shape = _shape(seed)
+    band = np.abs(_X) > 3.0
+    if not np.any(shape[band] > 0.0):
+        shape = shape + 0.2 * band
+    vals = np.where(band, shape / shape[band].max() * math.exp(log_sup), shape)
+    f = Field(GRID, vals)
+    pv = np.where(band, np.inf, p0)
+    p = ExponentField(GRID, pv)
+    q = constant_exponent(GRID, q0)
+    # on the norm scale lam^{1/q}: the sup of the band, or the finite
+    # band's constant-exponent norm
+    expected = max(log_sup, logsumexp(p0 * _log_abs(f)[~band] + LOG_CELL) / p0)
+    assume(abs(q0 * expected) < 700.0)  # lam is a float
+    lam = inner_lambda(f, p, q)
+    assert math.log(lam) / q0 == pytest.approx(expected, abs=1e-10)
+    # a floor-bound lam sits a few ulps above sup |f|^q, so the bracket
+    # below it is infeasible through the p = inf nodes
+    _assert_bracket(lambda x: _plain(np.abs(vals) / x ** (1.0 / q0), pv), lam, q0)
+    if q0 == 1.0:
+        # the Luxemburg norm on the same nodes
+        nrm = luxemburg_norm(f, p)
+        assert math.log(nrm) == pytest.approx(expected, abs=2e-9)
+        _assert_bracket(lambda x: _plain(np.abs(vals) / x, pv), nrm)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seeds, st.floats(-1.0, 1.0))
+def test_implicit_level_slope_matches_finite_difference(seed, log_mu):
+    grid = Grid(1, 512, 16.0)
+    fs = band_limited_sequence(grid, 3, 40, seed)
+    p = log_smooth_exponent(grid, 1.5, 1.5)
+    q = cos_bump_exponent(grid, 1.5, 1.0)
+    ev = Modular(fs, p, q)
+    h = 1e-4
+    for j in range(fs.levels):
+        lam, slope = ev.solve(j, log_mu, rel_tol=1e-12)
+        up = ev.solve(j, log_mu + h, hint=lam, rel_tol=1e-12)[0]
+        down = ev.solve(j, log_mu - h, hint=lam, rel_tol=1e-12)[0]
+        fd = (math.log(up) - math.log(down)) / (2.0 * h)
+        assert slope == pytest.approx(fd, rel=1e-5)
+        assert slope < 0.0
+
+
+def test_outer_slope_matches_finite_difference():
+    grid = Grid(1, 512, 16.0)
+    fs = band_limited_sequence(grid, 4, 40, 5)
+    p = log_smooth_exponent(grid, 2.0, 1.0)
+    q = cos_bump_exponent(grid, 1.5, 1.0)
+    solver = _LevelSolver(fs, p, q)
+    mu = mixed_norm(fs, p, q)
+    value, slope = solver.scaled(mu)
+    h = 1e-4
+    up = solver.scaled(mu * math.exp(h))[0]
+    down = solver.scaled(mu * math.exp(-h))[0]
+    assert slope == pytest.approx((math.log(up) - math.log(down)) / (2.0 * h), rel=1e-5)
+    assert value <= 1.0
+
+
+def test_tangent_hints_start_on_the_infeasible_side():
+    # log lam_j is convex in log mu, so the tangent prediction undershoots
+    grid = Grid(1, 512, 16.0)
+    fs = band_limited_sequence(grid, 4, 40, 9)
+    p = log_smooth_exponent(grid, 2.0, 1.0)
+    q = cos_bump_exponent(grid, 1.5, 1.0)
+    solver = _LevelSolver(fs, p, q)
+    for j in range(fs.levels):
+        lam0, slope = solver.inner(j, 0.0)
+        for step in (-0.5, -0.05, 0.05, 0.5):
+            lam1 = solver.evaluator.solve(j, step, hint=1.0)[0]
+            predicted = math.log(lam0) + slope * step
+            assert predicted <= math.log(lam1) + 1e-9
+
+
+def test_mixed_norm_solves_take_at_most_five_evaluations(monkeypatch):
+    # desk scale: 4096 nodes, 9 levels, log-smooth p, cos-bump q
+    grid = default_grid(1)
+    fs = band_limited_sequence(grid, 9, 64, 3)
+    p = log_smooth_exponent(grid, 2.0, 1.5)
+    q = cos_bump_exponent(grid, 1.5, 1.0)
+    counts = []
+    solve = _solve.solve_threshold
+
+    def counted(fn, hint, *args, **kwargs):
+        calls = [0]
+
+        def wrapped(x):
+            calls[0] += 1
+            return fn(x)
+
+        try:
+            return solve(wrapped, hint, *args, **kwargs)
+        finally:
+            counts.append(calls[0])
+
+    monkeypatch.setattr(lebesgue, "solve_threshold", counted)
+    monkeypatch.setattr(mixed, "solve_threshold", counted)
+    mixed_norm(fs, p, q)
+    assert len(counts) > fs.levels
+    assert statistics.median(counts) <= 5

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varbesov._solve import solve_threshold
+from varbesov._solve import ThresholdNotConverged, solve_threshold
 
 
 def test_power_law_root():
@@ -51,3 +51,86 @@ def test_sum_of_power_laws(a, b, slope):
     root = solve_threshold(fn, hint=1.0)
     assert fn(root) <= 1.0
     assert fn(root * (1.0 - 1e-7)) >= 1.0 - 1e-9
+
+
+def _with_slope(target, slope):
+    # (target/x)^slope with its log-log derivative, as the modular maps return
+    return lambda x: ((target / x) ** slope, -slope)
+
+
+def _counted(fn):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return fn(x)
+
+    return wrapped, calls
+
+
+def test_non_convergence_raises():
+    # Illinois on a jump cannot close a 1e-12 bracket in five evaluations
+    fn = lambda x: 0.0 if x >= 0.73 else math.inf
+    with pytest.raises(ThresholdNotConverged):
+        solve_threshold(fn, hint=5.0, rel_tol=1e-12, max_evals=5)
+    assert issubclass(ThresholdNotConverged, RuntimeError)
+
+
+def test_non_convergence_raises_on_newton_path():
+    fn, calls = _counted(_with_slope(3.0, 2.0))
+    with pytest.raises(ThresholdNotConverged):
+        solve_threshold(fn, hint=1e6, rel_tol=1e-12, max_evals=2)
+    assert len(calls) == 2
+
+
+def test_newton_power_law_closes_in_three_evaluations():
+    # log F is affine: one Newton step lands on the crossing, the closing
+    # probe confirms the feasible side
+    fn, calls = _counted(_with_slope(2.0, 3.0))
+    root = solve_threshold(fn, hint=1000.0)
+    assert root == pytest.approx(2.0, rel=1e-9)
+    assert root >= 2.0
+    assert len(calls) <= 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 20.0), st.floats(0.05, 20.0), st.floats(0.2, 4.0),
+       st.floats(1e-3, 1e3))
+def test_newton_on_log_convex_sum(a, b, slope, hint):
+    # a sum of power laws is log-convex in log x; the Newton path must keep
+    # the feasible side and beat the derivative-free path on evaluations
+    def value(x):
+        return 0.5 * (a / x) ** slope + 0.5 * (b / x) ** (slope + 1.0)
+
+    def with_slope(x):
+        ta = 0.5 * (a / x) ** slope
+        tb = 0.5 * (b / x) ** (slope + 1.0)
+        return ta + tb, -(slope * ta + (slope + 1.0) * tb) / (ta + tb)
+
+    fn, calls = _counted(with_slope)
+    root = solve_threshold(fn, hint=hint)
+    plain, plain_calls = _counted(value)
+    ref = solve_threshold(plain, hint=hint)
+    assert value(root) <= 1.0
+    assert value(root / (1.0 + 1e-9)) > 1.0
+    assert root == pytest.approx(ref, rel=2e-9)
+    assert len(calls) <= len(plain_calls)
+
+
+def test_wrong_derivative_falls_back_to_safeguard():
+    # a slope ten times too steep makes Newton creep; the safeguard still
+    # brackets and converges on the feasible side
+    fn = lambda x: ((2.0 / x) ** 3, -30.0)
+    root = solve_threshold(fn, hint=1.0)
+    assert root == pytest.approx(2.0, rel=1e-8)
+    assert (2.0 / root) ** 3 <= 1.0
+
+
+def test_newton_beyond_float_range_returns_limits():
+    # crossings beyond the largest or below the smallest float
+    assert solve_threshold(_with_slope(1e200, 2.0), hint=1e200 ** 0.5 * 1e300 ** 0.5,
+                           ) == pytest.approx(1e200, rel=1e-9)
+    assert solve_threshold(lambda x: (math.exp(-800.0 - math.log(x)) ** 0.01, -0.01),
+                           hint=1.0) == 0.0
+    assert solve_threshold(lambda x: (math.exp(0.01 * (800.0 - math.log(x))), -0.01),
+                           hint=1.0) == math.inf
