@@ -8,6 +8,10 @@ Both implementations are always importable regardless of the
 VARBESOV_BACKEND setting, so this script times them side by side and also
 times a full mixed-norm solve under each backend.  Without numba only the
 numpy column and the numpy mixed-norm solve are timed.
+
+The anchored-pair kernels have one implementation (per-offset tables); they
+are timed against their per-pair loop forms, compiled with numba when it
+imports and plain python otherwise (a few seconds per loop call).
 """
 
 import math
@@ -22,6 +26,7 @@ from varbesov import _kernels as K
 
 N = 4096
 REPS = 400
+LEVELS = 7  # eta_shift_curve levels, as in a J = 6 run
 
 
 def make_inputs():
@@ -38,8 +43,9 @@ def make_inputs():
     return log_af, p, rq, q, coords
 
 
-def bench(fn, *args, reps=REPS):
-    fn(*args)  # warm up / JIT
+def bench(fn, *args, reps=REPS, warm=True):
+    if warm:
+        fn(*args)  # warm up / JIT
     t0 = time.perf_counter()
     for _ in range(reps):
         fn(*args)
@@ -69,9 +75,6 @@ def main():
         ("esssup_modular", REPS,
          lambda: K._esssup_modular_impl(log_af, q, 0.1),
          lambda: K._esssup_modular_np(log_af, q, 0.1)),
-        ("log_holder_max", 4,
-         lambda: K._log_holder_max_impl(g_samples, coords, anchors, 32.0),
-         lambda: K._log_holder_max_np(g_samples, coords, anchors, 32.0)),
     ]
     print(f"{'kernel':<18}{'compiled':>14}{'numpy':>14}{'speedup':>10}",
           flush=True)
@@ -81,6 +84,31 @@ def main():
         speed = t_np / t_loop if K.USE_NUMBA else math.nan
         print(f"{name:<18}{t_loop * 1e6:>11.1f} us{t_np * 1e6:>11.1f} us"
               f"{speed:>9.2f}x", flush=True)
+
+    alpha = 0.5 + 0.3 * np.sin(coords[:, 0])
+    out = np.zeros(LEVELS)
+    log_holder_loop, eta_loop = K._log_holder_max_loop, K._eta_shift_curve_loop
+    if K.USE_NUMBA:
+        from numba import njit
+
+        log_holder_loop, eta_loop = njit(log_holder_loop), njit(eta_loop)
+    pair_rows = [
+        ("log_holder_max",
+         lambda: log_holder_loop(g_samples, coords, anchors, 32.0),
+         lambda: K.log_holder_max(g_samples, coords, anchors, 32.0)),
+        ("eta_shift_curve",
+         lambda: eta_loop(alpha, coords, anchors, 32.0, 3.0, out),
+         lambda: K.eta_shift_curve(alpha, coords, anchors, 32.0, 3.0, LEVELS)),
+    ]
+    print(f"\nanchored pairs: {anchors.size} anchors x {N} nodes "
+          f"({LEVELS} levels for eta_shift_curve)")
+    print(f"{'kernel':<18}{'per-pair loop':>16}{'table':>14}{'speedup':>10}",
+          flush=True)
+    for name, loop_fn, table_fn in pair_rows:
+        t_loop = bench(loop_fn, reps=1, warm=K.USE_NUMBA)
+        t_table = bench(table_fn, reps=4)
+        print(f"{name:<18}{t_loop * 1e3:>13.1f} ms{t_table * 1e3:>11.1f} ms"
+              f"{t_loop / t_table:>9.1f}x", flush=True)
 
     print("\nend-to-end mixed norm (desk scale, 9 levels):", flush=True)
     code = (

@@ -1,7 +1,8 @@
 """Hot numeric inner loops.
 
-Every kernel works on flat float64 arrays and comes in two flavors: a loop
-form compiled with numba, and a vectorized numpy twin.  The environment
+The modular kernels ``scaled_modular``, ``plain_modular`` and
+``esssup_modular`` work on flat float64 arrays and come in two flavors: a
+loop form compiled with numba, and a vectorized numpy twin.  The environment
 variable ``VARBESOV_BACKEND`` selects the active flavor:
 
     auto    use numba when it imports, fall back to numpy (default)
@@ -15,12 +16,23 @@ pairwise in numpy).
 ``log_modular`` is the numpy pass behind every threshold solve (through
 ``lebesgue.Modular``) and behind the numpy ``scaled_modular``; it has no
 loop form.
+
+The anchored-pair kernels ``log_holder_max`` and ``eta_shift_curve`` have
+one numpy implementation in every backend.  On a ``Grid`` the min-image
+distance between two nodes depends only on their index offset, so each call
+builds one per-offset table and reaches every anchor through a slice of it.
+Their per-pair loop forms ``_log_holder_max_loop`` and
+``_eta_shift_curve_loop`` stay as the reference the tests and
+``benchmarks/bench_kernels.py`` check them against; no package code calls
+them.
 """
 
 import math
 import os
 
 import numpy as np
+
+from .grid import Grid
 
 _ENV_VAR = "VARBESOV_BACKEND"
 _choice = os.environ.get(_ENV_VAR, "auto").strip().lower()
@@ -102,61 +114,6 @@ def _esssup_modular_loop(log_t, q, log_mu):
             if v > best:
                 best = v
     return best
-
-
-def _log_holder_max_loop(g, coords, anchors, period):
-    # max over anchor/node pairs of |g(x)-g(y)| * log(e + 1/d(x,y)),
-    # d = minimum-image distance on the periodic box.
-    best = 0.0
-    ndim = coords.shape[1]
-    n = g.shape[0]
-    for ai in range(anchors.shape[0]):
-        a = anchors[ai]
-        ga = g[a]
-        for j in range(n):
-            if j == a:
-                continue
-            d2 = 0.0
-            for ax in range(ndim):
-                dd = abs(coords[a, ax] - coords[j, ax])
-                if period - dd < dd:
-                    dd = period - dd
-                d2 += dd * dd
-            d = math.sqrt(d2)
-            if d <= 0.0:
-                continue
-            v = abs(ga - g[j]) * math.log(math.e + 1.0 / d)
-            if v > best:
-                best = v
-    return best
-
-
-def _eta_shift_curve_loop(alpha, coords, anchors, period, big_r, out):
-    # out[j] = max over anchor/node pairs of 2^{j(alpha(x)-alpha(y))}
-    #          * (1 + 2^j d)^(-big_r); the kernel order m cancels in the ratio.
-    ndim = coords.shape[1]
-    n = alpha.shape[0]
-    jcount = out.shape[0]
-    for j in range(jcount):
-        out[j] = 0.0
-    for ai in range(anchors.shape[0]):
-        a = anchors[ai]
-        aa = alpha[a]
-        for y in range(n):
-            d2 = 0.0
-            for ax in range(ndim):
-                dd = abs(coords[a, ax] - coords[y, ax])
-                if period - dd < dd:
-                    dd = period - dd
-                d2 += dd * dd
-            d = math.sqrt(d2)
-            da = aa - alpha[y]
-            for j in range(jcount):
-                tw = 2.0 ** j
-                v = 2.0 ** (j * da) * (1.0 + tw * d) ** (-big_r)
-                if v > out[j]:
-                    out[j] = v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -241,38 +198,6 @@ def _esssup_modular_np(log_t, q, log_mu):
     return _INF if math.isinf(best) else best
 
 
-def _min_image_dist_np(coords, a, period):
-    dd = np.abs(coords - coords[a])
-    dd = np.minimum(dd, period - dd)
-    return np.sqrt(np.sum(dd * dd, axis=1))
-
-
-def _log_holder_max_np(g, coords, anchors, period):
-    best = 0.0
-    for a in anchors:
-        d = _min_image_dist_np(coords, a, period)
-        mask = d > 0.0
-        if not np.any(mask):
-            continue
-        v = np.abs(g[a] - g[mask]) * np.log(math.e + 1.0 / d[mask])
-        m = float(np.max(v))
-        if m > best:
-            best = m
-    return best
-
-
-def _eta_shift_curve_np(alpha, coords, anchors, period, big_r, out):
-    jcount = out.shape[0]
-    out[:] = 0.0
-    js = np.arange(jcount, dtype=np.float64)[:, None]
-    for a in anchors:
-        d = _min_image_dist_np(coords, a, period)
-        da = alpha[a] - alpha
-        v = 2.0 ** (js * da[None, :]) * (1.0 + (2.0 ** js) * d[None, :]) ** (-big_r)
-        np.maximum(out, np.max(v, axis=1), out=out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
@@ -281,14 +206,10 @@ if USE_NUMBA:
     _scaled_modular_impl = njit(cache=True)(_scaled_modular_loop)
     _plain_modular_impl = njit(cache=True)(_plain_modular_loop)
     _esssup_modular_impl = njit(cache=True)(_esssup_modular_loop)
-    _log_holder_max_impl = njit(cache=True)(_log_holder_max_loop)
-    _eta_shift_curve_impl = njit(cache=True)(_eta_shift_curve_loop)
 else:
     _scaled_modular_impl = _scaled_modular_np
     _plain_modular_impl = _plain_modular_np
     _esssup_modular_impl = _esssup_modular_np
-    _log_holder_max_impl = _log_holder_max_np
-    _eta_shift_curve_impl = _eta_shift_curve_np
 
 
 def _flat(a):
@@ -320,27 +241,162 @@ def esssup_modular(log_t, q, log_mu):
     return float(_esssup_modular_impl(_flat(log_t), _flat(q), float(log_mu)))
 
 
+# ---------------------------------------------------------------------------
+# anchored-pair kernels on per-offset tables
+# ---------------------------------------------------------------------------
+
+# per-pair loop forms: the reference for the table kernels below
+
+def _log_holder_max_loop(g, coords, anchors, period):
+    # max over anchor/node pairs of |g(x)-g(y)| * log(e + 1/d(x,y)),
+    # d = minimum-image distance on the periodic box.
+    best = 0.0
+    ndim = coords.shape[1]
+    n = g.shape[0]
+    for ai in range(anchors.shape[0]):
+        a = anchors[ai]
+        ga = g[a]
+        for j in range(n):
+            if j == a:
+                continue
+            d2 = 0.0
+            for ax in range(ndim):
+                dd = abs(coords[a, ax] - coords[j, ax])
+                if period - dd < dd:
+                    dd = period - dd
+                d2 += dd * dd
+            d = math.sqrt(d2)
+            if d <= 0.0:
+                continue
+            v = abs(ga - g[j]) * math.log(math.e + 1.0 / d)
+            if v > best:
+                best = v
+    return best
+
+
+def _eta_shift_curve_loop(alpha, coords, anchors, period, big_r, out):
+    # out[j] = max over anchor/node pairs of 2^{j(alpha(x)-alpha(y))}
+    #          * (1 + 2^j d)^(-big_r); the kernel order m cancels in the ratio.
+    ndim = coords.shape[1]
+    n = alpha.shape[0]
+    jcount = out.shape[0]
+    for j in range(jcount):
+        out[j] = 0.0
+    for ai in range(anchors.shape[0]):
+        a = anchors[ai]
+        aa = alpha[a]
+        for y in range(n):
+            d2 = 0.0
+            for ax in range(ndim):
+                dd = abs(coords[a, ax] - coords[y, ax])
+                if period - dd < dd:
+                    dd = period - dd
+                d2 += dd * dd
+            d = math.sqrt(d2)
+            da = aa - alpha[y]
+            for j in range(jcount):
+                tw = 2.0 ** j
+                v = 2.0 ** (j * da) * (1.0 + tw * d) ** (-big_r)
+                if v > out[j]:
+                    out[j] = v
+    return out
+
+
+# table forms
+
+def _min_image_dist_np(coords, a, period):
+    dd = np.abs(coords - coords[a])
+    dd = np.minimum(dd, period - dd)
+    return np.sqrt(np.sum(dd * dd, axis=1))
+
+
+def _offset_table(coords, period):
+    """Min-image distance from node 0 to every node, shaped as the grid and
+    doubled along axis 0.
+
+    On a ``Grid`` lattice the distance between two nodes depends only on
+    their index offset mod N per axis, so this one table serves every
+    anchor (see ``_reach``).  Raises ValueError when ``coords`` are not the
+    nodes of the grid with box period ``period``.
+    """
+    coords = np.ascontiguousarray(coords, dtype=np.float64)
+    n, dim = coords.shape
+    side = int(round(n ** (1.0 / dim)))
+    if side ** dim != n:
+        raise ValueError(f"{n} nodes do not fill a {dim}-d square lattice")
+    grid = Grid(dim, side, 0.5 * period)
+    if not np.array_equal(coords, grid.flat_coordinates()):
+        raise ValueError("pair kernels need the node coordinates of a Grid")
+    table = _min_image_dist_np(coords, 0, float(period)).reshape(grid.shape)
+    return np.concatenate((table, table), axis=0)
+
+
+def _reach(table2, a):
+    """Flat view of a doubled offset table as seen from node ``a``: entry y
+    holds the table's value at the offset y - a (mod N per axis)."""
+    side = table2.shape[0] // 2
+    if table2.ndim == 1:
+        return table2[side - a:2 * side - a]
+    i, k = divmod(int(a), side)
+    rows = table2[side - i:2 * side - i]
+    if k:
+        rows = np.roll(rows, k, axis=1)
+    return rows.ravel()
+
+
 def log_holder_max(g, coords, anchors, period):
-    """Largest |g(x)-g(y)| * log(e + 1/|x-y|) over anchored pairs."""
-    return float(
-        _log_holder_max_impl(
-            _flat(g),
-            np.ascontiguousarray(coords, dtype=np.float64),
-            np.ascontiguousarray(anchors, dtype=np.int64),
-            float(period),
-        )
-    )
+    """Largest |g(x)-g(y)| * log(e + 1/|x-y|) over anchored pairs, x != y.
+
+    ``coords`` must be the nodes of a ``Grid`` with box period ``period``.
+    The weight log(e + 1/d) is taken once per index offset.  The full 1-D
+    pair set visits offsets 1..N/2 only (d and |g(x)-g(y)| are symmetric)
+    and scales each offset's largest difference by its weight; rounding of
+    x * w is monotone in x for w > 0, so the result is bitwise the per-pair
+    maximum.
+    """
+    g = _flat(g)
+    n = g.shape[0]
+    table2 = _offset_table(coords, period)
+    pos = table2 > 0.0
+    w2 = np.zeros_like(table2)
+    w2[pos] = np.log(math.e + 1.0 / table2[pos])
+    best = 0.0
+    buf = np.empty_like(g)
+    if table2.ndim == 1 and np.array_equal(anchors, np.arange(n)):
+        g2 = np.concatenate((g, g))
+        for s in range(1, n // 2 + 1):
+            np.subtract(g2[s:s + n], g, out=buf)
+            np.abs(buf, out=buf)
+            best = max(best, float(buf.max()) * float(w2[s]))
+        return best
+    for a in anchors:
+        np.subtract(g[a], g, out=buf)
+        np.abs(buf, out=buf)
+        buf *= _reach(w2, a)
+        best = max(best, float(buf.max()))
+    return best
 
 
 def eta_shift_curve(alpha, coords, anchors, period, big_r, jcount):
-    """Per-level maxima of the shifted-kernel ratio, levels 0..jcount-1."""
+    """Per-level maxima of the shifted-kernel ratio, levels 0..jcount-1.
+
+    out[j] = max over anchor/node pairs of 2^{j(alpha(x)-alpha(y))}
+    * (1 + 2^j d)^(-big_r); the kernel order m cancels in the ratio.
+    ``coords`` must be the nodes of a ``Grid`` with box period ``period``.
+    Levels run outermost, so only one level's kernel table is alive.
+    """
+    alpha = _flat(alpha)
+    table2 = _offset_table(coords, period)
     out = np.zeros(int(jcount), dtype=np.float64)
-    _eta_shift_curve_impl(
-        _flat(alpha),
-        np.ascontiguousarray(coords, dtype=np.float64),
-        np.ascontiguousarray(anchors, dtype=np.int64),
-        float(period),
-        float(big_r),
-        out,
-    )
+    buf = np.empty_like(alpha)
+    for j in range(out.shape[0]):
+        k2 = (1.0 + 2.0 ** j * table2) ** (-float(big_r))
+        best = 0.0
+        for a in anchors:
+            np.subtract(alpha[a], alpha, out=buf)
+            buf *= j
+            np.exp2(buf, out=buf)
+            buf *= _reach(k2, a)
+            best = max(best, float(buf.max()))
+        out[j] = best
     return out

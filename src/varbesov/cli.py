@@ -326,10 +326,8 @@ def _suite_littlewood_paley(cfg, grid, records, curves):
     _record_value(records, "lp.single_block_identity", rel, 0.0, 1e-7)
 
     alpha = _build_exponent(cfg, grid, "s")
-    from .exponents import local_log_holder
-
-    c_loc = local_log_holder(alpha.values, grid)
-    rep = check_lemma_eta_shift(alpha, c_loc, float(grid.dim + 2), top)
+    rep = check_lemma_eta_shift(alpha, alpha.local_log_holder(),
+                                float(grid.dim + 2), top)
     _record(records, rep)
     curves["lp.eta_shift"] = rep.details["per_level"]
 

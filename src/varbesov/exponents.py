@@ -39,6 +39,7 @@ class ExponentField:
             raise ValueError("exponent values must not be NaN")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "_dual", None)
+        object.__setattr__(self, "_c_loc", None)
 
     @property
     def p_minus(self):
@@ -58,6 +59,13 @@ class ExponentField:
         if value is not None and v0 != value:
             return False
         return bool(np.all(self.values == v0))
+
+    def local_log_holder(self):
+        """``local_log_holder`` of the samples, measured once per field."""
+        if self._c_loc is None:
+            object.__setattr__(self, "_c_loc",
+                               local_log_holder(self.values, self.grid))
+        return self._c_loc
 
     def reciprocals(self):
         """1/g with the convention 1/inf = 0."""
@@ -207,9 +215,9 @@ def log_holder_constants(g):
     """
     if not g.is_finite_valued():
         raise ValueError("log-Holder constants require a finite-valued field")
-    c_loc = local_log_holder(g.values, g.grid)
     if g.value_at_infinity is None:
         raise ValueError("value_at_infinity required for the decay constant")
+    c_loc = g.local_log_holder()
     coords = g.grid.flat_coordinates()
     radius = np.sqrt(np.sum(coords * coords, axis=1))
     c_decay = float(

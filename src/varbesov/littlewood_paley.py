@@ -121,7 +121,7 @@ def check_lemma_eta_shift(alpha, big_r, m, top_level):
     if not alpha.is_finite_valued():
         raise ValueError("alpha must be finite-valued")
     grid = alpha.grid
-    c_loc = local_log_holder(alpha.values, grid)
+    c_loc = alpha.local_log_holder()
     if big_r < c_loc - 1e-12:
         raise ValueError(
             f"R={big_r} below the measured local log-Holder constant {c_loc:.6g}"

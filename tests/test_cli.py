@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from varbesov import _kernels
 from varbesov.cli import (ConfigError, DEFAULT_CONFIG, emit, emit_plot_data,
                           main, parse_report, run, validate_config)
 
@@ -61,6 +62,20 @@ class TestRun:
     def test_every_selected_check_appears_once(self, small_report):
         ids = [r.check_id for r in small_report.records]
         assert len(ids) == len(set(ids))
+
+    def test_littlewood_paley_sweeps_each_field_once(self, monkeypatch):
+        # one local log-Holder sweep for alpha (the eta shift check) and one
+        # for 1/q (the mixed eta check)
+        sweeps = []
+        sweep = _kernels.log_holder_max
+
+        def counted(*args):
+            sweeps.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(_kernels, "log_holder_max", counted)
+        run(dict(SMALL, suites=["littlewood_paley"]))
+        assert len(sweeps) == 2
 
     def test_environment_has_no_timestamps(self, small_report):
         assert set(small_report.environment) == {

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varbesov import _kernels
 from varbesov.exponents import (ExponentField, conjugate, constant_exponent,
                                 cos_bump_exponent, exponent_from_family,
                                 harmonic_sum, local_log_holder,
@@ -116,6 +117,32 @@ class TestLogHolder:
         g = ExponentField(grid, np.full(grid.shape, 2.0))
         with pytest.raises(ValueError, match="value_at_infinity"):
             log_holder_constants(g)
+
+    def test_decay_check_comes_before_the_pair_sweep(self, grid, monkeypatch):
+        def sweep(*args):
+            raise AssertionError("pair sweep ran before the decay check")
+
+        monkeypatch.setattr(_kernels, "log_holder_max", sweep)
+        g = ExponentField(grid, np.full(grid.shape, 2.0))
+        with pytest.raises(ValueError, match="value_at_infinity"):
+            log_holder_constants(g)
+
+    def test_field_measures_its_constant_once(self, grid, monkeypatch):
+        calls = []
+        sweep = _kernels.log_holder_max
+
+        def counted(*args):
+            calls.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(_kernels, "log_holder_max", counted)
+        g = cos_bump_exponent(grid, 1.5, 1.0)
+        c = g.local_log_holder()
+        assert c == local_log_holder(g.values, grid)
+        assert len(calls) == 2
+        assert log_holder_constants(g)[0] == c
+        assert g.local_log_holder() == c
+        assert len(calls) == 2
 
     def test_shift_invariance(self, grid):
         g1 = cos_bump_exponent(grid, 1.5, 1.0)

@@ -1,5 +1,10 @@
-"""Backend agreement: the numba loop kernels and their numpy twins must
-compute the same numbers (up to summation order) on shared inputs."""
+"""Kernel agreement.
+
+The modular kernels: the numba loop forms and their numpy twins must compute
+the same numbers (up to summation order) on shared inputs.  The anchored-pair
+kernels: the per-offset table forms must reproduce their per-pair loop
+forms, bitwise where both take the same roundings.
+"""
 
 import math
 
@@ -7,6 +12,7 @@ import numpy as np
 import pytest
 
 from varbesov import _kernels as K
+from varbesov.grid import Grid
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +73,7 @@ def test_esssup_twins_agree(sample):
 def test_log_holder_twins_agree(sample):
     g = np.cos(sample["coords"][:, 0] / 3.0)
     anchors = np.arange(0, 512, 7, dtype=np.int64)
-    a = K._log_holder_max_np(g, sample["coords"], anchors, 16.0)
+    a = K.log_holder_max(g, sample["coords"], anchors, 16.0)
     b = K._log_holder_max_loop(g, sample["coords"], anchors, 16.0)
     assert a == pytest.approx(b, rel=1e-13)
 
@@ -75,9 +81,8 @@ def test_log_holder_twins_agree(sample):
 def test_eta_shift_twins_agree(sample):
     alpha = 0.5 + 0.3 * np.sin(sample["coords"][:, 0])
     anchors = np.arange(0, 512, 11, dtype=np.int64)
-    out_a = np.zeros(6)
+    out_a = K.eta_shift_curve(alpha, sample["coords"], anchors, 16.0, 0.9, 6)
     out_b = np.zeros(6)
-    K._eta_shift_curve_np(alpha, sample["coords"], anchors, 16.0, 0.9, out_a)
     K._eta_shift_curve_loop(alpha, sample["coords"], anchors, 16.0, 0.9, out_b)
     np.testing.assert_allclose(out_a, out_b, rtol=1e-13)
 
@@ -90,3 +95,137 @@ def test_budget_early_exit_is_sound(sample):
                                       sample["rq"], 0.0, -3.0, 0.03125, 4.0)
     assert (exact > 4.0) == (budgeted > 4.0)
     assert (exact <= 1.0) == (budgeted <= 1.0)
+
+
+# ---------------------------------------------------------------------------
+# anchored-pair kernels on per-offset tables against the per-pair loops
+# ---------------------------------------------------------------------------
+
+def _fields(grid):
+    """A log-Holder exponent and a wobbly smoothness field on the grid."""
+    x = grid.flat_coordinates()
+    r = np.sqrt(np.sum(x * x, axis=1))
+    g = 2.0 + 1.0 / np.log(math.e + r) + 0.05 * np.sin(2.0 * x[:, 0])
+    alpha = 0.5 + 0.3 * np.cos(np.pi * r / grid.half_width)
+    alpha += 0.02 * np.sin(3.0 * x[:, -1])
+    return x, g, alpha
+
+
+def _loop_curve(alpha, coords, anchors, period, big_r, jcount):
+    out = np.zeros(jcount)
+    K._eta_shift_curve_loop(alpha, coords, anchors, period, big_r, out)
+    return out
+
+
+def test_log_holder_full_pairs_bitwise():
+    grid = Grid(1, 512, 8.0)
+    x, g, _ = _fields(grid)
+    anchors = np.arange(512, dtype=np.int64)
+    assert K.log_holder_max(g, x, anchors, 16.0) == \
+        K._log_holder_max_loop(g, x, anchors, 16.0)
+    # N anchors that are not every node keep to their own pairs
+    assert K.log_holder_max(g, x, np.full(512, 7), 16.0) == \
+        K.log_holder_max(g, x, anchors[7:8], 16.0) < \
+        K.log_holder_max(g, x, anchors, 16.0)
+
+
+def test_log_holder_full_pairs_4096_match_per_anchor_path():
+    # the pure-python loop needs about half a minute for 4096^2 pairs; the
+    # anchored path (pinned to the loop below) sees the same pair set when
+    # the anchors come in another order
+    grid = Grid(1, 4096, 16.0)
+    x, g, _ = _fields(grid)
+    full = np.arange(4096, dtype=np.int64)
+    assert K.log_holder_max(g, x, full, 32.0) == \
+        K.log_holder_max(g, x, full[::-1], 32.0)
+
+
+def test_log_holder_anchored_1d_bitwise():
+    grid = Grid(1, 4096, 16.0)
+    x, g, _ = _fields(grid)
+    anchors = np.arange(0, 4096, 16, dtype=np.int64)
+    assert K.log_holder_max(g, x, anchors, 32.0) == \
+        K._log_holder_max_loop(g, x, anchors, 32.0)
+
+
+def test_pair_kernels_anchored_2d():
+    # the 256-anchor rule at N = 128 has stride 64: anchors sit at column
+    # offsets 0 and 64, so the axis-1 roll is exercised; every ninth anchor
+    # keeps both offsets and the loop short
+    grid = Grid(2, 128, 8.0)
+    x, g, alpha = _fields(grid)
+    anchors = np.arange(0, grid.node_count, 64, dtype=np.int64)[::9]
+    assert {int(a) % 128 for a in anchors} == {0, 64}
+    assert K.log_holder_max(g, x, anchors, 16.0) == \
+        K._log_holder_max_loop(g, x, anchors, 16.0)
+    np.testing.assert_allclose(
+        K.eta_shift_curve(alpha, x, anchors[:12], 16.0, 4.0, 5),
+        _loop_curve(alpha, x, anchors[:12], 16.0, 4.0, 5), rtol=1e-13)
+
+
+def test_eta_shift_anchored_1d():
+    grid = Grid(1, 4096, 16.0)
+    x, _, alpha = _fields(grid)
+    anchors = np.arange(0, 4096, 16, dtype=np.int64)[::8]
+    np.testing.assert_allclose(
+        K.eta_shift_curve(alpha, x, anchors, 32.0, 3.0, 9),
+        _loop_curve(alpha, x, anchors, 32.0, 3.0, 9), rtol=1e-13)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 32)])
+def test_pair_kernels_non_dyadic_half_width(dim, n):
+    # with L = 5 the node coordinates are not all exact binary fractions, so
+    # the offset table and the per-pair distances may differ in the last bit
+    grid = Grid(dim, n, 5.0)
+    x, g, alpha = _fields(grid)
+    anchors = np.arange(0, grid.node_count, max(1, grid.node_count // 64),
+                        dtype=np.int64)
+    assert K.log_holder_max(g, x, anchors, 10.0) == pytest.approx(
+        K._log_holder_max_loop(g, x, anchors, 10.0), rel=1e-13)
+    np.testing.assert_allclose(
+        K.eta_shift_curve(alpha, x, anchors, 10.0, 3.0, 4),
+        _loop_curve(alpha, x, anchors, 10.0, 3.0, 4), rtol=1e-13)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 512), (2, 64)])
+def test_pair_kernels_constant_fields(dim, n):
+    grid = Grid(dim, n, 8.0)
+    x = grid.flat_coordinates()
+    c = np.full(grid.node_count, 1.5)
+    full = np.arange(grid.node_count, dtype=np.int64)
+    strided = full[::37]
+    for anchors in (full, strided):
+        assert K.log_holder_max(c, x, anchors, 16.0) == 0.0
+    curve = K.eta_shift_curve(c, x, strided, 16.0, 3.0, 7)
+    assert np.array_equal(curve, np.ones(7))
+
+
+def test_log_holder_full_pairs_invariant_under_grid_rolls():
+    grid = Grid(1, 1024, 8.0)
+    x, g, _ = _fields(grid)
+    full = np.arange(1024, dtype=np.int64)
+    base = K.log_holder_max(g, x, full, 16.0)
+    for shift in (1, 7, 512, 1023):
+        assert K.log_holder_max(np.roll(g, shift), x, full, 16.0) == base
+
+
+def test_pair_kernels_reject_non_lattice_coordinates():
+    grid = Grid(1, 256, 8.0)
+    x, g, alpha = _fields(grid)
+    anchors = np.arange(0, 256, 8, dtype=np.int64)
+    jittered = x + 1e-3 * np.sin(x)
+    flipped = x[::-1].copy()
+    plane = Grid(2, 16, 8.0).flat_coordinates()
+    bad = [
+        (jittered, 16.0),           # not equally spaced
+        (flipped, 16.0),            # lattice nodes out of order
+        (x, 20.0),                  # period not the grid's box
+        (x[:200], 16.0),            # node count not a power of two
+        (plane[:240], 16.0),        # not a square lattice
+    ]
+    for coords, period in bad:
+        vals = g[:coords.shape[0]]
+        with pytest.raises(ValueError):
+            K.log_holder_max(vals, coords, anchors[:4], period)
+        with pytest.raises(ValueError):
+            K.eta_shift_curve(vals, coords, anchors[:4], period, 3.0, 3)
