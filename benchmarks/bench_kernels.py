@@ -12,6 +12,9 @@ numpy column and the numpy mixed-norm solve are timed.
 The anchored-pair kernels have one implementation (per-offset tables); they
 are timed against their per-pair loop forms, compiled with numba when it
 imports and plain python otherwise (a few seconds per loop call).
+``eta_shift_curve`` is also timed alone on two variable-alpha inputs: one
+where each anchor's window is a narrow band of rows, and one (R = 0) where
+every window is the whole grid.
 """
 
 import math
@@ -41,6 +44,22 @@ def make_inputs():
     rq = 1.0 / q
     coords = np.linspace(-16.0, 16.0, N, endpoint=False)[:, None].copy()
     return log_af, p, rq, q, coords
+
+
+def window_inputs():
+    """(label, grid, alpha, R, levels) for the windowed eta_shift_curve rows."""
+    from varbesov.exponents import cos_bump_exponent, log_smooth_exponent
+    from varbesov.grid import Grid
+
+    plane = Grid(2, 256, 8.0)
+    bump = cos_bump_exponent(plane, 0.3, 0.9)
+    line = Grid(1, 1024, 5.0)
+    smooth = log_smooth_exponent(line, 0.5, 1.0)
+    return [
+        ("2-D 256^2 cos_bump(0.3, 0.9), R = c_loc", plane, bump,
+         bump.local_log_holder(), LEVELS),
+        ("1-D 1024, L = 5, log_smooth(0.5, 1.0), R = 0", line, smooth, 0.0, 9),
+    ]
 
 
 def bench(fn, *args, reps=REPS, warm=True):
@@ -109,6 +128,18 @@ def main():
         t_table = bench(table_fn, reps=4)
         print(f"{name:<18}{t_loop * 1e3:>13.1f} ms{t_table * 1e3:>11.1f} ms"
               f"{t_loop / t_table:>9.1f}x", flush=True)
+
+    from varbesov.littlewood_paley import _anchors_for_pairs
+
+    print("\neta_shift_curve on variable alpha, anchors as in "
+          "check_lemma_eta_shift:", flush=True)
+    for label, grid, field, big_r, levels in window_inputs():
+        anchors_g = _anchors_for_pairs(grid)
+        args = (field.values.ravel(), grid.flat_coordinates(), anchors_g,
+                2.0 * grid.half_width, big_r, levels)
+        t = bench(K.eta_shift_curve, *args, reps=10)
+        print(f"  {label:<46}{t * 1e3:>9.1f} ms  ({anchors_g.size} anchors, "
+              f"{levels} levels)", flush=True)
 
     print("\nend-to-end mixed norm (desk scale, 9 levels):", flush=True)
     code = (

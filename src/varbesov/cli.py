@@ -22,7 +22,7 @@ from . import __version__, _kernels
 from .exponents import FAMILIES, conjugate, constant_exponent, exponent_from_family
 from .grid import Grid, Field
 from .lebesgue import luxemburg_norm, modular
-from .littlewood_paley import (build_resolution, besov_norm, lp_block,
+from .littlewood_paley import (build_resolution, besov_norm, block_sequence,
                                check_lemma_eta_shift, verify_eta_convolution,
                                verify_hardy, verify_mixed_eta)
 from .mixed import check_holder, check_monotone_limit, mixed_norm
@@ -312,8 +312,7 @@ def _suite_littlewood_paley(cfg, grid, records, curves):
 
     kmax = _suite_band(cfg, grid)
     f = band_limited_field(grid, kmax, [cfg["seed"], 8])
-    blocks = [lp_block(f, rou, j) for j in range(top + 1)]
-    recon = sum(b.values for b in blocks)
+    recon = sum(b.values for b in block_sequence(f, rou))
     _record_value(records, "lp.reconstruction",
                   float(np.max(np.abs(recon - f.values))) / f.max_abs(), 0.0, 1e-10)
 

@@ -201,5 +201,7 @@ def luxemburg_norm(f, p, rel_tol=NORM_REL_TOL):
     m = f.max_abs()
     if m == 0.0:
         return 0.0
-    hint = m * max(1.0, f.grid.box_measure)
+    # an overflowing hint would restart the solve at 1.0, out of reach of
+    # norms near the top of the float range
+    hint = min(m * max(1.0, f.grid.box_measure), sys.float_info.max)
     return Modular((f,), p).solve(0, hint=hint, rel_tol=rel_tol)[0]

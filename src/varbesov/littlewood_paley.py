@@ -75,12 +75,24 @@ def lp_block(f, rou, j):
     if not 0 <= j < rou.levels:
         raise ValueError(f"block index {j} out of range 0..{rou.top_level}")
     require_same_grid(f, rou)
+    return _block(f.grid, np.fft.fftn(f.values), rou.multipliers[j])
+
+
+def _block(grid, spec, multiplier):
+    return Field(grid, np.fft.ifftn(multiplier * spec).real)
+
+
+def _blocks(f, rou):
+    """The blocks of f, levels 0..J in turn, from one forward transform;
+    block j equals ``lp_block(f, rou, j)`` bitwise."""
+    require_same_grid(f, rou)
     spec = np.fft.fftn(f.values)
-    return Field(f.grid, np.fft.ifftn(rou.multipliers[j] * spec).real)
+    for multiplier in rou.multipliers:
+        yield _block(f.grid, spec, multiplier)
 
 
 def block_sequence(f, rou):
-    return FieldSequence(tuple(lp_block(f, rou, j) for j in range(rou.levels)))
+    return FieldSequence(tuple(_blocks(f, rou)))
 
 
 def besov_norm(f, s, p, q, rou):
@@ -93,8 +105,7 @@ def besov_norm(f, s, p, q, rou):
     if not s.is_finite_valued():
         raise ValueError("smoothness exponent must be finite-valued")
     weighted = []
-    for j in range(rou.levels):
-        block = lp_block(f, rou, j)
+    for j, block in enumerate(_blocks(f, rou)):
         weighted.append(Field(f.grid, np.exp2(j * s.values) * block.values))
     return mixed_norm(FieldSequence(tuple(weighted)), p, q)
 

@@ -21,6 +21,7 @@ supremum formula, has no derivative and is solved by the safeguard path.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,8 +179,10 @@ def mixed_modular(fs, p, q):
 
 
 def _norm_hint(fs):
-    """A scale on the feasible side of the mixed norm."""
-    return fs.max_abs() * max(1.0, fs.grid.box_measure) * fs.levels
+    """A scale on the feasible side of the mixed norm, at most the largest
+    float (as in ``luxemburg_norm``)."""
+    hint = fs.max_abs() * max(1.0, fs.grid.box_measure) * fs.levels
+    return min(hint, sys.float_info.max)
 
 
 def mixed_norm(fs, p, q, rel_tol=NORM_REL_TOL):

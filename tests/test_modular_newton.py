@@ -8,6 +8,7 @@ natural-power evaluator ``_kernels.plain_modular``.
 
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -53,11 +54,11 @@ def _log_abs(f):
 
 def _log_lp(f, p0):
     """log of the constant-exponent norm (sum |f|^p0 cell)^(1/p0)."""
-    return logsumexp(p0 * _log_abs(f) + LOG_CELL) / p0
+    return logsumexp(p0 * _log_abs(f) + math.log(f.grid.cell)) / p0
 
 
-def _plain(t, p):
-    return _kernels.plain_modular(t, np.broadcast_to(p, t.shape), GRID.cell)
+def _plain(t, p, cell=GRID.cell):
+    return _kernels.plain_modular(t, np.broadcast_to(p, t.shape), cell)
 
 
 def _assert_bracket(modular_at, x, power=1.0):
@@ -119,6 +120,62 @@ def test_mixed_norm_large_q(log10_scale, seed, p0, q0):
     units = [np.abs(f.values) / 10.0 ** log10_scale for f in fs]
     _assert_bracket(
         lambda x: sum(_plain(u / (x / 10.0 ** log10_scale), p0) ** (q0 / p0)
+                      for u in units),
+        nrm)
+
+
+# norms from near the smallest normal float to next to the largest one;
+# the solver searches up to exp(log(max float)), and the evaluator's
+# rounding bound keeps its feasible side a few 1e-12 below that
+EXTREME_LOG10_NORMS = [-307.0, -300.0, 300.0, 306.5, 308.0,
+                       math.log10(sys.float_info.max) - 1e-8]
+GRID2 = Grid(2, 64, 8.0)
+
+
+def _wide_bump(grid, p0):
+    """A positive bump with a zero tail whose constant-exponent norm is
+    above 1, so that scaling it to any extreme norm keeps its samples
+    finite; returns the samples and the log of that norm."""
+    mesh = grid.coordinate_mesh()
+    r = np.sqrt(sum((m - 0.7) ** 2 for m in mesh))
+    bump = np.exp(-(r / 3.5) ** 2) * (1.0 + 0.3 * np.cos(1.3 * mesh[0]))
+    bump[r > 6.0] = 0.0
+    bump /= bump.max()
+    log_norm = _log_lp(Field(grid, bump), p0)
+    assert log_norm > 0.0
+    return bump, log_norm
+
+
+@pytest.mark.parametrize("grid", [GRID, GRID2], ids=["1d", "2d"])
+@pytest.mark.parametrize("log10_norm", EXTREME_LOG10_NORMS)
+@pytest.mark.parametrize("p0", [1.0001, 2.0, 7.5])
+def test_luxemburg_norms_at_the_ends_of_the_float_range(grid, log10_norm, p0):
+    bump, log_bump = _wide_bump(grid, p0)
+    scale = math.exp(log10_norm * math.log(10.0) - log_bump)
+    f = Field(grid, scale * bump)
+    nrm = luxemburg_norm(f, constant_exponent(grid, p0))
+    assert math.log(nrm) == pytest.approx(_log_lp(f, p0), abs=2e-9)
+    unit = np.abs(f.values) / scale
+    _assert_bracket(lambda x: _plain(unit / (x / scale), p0, grid.cell), nrm)
+
+
+@pytest.mark.parametrize("grid", [GRID, GRID2], ids=["1d", "2d"])
+@pytest.mark.parametrize("log10_norm", EXTREME_LOG10_NORMS)
+@pytest.mark.parametrize("p0, q0", [(1.0001, 1.5), (2.0, 400.0)])
+def test_mixed_norms_at_the_ends_of_the_float_range(grid, log10_norm, p0, q0):
+    # three levels: the bump at 1, 1e-2 and 1e-1 of a common scale, which
+    # is set so that the closed form (sum_j |f_j|_p^q)^(1/q) hits the target
+    bump, log_bump = _wide_bump(grid, p0)
+    rel = np.log(10.0) * np.array([0.0, -2.0, -1.0])
+    log_scale = log10_norm * math.log(10.0) - logsumexp(q0 * (rel + log_bump)) / q0
+    scale = math.exp(log_scale)
+    fs = FieldSequence(tuple(Field(grid, scale * math.exp(r) * bump) for r in rel))
+    nrm = mixed_norm(fs, constant_exponent(grid, p0), constant_exponent(grid, q0))
+    expected = logsumexp(q0 * np.array([_log_lp(f, p0) for f in fs])) / q0
+    assert math.log(nrm) == pytest.approx(expected, abs=2e-9)
+    units = [np.abs(f.values) / scale for f in fs]
+    _assert_bracket(
+        lambda x: sum(_plain(u / (x / scale), p0, grid.cell) ** (q0 / p0)
                       for u in units),
         nrm)
 
