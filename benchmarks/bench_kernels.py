@@ -12,9 +12,9 @@ numpy column and the numpy mixed-norm solve are timed.
 The anchored-pair kernels have one implementation (per-offset tables); they
 are timed against their per-pair loop forms, compiled with numba when it
 imports and plain python otherwise (a few seconds per loop call).
-``eta_shift_curve`` is also timed alone on two variable-alpha inputs: one
-where each anchor's window is a narrow band of rows, and one (R = 0) where
-every window is the whole grid.
+``eta_shift_curve`` is also timed alone on two variable-alpha inputs at
+R = c_loc, as ``check_lemma_eta_shift`` calls it (a constant alpha takes
+no sweep).
 """
 
 import math
@@ -46,8 +46,8 @@ def make_inputs():
     return log_af, p, rq, q, coords
 
 
-def window_inputs():
-    """(label, grid, alpha, R, levels) for the windowed eta_shift_curve rows."""
+def variable_alpha_inputs():
+    """(label, grid, alpha, R, levels) for the eta_shift_curve rows."""
     from varbesov.exponents import cos_bump_exponent, log_smooth_exponent
     from varbesov.grid import Grid
 
@@ -58,7 +58,8 @@ def window_inputs():
     return [
         ("2-D 256^2 cos_bump(0.3, 0.9), R = c_loc", plane, bump,
          bump.local_log_holder(), LEVELS),
-        ("1-D 1024, L = 5, log_smooth(0.5, 1.0), R = 0", line, smooth, 0.0, 9),
+        ("1-D 1024, L = 5, log_smooth(0.5, 1.0), R = c_loc", line, smooth,
+         smooth.local_log_holder(), 9),
     ]
 
 
@@ -133,12 +134,12 @@ def main():
 
     print("\neta_shift_curve on variable alpha, anchors as in "
           "check_lemma_eta_shift:", flush=True)
-    for label, grid, field, big_r, levels in window_inputs():
+    for label, grid, field, big_r, levels in variable_alpha_inputs():
         anchors_g = _anchors_for_pairs(grid)
         args = (field.values.ravel(), grid.flat_coordinates(), anchors_g,
                 2.0 * grid.half_width, big_r, levels)
         t = bench(K.eta_shift_curve, *args, reps=10)
-        print(f"  {label:<46}{t * 1e3:>9.1f} ms  ({anchors_g.size} anchors, "
+        print(f"  {label:<52}{t * 1e3:>9.1f} ms  ({anchors_g.size} anchors, "
               f"{levels} levels)", flush=True)
 
     print("\nend-to-end mixed norm (desk scale, 9 levels):", flush=True)

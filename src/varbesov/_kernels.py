@@ -26,27 +26,12 @@ Their per-pair loop forms ``_log_holder_max_loop`` and
 ``benchmarks/bench_kernels.py`` check them against; no package code calls
 them.
 
-``eta_shift_curve`` sweeps, at each level j, only the pairs that can reach
-the level's maximum, and the result is still bitwise that of every pair:
-
-- The maximum is at least 1: the pair (a, a) gives exp2(0) * (1 + 0)^-R,
-  which is exactly 1.0.
-- With K_j(d) = (1 + 2^j d)^-R, the pair (a, y) has ratio
-  2^{j(alpha(a) - alpha(y))} K_j(d) <= 2^{j(alpha(a) - min alpha)} K_j(d).
-  Rounding is monotone, so the computed difference alpha(a) - alpha(y)
-  never exceeds the computed alpha(a) - min alpha.
-- So anchor a sweeps only the axis-0 rows of nodes (a band of whole rows,
-  periodic, one contiguous run in the grid doubled along axis 0) where
-  K_j reaches 1/2 * 2^{-j(alpha(a) - min alpha)}.  Outside, every ratio is
-  below 1/2 up to a few ulps of exp2 and pow, so below the maximum: the
-  factor 2 absorbs that rounding.  Inside, every pair is computed by the
-  same elementwise operations in the same order as before, so the maximum
-  is bitwise the same.  A non-finite alpha has no such bound: every window
-  is then the whole grid.
-- When every exponent j(alpha(a) - alpha(y)) is exactly 0 (constant alpha,
-  or level 0 with finite alpha), every ratio is exactly K_j(d), and each
-  anchor meets every offset: the level's result is the largest entry of
-  its K table, and no anchor is swept.
+``eta_shift_curve`` of a constant, finite alpha reads each level off its
+kernel table: every exponent j(alpha(x) - alpha(y)) is then exactly 0, so
+every ratio is exp2(0) * K_j(d) = K_j(d) with K_j(d) = (1 + 2^j d)^-R, and
+every anchor meets every offset, so the level's maximum is the table's
+largest entry and no anchor is swept.  ``log_holder_max`` of a constant
+field is 0.0 without a sweep.
 """
 
 import math
@@ -333,11 +318,12 @@ def _min_image_dist_np(coords, a, period):
 
 
 def _offset_table(coords, period):
-    """Min-image distance from node 0 to every node, shaped as the grid.
+    """Min-image distance from node 0 to every node, shaped as the grid and
+    doubled along axis 0.
 
     On a ``Grid`` lattice the distance between two nodes depends only on
     their index offset mod N per axis, so this one table serves every
-    anchor (see ``_runs``).  Raises ValueError when ``coords`` are not the
+    anchor (see ``_reach``).  Raises ValueError when ``coords`` are not the
     nodes of the grid with box period ``period``.
     """
     coords = np.ascontiguousarray(coords, dtype=np.float64)
@@ -348,48 +334,21 @@ def _offset_table(coords, period):
     grid = Grid(dim, side, 0.5 * period)
     if not np.array_equal(coords, grid.flat_coordinates()):
         raise ValueError("pair kernels need the node coordinates of a Grid")
-    return _min_image_dist_np(coords, 0, float(period)).reshape(grid.shape)
+    table = _min_image_dist_np(coords, 0, float(period)).reshape(grid.shape)
+    return np.concatenate((table, table), axis=0)
 
 
-def _runs(anchors, ws, side, row):
-    """Anchor by anchor, the nodes at most w axis-0 rows from it
-    (periodically; w from ``ws``) as one run of whole rows of the grid
-    doubled along axis 0, with ``row`` nodes per row.
-
-    Yields (a, y0, t0, size, shift): the run is nodes y0..y0+size-1 of the
-    flat doubled grid, and ``_reach(table2, t0, size, shift, row)`` holds
-    the table's values at the offsets from a to those nodes.  With
-    2w + 1 >= N the run is the grid from node 0.
-    """
-    i, shift = np.divmod(anchors, row)
-    ws = np.broadcast_to(ws, i.shape)
-    n = np.minimum(2 * ws + 1, side)
-    off = np.where(n == side, -i, -ws)
-    return zip(anchors.tolist(), ((i + off) % side * row).tolist(),
-               ((side + off) * row).tolist(), (n * row).tolist(),
-               shift.tolist())
-
-
-def _reach(table2, t0, size, shift, row):
-    """Entries t0..t0+size-1 of a flat offset table doubled along axis 0,
-    whole rows rolled by ``shift`` along axis 1."""
-    view = table2[t0:t0 + size]
-    if shift:
-        view = np.roll(view.reshape(-1, row), shift, axis=1).ravel()
-    return view
-
-
-def _row_reach(k_table, floors):
-    """For each floor, the largest periodic axis-0 offset of a row of
-    ``k_table`` (one level's kernel table) holding an entry not below that
-    floor; a nan entry counts as above every floor."""
-    side = k_table.shape[0]
-    top = k_table.reshape(side, -1).max(axis=1)
-    d = np.arange(side // 2 + 1)
-    top = np.maximum(top[d], top[-d])  # the rows at distance d
-    top[np.isnan(top)] = np.inf
-    top = np.maximum.accumulate(top[::-1])[::-1]  # non-increasing in d
-    return np.searchsorted(-top, -floors, side="right") - 1
+def _reach(table2, a):
+    """Flat view of a doubled offset table as seen from node ``a``: entry y
+    holds the table's value at the offset y - a (mod N per axis)."""
+    side = table2.shape[0] // 2
+    if table2.ndim == 1:
+        return table2[side - a:2 * side - a]
+    i, k = divmod(int(a), side)
+    rows = table2[side - i:2 * side - i]
+    if k:
+        rows = np.roll(rows, k, axis=1)
+    return rows.ravel()
 
 
 def log_holder_max(g, coords, anchors, period):
@@ -403,30 +362,26 @@ def log_holder_max(g, coords, anchors, period):
     maximum.  A constant g gives 0.0 without a sweep.
     """
     g = _flat(g)
-    anchors = np.asarray(anchors, dtype=np.int64)
     n = g.shape[0]
-    table = _offset_table(coords, period)
+    table2 = _offset_table(coords, period)
     if g.max() - g.min() == 0.0:
         return 0.0
-    side = table.shape[0]
-    w = np.zeros(n)
-    pos = table.ravel() > 0.0
-    w[pos] = np.log(math.e + 1.0 / table.ravel()[pos])
+    pos = table2 > 0.0
+    w2 = np.zeros_like(table2)
+    w2[pos] = np.log(math.e + 1.0 / table2[pos])
     best = 0.0
     buf = np.empty_like(g)
-    if table.ndim == 1 and np.array_equal(anchors, np.arange(n)):
+    if table2.ndim == 1 and np.array_equal(anchors, np.arange(n)):
         g2 = np.concatenate((g, g))
         for s in range(1, n // 2 + 1):
             np.subtract(g2[s:s + n], g, out=buf)
             np.abs(buf, out=buf)
-            best = max(best, float(buf.max()) * float(w[s]))
+            best = max(best, float(buf.max()) * float(w2[s]))
         return best
-    w2 = np.concatenate((w, w))
-    row = n // side
-    for a, _, t0, size, shift in _runs(anchors, side, side, row):
+    for a in anchors:
         np.subtract(g[a], g, out=buf)
         np.abs(buf, out=buf)
-        buf *= _reach(w2, t0, size, shift, row)
+        buf *= _reach(w2, a)
         best = max(best, float(buf.max()))
     return best
 
@@ -437,46 +392,26 @@ def eta_shift_curve(alpha, coords, anchors, period, big_r, jcount):
     out[j] = max over anchor/node pairs of 2^{j(alpha(x)-alpha(y))}
     * (1 + 2^j d)^(-big_r); the kernel order m cancels in the ratio.
     ``coords`` must be the nodes of a ``Grid`` with box period ``period``.
-    Levels run outermost, so only one level's kernel table is alive.
-
-    Each anchor sweeps only the rows of nodes inside its window at the
-    level (see the module docstring), and each pair is computed by the same
-    elementwise operations as in a sweep of every pair, so the result is
-    bitwise that sweep's.
+    Levels run outermost, so only one level's kernel table is alive.  A
+    constant, finite alpha takes each level's largest kernel entry without
+    a sweep (see the module docstring).
     """
     alpha = _flat(alpha)
-    anchors = np.asarray(anchors, dtype=np.int64)
-    table = _offset_table(coords, period)
-    side = table.shape[0]
-    row = alpha.size // side
-    amin = alpha.min()
-    osc = float(alpha.max() - amin)
+    table2 = _offset_table(coords, period)
+    constant = alpha.max() - alpha.min() == 0.0
     out = np.zeros(int(jcount), dtype=np.float64)
-    alpha2 = np.concatenate((alpha, alpha))
-    k2 = np.empty(2 * alpha.size)
-    k = k2[:alpha.size].reshape(table.shape)
     buf = np.empty_like(alpha)
     for j in range(out.shape[0]):
-        np.multiply(table, 2.0 ** j, out=k)
-        k += 1.0
-        k **= -float(big_r)
-        if osc == 0.0 or (j == 0 and math.isfinite(osc)):
-            # every ratio is exp2(0) * K = K exactly, and every anchor
-            # reaches every offset
-            out[j] = max(0.0, float(k.max())) if anchors.size else 0.0
+        k2 = (1.0 + 2.0 ** j * table2) ** (-float(big_r))
+        if constant:
+            out[j] = max(0.0, float(k2.max())) if len(anchors) else 0.0
             continue
-        k2[alpha.size:] = k2[:alpha.size]
-        floors = 0.0  # non-finite alpha: no bound, every window is full
-        if math.isfinite(osc):
-            floors = 0.5 * np.exp2(-j * (alpha[anchors] - amin))
-        ws = _row_reach(k, floors)
         best = 0.0
-        for a, y0, t0, size, shift in _runs(anchors, ws, side, row):
-            seg = buf[:size]
-            np.subtract(alpha[a], alpha2[y0:y0 + size], out=seg)
-            seg *= j
-            np.exp2(seg, out=seg)
-            seg *= _reach(k2, t0, size, shift, row)
-            best = max(best, float(seg.max()))
+        for a in anchors:
+            np.subtract(alpha[a], alpha, out=buf)
+            buf *= j
+            np.exp2(buf, out=buf)
+            buf *= _reach(k2, a)
+            best = max(best, float(buf.max()))
         out[j] = best
     return out

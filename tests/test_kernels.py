@@ -3,9 +3,9 @@
 The modular kernels: the numba loop forms and their numpy twins must compute
 the same numbers (up to summation order) on shared inputs.  The anchored-pair
 kernels: the per-offset table forms must reproduce their per-pair loop
-forms, bitwise where both take the same roundings, and the windowed
-``eta_shift_curve`` must reproduce bitwise a sweep of every pair through the
-same elementwise operations.
+forms, bitwise where both take the same roundings, and ``eta_shift_curve``
+must reproduce bitwise a sweep of every pair through the same elementwise
+operations.
 """
 
 import math
@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from varbesov import _kernels as K
-from varbesov.exponents import (constant_exponent, cos_bump_exponent,
-                                log_smooth_exponent)
+from varbesov.exponents import cos_bump_exponent, log_smooth_exponent
 from varbesov.grid import Grid
 from varbesov.littlewood_paley import _anchors_for_pairs
 
@@ -239,14 +238,15 @@ def test_pair_kernels_reject_non_lattice_coordinates():
 
 
 # ---------------------------------------------------------------------------
-# windowed eta_shift_curve against a sweep of every pair
+# eta_shift_curve against a sweep of every pair
 # ---------------------------------------------------------------------------
 
 def _all_pairs_curve(alpha, coords, anchors, period, big_r, jcount):
     """Every anchor/node pair through the kernel's elementwise operations,
-    at the distances of its offset table: no window, no shortcut."""
-    table = K._offset_table(coords, period)
-    side = table.shape[0]
+    at the distances of its offset table: no shortcut."""
+    table2 = K._offset_table(coords, period)
+    side = table2.shape[0] // 2
+    table = table2[:side]
     idx = np.indices(table.shape).reshape(table.ndim, -1)
     out = np.zeros(jcount)
     for j in range(jcount):
@@ -258,10 +258,8 @@ def _all_pairs_curve(alpha, coords, anchors, period, big_r, jcount):
     return out
 
 
-def _assert_window_bitwise(field, big_r, jcount, anchors=None):
-    grid = field.grid
+def _assert_all_pairs_bitwise(grid, alpha, big_r, jcount, anchors=None):
     x = grid.flat_coordinates()
-    alpha = field.values.ravel()
     if anchors is None:
         anchors = _anchors_for_pairs(grid)
     period = 2.0 * grid.half_width
@@ -271,60 +269,49 @@ def _assert_window_bitwise(field, big_r, jcount, anchors=None):
     return got
 
 
-def _widest_window(field, big_r, jcount):
-    """Largest row half-width of any anchor's window over levels 1.."""
-    grid = field.grid
-    alpha = field.values.ravel()
-    table = K._offset_table(grid.flat_coordinates(), 2.0 * grid.half_width)
-    widest = 0
-    for j in range(1, jcount):
-        kt = (1.0 + 2.0 ** j * table) ** (-big_r)
-        floors = 0.5 * np.exp2(-j * (alpha - alpha.min()))
-        widest = max(widest, int(K._row_reach(kt, floors).max()))
-    return widest
-
-
 @pytest.mark.parametrize("factor", [1.0, 1.5])
-def test_eta_window_2d_bitwise(factor):
+def test_eta_shift_2d_matches_all_pairs(factor):
     # the 256-anchor rule at N = 64 has stride 16: anchors at column
-    # offsets 0, 16, 32 and 48, so windows are rolled along axis 1
+    # offsets 0, 16, 32 and 48, so offset rows are rolled along axis 1
     grid = Grid(2, 64, 8.0)
     alpha = cos_bump_exponent(grid, 0.3, 0.9)
     big_r = factor * alpha.local_log_holder()
-    assert _widest_window(alpha, big_r, 5) < 32  # narrower than the grid
-    _assert_window_bitwise(alpha, big_r, 5)
+    _assert_all_pairs_bitwise(grid, alpha.values.ravel(), big_r, 5)
 
 
 @pytest.mark.parametrize("half_width", [16.0, 5.0])
-def test_eta_window_1d_bitwise(half_width):
+def test_eta_shift_1d_matches_all_pairs(half_width):
     grid = Grid(1, 512, half_width)
     alpha = log_smooth_exponent(grid, 0.5, 1.0)
-    _assert_window_bitwise(alpha, alpha.local_log_holder(), 8)
+    _assert_all_pairs_bitwise(grid, alpha.values.ravel(),
+                              alpha.local_log_holder(), 8)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 512), (2, 64)])
-def test_eta_window_across_the_seam(dim, n):
-    # anchors 0 and N-1 sit on the periodic seam: their windows wrap around
+def test_eta_shift_across_the_seam(dim, n):
+    # anchors 0 and N-1 sit on the periodic seam: their offsets wrap around
     grid = Grid(dim, n, 8.0)
     alpha = cos_bump_exponent(grid, 0.3, 0.9)
-    big_r = alpha.local_log_holder()
-    assert _widest_window(alpha, big_r, 6) < n // 2
     last = grid.node_count - 1
-    _assert_window_bitwise(alpha, big_r, 6, np.array([0, last, 1, last - 1]))
+    _assert_all_pairs_bitwise(grid, alpha.values.ravel(),
+                              alpha.local_log_holder(), 6,
+                              np.array([0, last, 1, last - 1]))
 
 
 @pytest.mark.parametrize("dim, n", [(1, 512), (2, 64)])
-def test_eta_window_full_at_zero_r(dim, n):
-    # R = 0 makes every K entry 1, so every window covers the grid
+def test_eta_shift_at_zero_r(dim, n):
+    # R = 0 makes every K entry 1: the curve is the largest 2^{j osc}
     grid = Grid(dim, n, 8.0)
     alpha = cos_bump_exponent(grid, 0.3, 0.9)
-    assert _widest_window(alpha, 0.0, 5) == n // 2
-    curve = _assert_window_bitwise(alpha, 0.0, 5)
+    curve = _assert_all_pairs_bitwise(grid, alpha.values.ravel(), 0.0, 5)
     assert curve[0] == 1.0 and np.all(curve[1:] > 1.0)
 
 
-@pytest.mark.parametrize("big_r", [0.0, 3.0])
-def test_eta_window_constant_alpha_gives_ones(big_r):
-    grid = Grid(2, 64, 8.0)
-    curve = _assert_window_bitwise(constant_exponent(grid, 1.5), big_r, 6)
-    assert np.array_equal(curve, np.ones(6))
+def test_eta_shift_large_oscillation():
+    # j * osc passes 1024 at the top levels, where exp2 overflows to inf
+    grid = Grid(1, 64, 8.0)
+    alpha = 200.0 * (grid.flat_coordinates()[:, 0] > 0.0)
+    with np.errstate(over="ignore"):
+        curve = _assert_all_pairs_bitwise(grid, alpha, 3.0, 8)
+    assert curve[0] == 1.0 and math.isinf(curve[-1])
+
