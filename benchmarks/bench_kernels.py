@@ -15,6 +15,11 @@ imports and plain python otherwise (a few seconds per loop call).
 ``eta_shift_curve`` is also timed alone on two variable-alpha inputs at
 R = c_loc, as ``check_lemma_eta_shift`` calls it (a constant alpha takes
 no sweep).
+
+The spectral rows time one ``convolve``, the per-level eta convolutions of
+``verify_eta_convolution`` and one ``commutator_sequence`` on the desk
+grids of the CLI (4096 nodes with J = 8; 256^2 with J = 6), on
+band-limited inputs as the suites generate them.
 """
 
 import math
@@ -61,6 +66,46 @@ def variable_alpha_inputs():
         ("1-D 1024, L = 5, log_smooth(0.5, 1.0), R = c_loc", line, smooth,
          smooth.local_log_holder(), 9),
     ]
+
+
+def spectral_inputs():
+    """(label, grid, J, eta levels top, band) for the spectral rows; the eta
+    top level is the CLI's cap on resolvable kernels."""
+    from varbesov.grid import Grid
+
+    return [
+        ("1-D 4096, L = 16, J = 8", Grid(1, 4096, 16.0), 8, 8, 64),
+        ("2-D 256^2, L = 16, J = 6", Grid(2, 256, 16.0), 6, 3, 20),
+    ]
+
+
+def bench_spectral():
+    from varbesov.commutator import VectorField, commutator_sequence
+    from varbesov.exponents import log_smooth_exponent
+    from varbesov.grid import convolve, eta_kernel
+    from varbesov.littlewood_paley import build_resolution, verify_eta_convolution
+    from varbesov.random_fields import (band_limited_field,
+                                        band_limited_vector_field)
+
+    print("\nspectral layer (eta order n + 2, band-limited inputs):", flush=True)
+    for label, grid, top, eta_top, band in spectral_inputs():
+        f = band_limited_field(grid, band, 3)
+        v = VectorField(tuple(band_limited_vector_field(grid, band, 5)))
+        p = log_smooth_exponent(grid, 2.0, 1.0)
+        rou = build_resolution(grid, top)
+        m = float(grid.dim + 2)
+        kernel = eta_kernel(eta_top, m, grid)
+        rows = [
+            ("convolve", lambda: convolve(kernel, f), 40),
+            (f"verify_eta_convolution, levels 0..{eta_top}",
+             lambda: verify_eta_convolution(f, p, m, eta_top), 10),
+            (f"commutator_sequence, {rou.levels} levels",
+             lambda: commutator_sequence(v, f, rou), 10),
+        ]
+        print(f"  {label}", flush=True)
+        for name, fn, reps in rows:
+            t = bench(fn, reps=reps)
+            print(f"    {name:<40}{t * 1e3:>9.2f} ms", flush=True)
 
 
 def bench(fn, *args, reps=REPS, warm=True):
@@ -141,6 +186,8 @@ def main():
         t = bench(K.eta_shift_curve, *args, reps=10)
         print(f"  {label:<52}{t * 1e3:>9.1f} ms  ({anchors_g.size} anchors, "
               f"{levels} levels)", flush=True)
+
+    bench_spectral()
 
     print("\nend-to-end mixed norm (desk scale, 9 levels):", flush=True)
     code = (

@@ -29,7 +29,8 @@ from .mixed import check_holder, check_monotone_limit, mixed_norm
 from .duality import (extremal_witness, pairing, random_dual_search,
                       verify_norm_conjugate)
 from .commutator import SweepConfig, constant_sweep
-from .random_fields import band_limited_field, band_limited_sequence
+from .random_fields import (band_limited_field, band_limited_sequence,
+                            gaussian_envelope)
 
 SUITES = ("lebesgue", "mixed", "duality", "littlewood_paley", "hardy",
           "commutator")
@@ -196,17 +197,23 @@ def _suite_lebesgue(cfg, grid, records, curves):
     tol = _tol(cfg, "lebesgue", 1e-6)
 
     if grid.dim == 1:
-        # unit-measure pieces with exponents 1 and 2: the gauge solves
-        # 1/lam + 1/lam^2 = 1, the inverse golden ratio equation
+        # f = 1 on the nodes of [0, 1) (exponent 1) and of [1, 2) (exponent
+        # 2): the gauge solves m1/lam + m2/lam^2 = 1, where m_i is the
+        # quadrature measure of piece i; when the nodes tile both pieces
+        # exactly, m1 = m2 = 1 and lam is the golden ratio
+        first = (mesh >= 0) & (mesh < 1)
+        second = (mesh >= 1) & (mesh < 2)
         vals = np.zeros(grid.shape)
-        vals[(mesh >= 0) & (mesh < 2)] = 1.0
+        vals[first | second] = 1.0
         pv = np.full(grid.shape, 2.0)
-        pv[(mesh >= 0) & (mesh < 1)] = 1.0
+        pv[first] = 1.0
         from .exponents import ExponentField
 
         lam = luxemburg_norm(Field(grid, vals), ExponentField(grid, pv))
-        golden = (1.0 + math.sqrt(5.0)) / 2.0
-        _record_value(records, "lebesgue.two_level_gauge", abs(lam - golden),
+        m1 = np.count_nonzero(first) * grid.cell
+        m2 = np.count_nonzero(second) * grid.cell
+        exact = (m1 + math.sqrt(m1 * m1 + 4.0 * m2)) / 2.0
+        _record_value(records, "lebesgue.two_level_gauge", abs(lam - exact),
                       0.0, 1e-8)
 
     f = band_limited_field(grid, _suite_band(cfg, grid), [cfg["seed"], 1])
@@ -330,11 +337,7 @@ def _suite_littlewood_paley(cfg, grid, records, curves):
     _record(records, rep)
     curves["lp.eta_shift"] = rep.details["per_level"]
 
-    sigma = grid.half_width / 7.7
-    env = np.ones(grid.shape)
-    for m in grid.coordinate_mesh():
-        env = env * np.exp(-m ** 2 / (2.0 * sigma ** 2))
-    bump = Field(grid, env)
+    bump = Field(grid, gaussian_envelope(grid))
     # beyond h*2^j = 2^(2-n) the kernel at level j is undersampled and its
     # discrete mass inflates (squared per axis); keep the trend check on
     # resolvable levels (at the 1-d desk scale this cap is inactive)
@@ -353,18 +356,19 @@ def _suite_hardy(cfg, grid, records, curves):
     levels = cfg["levels"] + 1
     kmax = _suite_band(cfg, grid)
     p = _build_exponent(cfg, grid, "p")
-    for a in (0.25, 0.5, 0.75):
-        for q0 in (1.5, 2.0, 4.0):
-            qc = constant_exponent(grid, q0)
-            worst = 0.0
-            bound = 0.0
-            for t in range(cfg["trials"]):
-                gs = band_limited_sequence(grid, levels, kmax,
-                                           [cfg["seed"], 10, t])
-                rep = verify_hardy(gs, a, p, qc)
-                worst = max(worst, rep.measured)
-                bound = rep.bound
-            _record_value(records, f"hardy.a{a}_q{q0}", worst, bound, 1e-6)
+    cases = [(a, q0) for a in (0.25, 0.5, 0.75) for q0 in (1.5, 2.0, 4.0)]
+    worst = dict.fromkeys(cases, 0.0)
+    bound = dict.fromkeys(cases, 0.0)
+    # one sequence per trial, shared by every (a, q0) case
+    for t in range(cfg["trials"]):
+        gs = band_limited_sequence(grid, levels, kmax, [cfg["seed"], 10, t])
+        for a, q0 in cases:
+            rep = verify_hardy(gs, a, p, constant_exponent(grid, q0))
+            worst[a, q0] = max(worst[a, q0], rep.measured)
+            bound[a, q0] = rep.bound
+    for a, q0 in cases:
+        _record_value(records, f"hardy.a{a}_q{q0}", worst[a, q0],
+                      bound[a, q0], 1e-6)
 
 
 def _suite_commutator(cfg, grid, records, curves):

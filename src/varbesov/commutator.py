@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import ExponentField, exponent_from_family, harmonic_sum
-from .grid import (Field, Grid, boundary_deviation, require_same_grid,
-                   spectral_derivative)
+from .grid import (Field, Grid, _derivative_of_spectrum, boundary_deviation,
+                   require_same_grid, spectral_derivative)
 from .lebesgue import luxemburg_norm
-from .littlewood_paley import besov_norm, build_resolution, lp_block
+from .littlewood_paley import besov_norm, build_resolution
 from .mixed import FieldSequence, mixed_norm
 from .reports import make_estimate_report
 
@@ -86,19 +86,34 @@ def commutator(v, f, rou, j):
     Products are formed in physical space; callers keep inputs band-limited
     below 2^J / 4 so the doubled product bandwidth stays alias-free.
     """
-    g = require_same_grid(*v.components, f, rou)
-    acc = np.zeros(g.shape)
-    for k, comp in enumerate(v):
-        acc += comp.values * spectral_derivative(lp_block(f, rou, j), k).values
-        inner = Field(g, comp.values * spectral_derivative(f, k).values)
-        acc -= lp_block(inner, rou, j).values
-    return Field(g, acc)
+    if not 0 <= j < rou.levels:
+        raise ValueError(f"block index {j} out of range 0..{rou.top_level}")
+    return next(_commutators(v, f, rou, (j,)))
 
 
 def commutator_sequence(v, f, rou):
-    return FieldSequence(
-        tuple(commutator(v, f, rou, j) for j in range(rou.levels))
-    )
+    return FieldSequence(tuple(_commutators(v, f, rou, range(rou.levels))))
+
+
+def _commutators(v, f, rou, levels):
+    """The commutators at the given levels from stored spectra: one forward
+    transform of f, of each V_k d_k f and of each block.  Level j equals
+    sum_k V_k d_k lp_block(f, rou, j) - lp_block(V_k d_k f, rou, j) bitwise.
+    """
+    g = require_same_grid(*v.components, f, rou)
+    spec = np.fft.fftn(f.values)
+    inner_specs = [
+        np.fft.fftn(comp.values * _derivative_of_spectrum(g, spec, k))
+        for k, comp in enumerate(v)
+    ]
+    for j in levels:
+        multiplier = rou.multipliers[j]
+        block_spec = np.fft.fftn(np.fft.ifftn(multiplier * spec).real)
+        acc = np.zeros(g.shape)
+        for k, comp in enumerate(v):
+            acc += comp.values * _derivative_of_spectrum(g, block_spec, k)
+            acc -= np.fft.ifftn(multiplier * inner_specs[k]).real
+        yield Field(g, acc)
 
 
 def commutator_lhs_norm(v, f, s, p, q, rou):
@@ -122,7 +137,9 @@ def _vector_besov(fields, s, p, q, rou):
 
 
 def _gradient(f):
-    return [spectral_derivative(f, k) for k in range(f.grid.dim)]
+    spec = np.fft.fftn(f.values)
+    return [Field(f.grid, _derivative_of_spectrum(f.grid, spec, k))
+            for k in range(f.grid.dim)]
 
 
 def _shift_smoothness(s, delta):
@@ -150,8 +167,7 @@ def theorem1_report(v, f, s, p1, p2, q, rou, config=None):
     grad_f_p1 = _vector_luxemburg(grad_f, p1)
     v_besov = _vector_besov(v.components, s, p2, q, rou)
     grad_v_p1 = sum(
-        luxemburg_norm(spectral_derivative(comp, i), p1)
-        for comp in v for i in range(v.grid.dim)
+        luxemburg_norm(d, p1) for comp in v for d in _gradient(comp)
     )
     f_besov = besov_norm(f, s, p2, q, rou)
     v_p1 = _vector_luxemburg(v.components, p1)

@@ -74,32 +74,43 @@ class Grid:
         mesh = self.coordinate_mesh()
         return np.stack([m.ravel() for m in mesh], axis=1)
 
+    def _along_axis(self, vector, axis):
+        """A per-axis vector of length N shaped to broadcast along ``axis``
+        of the grid."""
+        return vector.reshape((-1,) + (1,) * (self.dim - 1 - axis))
+
+    def axis_product(self, factor):
+        """factor[i_1] * ... * factor[i_n] at node (i_1, ..., i_n), multiplied
+        onto ones in axis order."""
+        out = np.ones(self.shape)
+        for axis in range(self.dim):
+            out = out * self._along_axis(factor, axis)
+        return out
+
+    def _axis_norm(self, vector):
+        """sqrt(vector[i_1]^2 + ... + vector[i_n]^2) at node (i_1, ..., i_n),
+        summed onto zeros in axis order."""
+        square = vector * vector
+        acc = np.zeros(self.shape)
+        for axis in range(self.dim):
+            acc += self._along_axis(square, axis)
+        return np.sqrt(acc)
+
     def min_image_radius(self):
         """Distance of each node from the origin under box wrapping."""
         period = 2.0 * self.half_width
-        mesh = self.coordinate_mesh()
-        acc = np.zeros(self.shape)
-        for m in mesh:
-            d = np.abs(m)
-            d = np.minimum(d, period - d)
-            acc += d * d
-        return np.sqrt(acc)
+        d = np.abs(self.axis_coordinates())
+        d = np.minimum(d, period - d)
+        return self._axis_norm(d)
 
-    def mode_index_mesh(self):
-        """Integer FFT mode indices per axis (fftfreq ordering)."""
+    def axis_modes(self):
+        """Integer FFT mode indices along one axis (fftfreq ordering)."""
         n = self.points_per_axis
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        if self.dim == 1:
-            return (k,)
-        return tuple(np.meshgrid(k, k, indexing="ij"))
+        return np.fft.fftfreq(n, d=1.0 / n)
 
     def mode_magnitude(self):
         """|k| over the FFT index lattice."""
-        mesh = self.mode_index_mesh()
-        acc = np.zeros(self.shape)
-        for m in mesh:
-            acc += m * m
-        return np.sqrt(acc)
+        return self._axis_norm(self.axis_modes())
 
     def field(self, values):
         return Field(self, np.asarray(values, dtype=np.float64))
@@ -163,13 +174,20 @@ def convolve(f, g):
     variable-exponent norms.
     """
     grid = require_same_grid(f, g)
-    ff = np.fft.fftn(f.values)
-    fg = np.fft.fftn(g.values)
-    phase = np.ones(grid.shape)
-    for k in grid.mode_index_mesh():
-        phase = phase * np.where(np.asarray(k).astype(np.int64) % 2 == 0, 1.0, -1.0)
-    out = np.fft.ifftn(ff * fg * phase).real * grid.cell
-    return Field(grid, out)
+    return _convolve_spectra(grid, np.fft.fftn(f.values), np.fft.fftn(g.values),
+                             _origin_phase(grid))
+
+
+def _origin_phase(grid):
+    """(-1)^(k_1 + ... + k_n) over the mode lattice.  N is a power of two,
+    so each fftfreq index has the parity of its array position."""
+    return grid.axis_product(
+        np.where(np.arange(grid.points_per_axis) % 2 == 0, 1.0, -1.0))
+
+
+def _convolve_spectra(grid, spec_f, spec_g, phase):
+    """``convolve`` from the two forward transforms and the origin phase."""
+    return Field(grid, np.fft.ifftn(spec_f * spec_g * phase).real * grid.cell)
 
 
 def spectral_derivative(f, axis):
@@ -181,11 +199,15 @@ def spectral_derivative(f, axis):
     g = f.grid
     if not 0 <= axis < g.dim:
         raise ValueError(f"axis {axis} out of range for dim {g.dim}")
-    k = g.mode_index_mesh()[axis].copy()
-    k[np.abs(k) == g.nyquist_index] = 0.0
-    xi = np.pi * k / g.half_width
-    out = np.fft.ifftn(1j * xi * np.fft.fftn(f.values)).real
-    return Field(g, out)
+    return Field(g, _derivative_of_spectrum(g, np.fft.fftn(f.values), axis))
+
+
+def _derivative_of_spectrum(grid, spec, axis):
+    """``spectral_derivative`` values from the field's forward transform."""
+    k = grid.axis_modes()
+    k[np.abs(k) == grid.nyquist_index] = 0.0
+    xi = np.pi * k / grid.half_width
+    return np.fft.ifftn(grid._along_axis(1j * xi, axis) * spec).real
 
 
 def eta_kernel(j, m, grid):
@@ -193,11 +215,15 @@ def eta_kernel(j, m, grid):
 
     The value at the origin is exactly 2^{jn}.
     """
+    return _eta_kernel(j, m, grid, grid.min_image_radius())
+
+
+def _eta_kernel(j, m, grid, radius):
+    """``eta_kernel`` on a precomputed ``grid.min_image_radius()``."""
     if j < 0:
         raise ValueError("level j must be nonnegative")
-    r = grid.min_image_radius()
     n = grid.dim
-    vals = 2.0 ** (j * n) * (1.0 + 2.0 ** j * r) ** (-float(m))
+    vals = 2.0 ** (j * n) * (1.0 + 2.0 ** j * radius) ** (-float(m))
     return Field(grid, vals)
 
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import _kernels
 from .exponents import local_log_holder
-from .grid import Field, eta_kernel, convolve, integrate, require_same_grid
+from .grid import (Field, _convolve_spectra, _eta_kernel, _origin_phase,
+                   integrate, require_same_grid)
 from .lebesgue import luxemburg_norm
 from .mixed import FieldSequence, mixed_norm
 from .reports import CheckReport, graded_report
@@ -63,9 +64,12 @@ def build_resolution(grid, top_level):
             f"grid Nyquist index is {grid.nyquist_index}"
         )
     kmag = grid.mode_magnitude()
-    mults = [smooth_step(kmag)]
+    inner = smooth_step(kmag)
+    mults = [inner]
     for j in range(1, top_level + 1):
-        mults.append(smooth_step(kmag / 2.0 ** j) - smooth_step(kmag / 2.0 ** (j - 1)))
+        outer = smooth_step(kmag / 2.0 ** j)
+        mults.append(outer - inner)
+        inner = outer
     return ResolutionOfUnity(grid, tuple(mults))
 
 
@@ -168,7 +172,8 @@ def verify_eta_convolution(f, p, m, top_level, c_report=None, trend_bound=4.0):
     if m <= grid.dim:
         raise ValueError(f"kernel order m must exceed the dimension {grid.dim}")
     base = luxemburg_norm(f, p)
-    kernels = [eta_kernel(j, m, grid) for j in range(top_level + 1)]
+    radius = grid.min_image_radius()
+    kernels = [_eta_kernel(j, m, grid, radius) for j in range(top_level + 1)]
     masses = [integrate(k) for k in kernels]
     if c_report is None:
         c_report = 2.0 * max(masses)
@@ -177,9 +182,12 @@ def verify_eta_convolution(f, p, m, top_level, c_report=None, trend_bound=4.0):
             "lp.eta_convolution", "trivial", 0.0, c_report, 1e-6,
             {"ratios": [0.0] * (top_level + 1), "masses": masses},
         )
+    spec_f = np.fft.fftn(f.values)
+    phase = _origin_phase(grid)
     ratios = []
     for k in kernels:
-        ratios.append(luxemburg_norm(convolve(k, f), p) / base)
+        smoothed = _convolve_spectra(grid, np.fft.fftn(k.values), spec_f, phase)
+        ratios.append(luxemburg_norm(smoothed, p) / base)
     r_max, r_min = max(ratios), min(ratios)
     trend = r_max / r_min if r_min > 0 else math.inf
     ok = r_max <= c_report + 1e-6 and trend <= trend_bound
@@ -207,7 +215,8 @@ def verify_mixed_eta(fs, p, q, m, c_report=None):
             f"kernel order m={m} must exceed n + c_loc(1/q) = "
             f"{grid.dim + c_loc_rq:.6g}"
         )
-    kernels = [eta_kernel(j, m, grid) for j in range(fs.levels)]
+    radius = grid.min_image_radius()
+    kernels = [_eta_kernel(j, m, grid, radius) for j in range(fs.levels)]
     masses = [integrate(k) for k in kernels]
     if c_report is None:
         c_report = 2.0 * max(masses)
@@ -215,9 +224,11 @@ def verify_mixed_eta(fs, p, q, m, c_report=None):
     if base == 0.0:
         return CheckReport("lp.mixed_eta", "trivial", 0.0, c_report, 1e-6,
                            {"ratio": 0.0, "c_loc_rq": c_loc_rq})
-    smoothed = FieldSequence(
-        tuple(convolve(k, f) for k, f in zip(kernels, fs))
-    )
+    phase = _origin_phase(grid)
+    smoothed = FieldSequence(tuple(
+        _convolve_spectra(grid, np.fft.fftn(k.values), np.fft.fftn(f.values), phase)
+        for k, f in zip(kernels, fs)
+    ))
     ratio = mixed_norm(smoothed, p, q) / base
     return graded_report(
         "lp.mixed_eta", ratio, c_report, 1e-6,

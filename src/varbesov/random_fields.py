@@ -48,15 +48,24 @@ def _coefficient_table(rng, kmax, dim):
     return coeff
 
 
-def _band_projection(values, grid, kmax):
-    spec = np.fft.fftn(values)
-    spec[grid.mode_magnitude() > kmax] = 0.0
-    return np.fft.ifftn(spec).real
+def gaussian_envelope(grid):
+    """exp(-|x|^2 / (2 sigma^2)) with sigma = L / ENVELOPE_FRACTION, built as
+    a product of per-axis factors."""
+    sigma = grid.half_width / ENVELOPE_FRACTION
+    return grid.axis_product(
+        np.exp(-grid.axis_coordinates() ** 2 / (2.0 * sigma ** 2)))
 
 
 def band_limited_field(grid, kmax, rng_key, envelope=True):
     """Smooth field with spectrum inside |k| <= kmax, normalized so the
     quadrature of its square is one (a resolution-independent scale)."""
+    return _field_source(grid, kmax, envelope)(rng_key)
+
+
+def _field_source(grid, kmax, envelope):
+    """``band_limited_field`` at one (grid, kmax, envelope) as a function of
+    the rng key; the envelope and the out-of-band mask are built once for
+    every field it draws."""
     if 2 * kmax > grid.nyquist_index:
         raise ValueError(f"kmax={kmax} incompatible with Nyquist index "
                          f"{grid.nyquist_index}")
@@ -66,40 +75,46 @@ def band_limited_field(grid, kmax, rng_key, envelope=True):
             f"kmax={kmax} leaves no modes under the projection margin "
             f"{BAND_MARGIN}; need kmax >= {BAND_MARGIN + 1}"
         )
-    rng = np.random.default_rng(rng_key)
-    coeff = _coefficient_table(rng, draw_kmax, grid.dim)
-    n = grid.points_per_axis
-    spec = np.zeros(grid.shape, dtype=complex)
-    if grid.dim == 1:
-        spec[: draw_kmax + 1] = coeff
-    else:
-        for i1 in range(draw_kmax + 1):
-            for idx2, k2 in enumerate(range(-draw_kmax, draw_kmax + 1)):
-                spec[i1, k2 % n] = coeff[i1, idx2]
-    # undo the 1/N^n of ifftn so the continuum function is grid-independent
-    vals = np.fft.ifftn(spec).real * grid.node_count
     if envelope:
-        mesh = grid.coordinate_mesh()
-        sigma = grid.half_width / ENVELOPE_FRACTION
-        env = np.ones(grid.shape)
-        for m in mesh:
-            env = env * np.exp(-m ** 2 / (2.0 * sigma ** 2))
-        vals = _band_projection(vals * env, grid, kmax)
-    f = Field(grid, vals)
-    scale = math.sqrt(integrate(Field(grid, f.values ** 2)))
-    if scale == 0.0:
-        return f
-    return Field(grid, f.values / scale)
+        env = gaussian_envelope(grid)
+        out_of_band = grid.mode_magnitude() > kmax
+    n = grid.points_per_axis
+
+    def draw(rng_key):
+        rng = np.random.default_rng(rng_key)
+        coeff = _coefficient_table(rng, draw_kmax, grid.dim)
+        spec = np.zeros(grid.shape, dtype=complex)
+        if grid.dim == 1:
+            spec[: draw_kmax + 1] = coeff
+        else:
+            for i1 in range(draw_kmax + 1):
+                for idx2, k2 in enumerate(range(-draw_kmax, draw_kmax + 1)):
+                    spec[i1, k2 % n] = coeff[i1, idx2]
+        # undo the 1/N^n of ifftn so the continuum function is grid-independent
+        vals = np.fft.ifftn(spec).real * grid.node_count
+        if envelope:
+            # project the enveloped field back onto |k| <= kmax
+            spec = np.fft.fftn(vals * env)
+            spec[out_of_band] = 0.0
+            vals = np.fft.ifftn(spec).real
+        f = Field(grid, vals)
+        scale = math.sqrt(integrate(Field(grid, f.values ** 2)))
+        if scale == 0.0:
+            return f
+        return Field(grid, f.values / scale)
+
+    return draw
 
 
 def band_limited_sequence(grid, levels, kmax, seed, envelope=True):
     """Sequence of independent band-limited fields with mild random
     per-level amplitudes."""
+    draw = _field_source(grid, kmax, envelope)
     fields = []
     for j in range(levels):
         amp_rng = np.random.default_rng(_key(seed, j, 977))
         amp = amp_rng.uniform(0.3, 1.0)
-        f = band_limited_field(grid, kmax, _key(seed, j), envelope=envelope)
+        f = draw(_key(seed, j))
         fields.append(Field(grid, amp * f.values))
     return FieldSequence(tuple(fields))
 
@@ -107,7 +122,5 @@ def band_limited_sequence(grid, levels, kmax, seed, envelope=True):
 def band_limited_vector_field(grid, kmax, seed, envelope=True):
     """Component fields for a vector field; independent components, so the
     divergence is generically nonzero."""
-    return [
-        band_limited_field(grid, kmax, _key(seed, 31 + axis), envelope=envelope)
-        for axis in range(grid.dim)
-    ]
+    draw = _field_source(grid, kmax, envelope)
+    return [draw(_key(seed, 31 + axis)) for axis in range(grid.dim)]

@@ -77,6 +77,33 @@ class TestRun:
         run(dict(SMALL, suites=["littlewood_paley"]))
         assert len(sweeps) == 2
 
+    def test_two_level_gauge_on_nodes_off_the_unit_pieces(self):
+        # h = 10/1024: [0, 1) and [1, 2) hold 103 and 102 nodes, so their
+        # quadrature measures are not 1 and the gauge is not the golden ratio
+        report = run({"grid": {"dim": 1, "points_per_axis": 1024,
+                               "half_width": 5.0},
+                      "suites": ["lebesgue"]})
+        gauge = next(r for r in report.records
+                     if r.check_id == "lebesgue.two_level_gauge")
+        assert gauge.status == "pass"
+        assert gauge.measured <= 1e-8
+
+    def test_hardy_builds_one_sequence_per_trial(self, monkeypatch):
+        from varbesov import cli
+
+        keys = []
+        build = cli.band_limited_sequence
+
+        def counted(grid, levels, kmax, seed, **kwargs):
+            keys.append(list(seed))
+            return build(grid, levels, kmax, seed, **kwargs)
+
+        monkeypatch.setattr(cli, "band_limited_sequence", counted)
+        report = run(dict(SMALL, trials=2, suites=["hardy"]))
+        assert keys == [[SMALL["seed"], 10, 0], [SMALL["seed"], 10, 1]]
+        assert [r.check_id for r in report.records] == [
+            f"hardy.a{a}_q{q0}" for a in (0.25, 0.5, 0.75) for q0 in (1.5, 2.0, 4.0)]
+
     def test_environment_has_no_timestamps(self, small_report):
         assert set(small_report.environment) == {
             "package_version", "backend", "numpy_version", "python_version"}

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from varbesov.commutator import (SweepConfig, VectorField, commutator,
-                                 commutator_lhs_norm, constant_sweep,
-                                 divergence, theorem1_report, theorem2_report,
-                                 theorem3_report)
+                                 commutator_lhs_norm, commutator_sequence,
+                                 constant_sweep, divergence, theorem1_report,
+                                 theorem2_report, theorem3_report)
 from varbesov.exponents import constant_exponent, cos_bump_exponent
-from varbesov.grid import Field, Grid, field_from_function
-from varbesov.littlewood_paley import build_resolution
+from varbesov.grid import Field, Grid, field_from_function, spectral_derivative
+from varbesov.littlewood_paley import build_resolution, lp_block
 from varbesov.random_fields import (band_limited_field,
                                     band_limited_vector_field)
 
@@ -52,6 +52,55 @@ class TestVectorField:
     def test_generated_fields_not_divergence_free(self, grid, vfield):
         div = divergence(vfield)
         assert np.max(np.abs(div.values)) > 1e-3
+
+
+def _composed_commutator(v, f, rou, j):
+    # sum_k V_k d_k block_j f - block_j(V_k d_k f), one public operator at a time
+    acc = np.zeros(f.grid.shape)
+    for k, comp in enumerate(v):
+        acc += comp.values * spectral_derivative(lp_block(f, rou, j), k).values
+        inner = Field(f.grid, comp.values * spectral_derivative(f, k).values)
+        acc -= lp_block(inner, rou, j).values
+    return acc
+
+
+@pytest.fixture(scope="module", params=[(1, 1024, 16.0, 8, 32), (2, 128, 8.0, 5, 25)],
+                ids=["1d-9-levels", "2d-6-levels"])
+def transport_case(request):
+    dim, n, half_width, top, band = request.param
+    g = Grid(dim, n, half_width)
+    v = VectorField(tuple(band_limited_vector_field(g, band, 41)))
+    return v, band_limited_field(g, band, 43), build_resolution(g, top)
+
+
+class TestCommutatorSpectra:
+    def test_sequence_equals_levels_and_composition_bitwise(self, transport_case):
+        v, f, rou = transport_case
+        seq = commutator_sequence(v, f, rou)
+        assert seq.levels == rou.levels
+        for j, c in enumerate(seq):
+            assert c.values.tobytes() == commutator(v, f, rou, j).values.tobytes()
+            assert c.values.tobytes() == _composed_commutator(v, f, rou, j).tobytes()
+
+    def test_sequence_transforms_each_field_once(self, transport_case, monkeypatch):
+        # forward: f, each V_k d_k f and each block; inverse: each d_k f, and
+        # per level the block, its n derivatives and the n blocks of V_k d_k f
+        v, f, rou = transport_case
+        counts = {"fftn": 0, "ifftn": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        commutator_sequence(v, f, rou)
+        dim, levels = f.grid.dim, rou.levels
+        assert counts == {"fftn": 1 + dim + levels,
+                          "ifftn": dim + levels * (2 * dim + 1)}
+        assert (counts["fftn"], counts["ifftn"]) == {1: (11, 28), 2: (9, 32)}[dim]
+
+    def test_level_out_of_range(self, grid, rou, vfield, sample_f):
+        with pytest.raises(ValueError, match="out of range"):
+            commutator(vfield, sample_f, rou, rou.levels)
 
 
 class TestCommutatorOperator:

@@ -228,3 +228,68 @@ def test_eta_kernel_bounded_by_origin(j, m):
     k = eta_kernel(j, m, g)
     assert np.all(k.values <= 2.0**j + 1e-12)
     assert np.all(k.values > 0)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _mesh_min_image_radius(grid):
+    # the wrapped distance accumulated over full coordinate meshes
+    period = 2.0 * grid.half_width
+    acc = np.zeros(grid.shape)
+    for m in grid.coordinate_mesh():
+        d = np.abs(m)
+        d = np.minimum(d, period - d)
+        acc += d * d
+    return np.sqrt(acc)
+
+
+def _mode_mesh(grid):
+    n = grid.points_per_axis
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    return (k,) if grid.dim == 1 else tuple(np.meshgrid(k, k, indexing="ij"))
+
+
+def _mesh_mode_magnitude(grid):
+    acc = np.zeros(grid.shape)
+    for m in _mode_mesh(grid):
+        acc += m * m
+    return np.sqrt(acc)
+
+
+def _mesh_convolve(f, g):
+    # the (-1)^k origin phase taken from the integer mode meshes
+    grid = f.grid
+    phase = np.ones(grid.shape)
+    for k in _mode_mesh(grid):
+        phase = phase * np.where(k.astype(np.int64) % 2 == 0, 1.0, -1.0)
+    spec = np.fft.fftn(f.values) * np.fft.fftn(g.values) * phase
+    return np.fft.ifftn(spec).real * grid.cell
+
+
+GRID_TABLE_CASES = [(dim, n, half_width) for dim in (1, 2)
+                    for n in (8, 16, 32, 64, 128, 256)
+                    for half_width in (1.0, 5.0, 16.0)]
+
+
+class TestSeparableTables:
+    """The per-axis tables equal the full-mesh formulas bit for bit."""
+
+    @pytest.mark.parametrize("dim,n,half_width", GRID_TABLE_CASES)
+    def test_min_image_radius(self, dim, n, half_width):
+        g = Grid(dim, n, half_width)
+        assert _bitwise_equal(g.min_image_radius(), _mesh_min_image_radius(g))
+
+    @pytest.mark.parametrize("dim,n,half_width", GRID_TABLE_CASES)
+    def test_mode_magnitude(self, dim, n, half_width):
+        g = Grid(dim, n, half_width)
+        assert _bitwise_equal(g.mode_magnitude(), _mesh_mode_magnitude(g))
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (1, 1024), (2, 32), (2, 128)])
+    def test_convolve_phase(self, dim, n):
+        g = Grid(dim, n, 5.0)
+        rng = np.random.default_rng(n + dim)
+        f = Field(g, rng.normal(size=g.shape))
+        h = Field(g, rng.normal(size=g.shape))
+        assert _bitwise_equal(convolve(f, h).values, _mesh_convolve(f, h))

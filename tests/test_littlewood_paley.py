@@ -5,14 +5,14 @@ import pytest
 
 from varbesov.exponents import (constant_exponent, cos_bump_exponent,
                                 local_log_holder, log_smooth_exponent)
-from varbesov.grid import Field, field_from_function
+from varbesov.grid import Field, convolve, eta_kernel, field_from_function
 from varbesov.lebesgue import luxemburg_norm
 from varbesov.littlewood_paley import (besov_norm, build_resolution,
                                        check_lemma_eta_shift, hardy_bound,
                                        hardy_transform, lp_block, smooth_step,
                                        verify_eta_convolution, verify_hardy,
                                        verify_mixed_eta)
-from varbesov.mixed import FieldSequence
+from varbesov.mixed import FieldSequence, mixed_norm
 from varbesov.random_fields import band_limited_field, band_limited_sequence
 
 
@@ -175,6 +175,16 @@ class TestEtaConvolution:
         rep = verify_eta_convolution(bump, p, 3.0, 6)
         assert rep.details["ratios"][0] <= rep.details["masses"][0] + 1e-6
 
+    def test_ratios_equal_the_convolve_path_bitwise(self, small_grid):
+        f = band_limited_field(small_grid, 32, 5)
+        p = log_smooth_exponent(small_grid, 2.0, 1.0)
+        rep = verify_eta_convolution(f, p, 3.0, 6)
+        base = luxemburg_norm(f, p)
+        assert rep.details["ratios"] == [
+            luxemburg_norm(convolve(eta_kernel(j, 3.0, small_grid), f), p) / base
+            for j in range(7)
+        ]
+
     def test_rejects_small_order(self, small_grid):
         f = band_limited_field(small_grid, 32, 3)
         with pytest.raises(ValueError, match="dimension"):
@@ -191,6 +201,15 @@ class TestMixedEta:
         scalar = verify_eta_convolution(fs[0], p, 3.0, 4)
         assert rep.status == "pass"
         assert rep.details["ratio"] <= max(scalar.details["masses"]) * 2.0
+
+    def test_ratio_equals_the_convolve_path_bitwise(self, small_grid):
+        fs = band_limited_sequence(small_grid, 4, 32, 31)
+        p = log_smooth_exponent(small_grid, 2.0, 1.0)
+        q = cos_bump_exponent(small_grid, 1.5, 1.0)
+        rep = verify_mixed_eta(fs, p, q, 3.0)
+        smoothed = FieldSequence(tuple(
+            convolve(eta_kernel(j, 3.0, small_grid), f) for j, f in enumerate(fs)))
+        assert rep.details["ratio"] == mixed_norm(smoothed, p, q) / mixed_norm(fs, p, q)
 
     def test_zero_sequence_trivial(self, small_grid):
         zeros = FieldSequence(
