@@ -20,6 +20,11 @@ The spectral rows time one ``convolve``, the per-level eta convolutions of
 ``verify_eta_convolution`` and one ``commutator_sequence`` on the desk
 grids of the CLI (4096 nodes with J = 8; 256^2 with J = 6), on
 band-limited inputs as the suites generate them.
+
+The evaluator rows time one ``lebesgue.Modular`` build (the per-level rows
+of a level stack) and one ``mixed_norm`` on a band-limited sequence at desk
+scale (4096 nodes, 9 levels) and plane scale (256^2, 7 levels), with a
+log-smooth p and a cos-bump q as in the default configuration.
 """
 
 import math
@@ -77,6 +82,39 @@ def spectral_inputs():
         ("1-D 4096, L = 16, J = 8", Grid(1, 4096, 16.0), 8, 8, 64),
         ("2-D 256^2, L = 16, J = 6", Grid(2, 256, 16.0), 6, 3, 20),
     ]
+
+
+def modular_inputs():
+    """(label, grid, levels, band) for the evaluator rows."""
+    from varbesov.grid import Grid
+
+    return [
+        ("desk: 1-D 4096, L = 16, 9 levels", Grid(1, 4096, 16.0), 9, 64),
+        ("plane: 2-D 256^2, L = 16, 7 levels", Grid(2, 256, 16.0), 7, 20),
+    ]
+
+
+def bench_modular():
+    from varbesov.exponents import cos_bump_exponent, log_smooth_exponent
+    from varbesov.lebesgue import Modular
+    from varbesov.mixed import mixed_norm
+    from varbesov.random_fields import band_limited_sequence
+
+    print("\nmodular evaluator (log-smooth p, cos-bump q, band-limited levels):",
+          flush=True)
+    for label, grid, levels, band in modular_inputs():
+        fs = band_limited_sequence(grid, levels, band, 3)
+        p = log_smooth_exponent(grid, 2.0, 1.5)
+        q = cos_bump_exponent(grid, 1.5, 1.0)
+        reps = 50 if grid.node_count <= N else 10
+        rows = [
+            ("Modular build", lambda: Modular(fs, p, q), reps),
+            ("mixed_norm", lambda: mixed_norm(fs, p, q), max(reps // 5, 3)),
+        ]
+        print(f"  {label}", flush=True)
+        for name, fn, n in rows:
+            t = bench(fn, reps=n)
+            print(f"    {name:<40}{t * 1e3:>9.2f} ms", flush=True)
 
 
 def bench_spectral():
@@ -188,6 +226,7 @@ def main():
               f"{levels} levels)", flush=True)
 
     bench_spectral()
+    bench_modular()
 
     print("\nend-to-end mixed norm (desk scale, 9 levels):", flush=True)
     code = (

@@ -15,7 +15,10 @@ pairwise in numpy).
 
 ``log_modular`` is the numpy pass behind every threshold solve (through
 ``lebesgue.Modular``) and behind the numpy ``scaled_modular``; it has no
-loop form.
+loop form.  It returns log rho, its slope in log lam (the Newton slope of
+every evaluation) and the scale of the terms it leaves in its buffer; any
+other slope, such as the one in log mu, is a weighted sum of those terms
+that the caller takes only where it needs it.
 
 The anchored-pair kernels ``log_holder_max`` and ``eta_shift_curve`` have
 one numpy implementation in every backend.  On a ``Grid`` the min-image
@@ -127,16 +130,21 @@ def _esssup_modular_loop(log_t, q, log_mu):
 # numpy twins
 # ---------------------------------------------------------------------------
 
-def log_modular(base, c, log_lam, buf, p=None, mass=0.0, pmass=0.0):
+def log_modular(base, c, log_lam, buf, mass=0.0):
     """One pass of the exp-log fused modular over finite-exponent nodes.
 
     With w = exp(base - c * log_lam) and the total rho = mass + sum(w),
-    returns (log rho, d log rho / d log lam, -(sum(p w) + pmass) / rho); the
-    last entry is nan when ``p`` is None.  ``buf`` is scratch of the nodes'
-    length and is overwritten; only in-place ufuncs touch it.  The sum is
-    taken relative to the largest term only when the plain sum overflows or
-    comes near underflow, so log rho and the slopes stay finite wherever one
-    term is nonzero.
+    returns (log rho, d log rho / d log lam, scale).  On return ``buf``
+    holds the terms w / exp(shift) and ``scale`` = exp(shift) / rho is the
+    share of rho per unit of ``buf``, so any other weighted sum of the terms
+    over rho, such as the slope in log mu that ``lebesgue.Modular`` takes at
+    a solve's returned point, is sum(weight * buf) * scale.  When every term
+    is zero, the slope is 0.0, ``scale`` is nan and ``buf`` holds no terms.
+
+    ``buf`` is scratch of the nodes' length and is overwritten; only
+    in-place ufuncs touch it.  The sum is taken relative to the largest term
+    only when the plain sum overflows or comes near underflow, so log rho
+    and the slope stay finite wherever one term is nonzero.
     """
     np.multiply(c, -log_lam, out=buf)
     buf += base
@@ -149,7 +157,7 @@ def log_modular(base, c, log_lam, buf, p=None, mass=0.0, pmass=0.0):
         shift = float(buf.max()) if buf.size else -_INF
         if shift == -_INF:
             log_rho = math.log(mass) if mass > 0.0 else -_INF
-            return log_rho, 0.0, (-pmass / mass if mass > 0.0 else math.nan)
+            return log_rho, 0.0, math.nan
         buf -= shift
         np.exp(buf, out=buf)
         s = float(buf.sum())
@@ -157,13 +165,7 @@ def log_modular(base, c, log_lam, buf, p=None, mass=0.0, pmass=0.0):
     if mass > 0.0:
         log_rho = float(np.logaddexp(math.log(mass), log_rho))
     scale = math.exp(shift - log_rho)  # terms of buf per unit of rho
-    d_lam = -float(np.dot(c, buf)) * scale
-    if p is None:
-        return log_rho, d_lam, math.nan
-    d_mu = -float(np.dot(p, buf)) * scale
-    if pmass > 0.0:
-        d_mu -= math.exp(math.log(pmass) - log_rho)
-    return log_rho, d_lam, d_mu
+    return log_rho, -float(np.dot(c, buf)) * scale, scale
 
 
 def _scaled_modular_np(log_t, p, rq, log_mu, log_lam, cell, budget):

@@ -359,11 +359,14 @@ def _suite_hardy(cfg, grid, records, curves):
     cases = [(a, q0) for a in (0.25, 0.5, 0.75) for q0 in (1.5, 2.0, 4.0)]
     worst = dict.fromkeys(cases, 0.0)
     bound = dict.fromkeys(cases, 0.0)
-    # one sequence per trial, shared by every (a, q0) case
+    qs = {q0: constant_exponent(grid, q0) for _, q0 in cases}
+    # one sequence per trial, shared by every (a, q0) case, and one base
+    # norm per (trial, q0), shared by every a
     for t in range(cfg["trials"]):
         gs = band_limited_sequence(grid, levels, kmax, [cfg["seed"], 10, t])
+        bases = {q0: mixed_norm(gs, p, q) for q0, q in qs.items()}
         for a, q0 in cases:
-            rep = verify_hardy(gs, a, p, constant_exponent(grid, q0))
+            rep = verify_hardy(gs, a, p, qs[q0], base=bases[q0])
             worst[a, q0] = max(worst[a, q0], rep.measured)
             bound[a, q0] = rep.bound
     for a, q0 in cases:

@@ -21,7 +21,7 @@ from . import _kernels
 from .grid import Field, integrate, require_same_grid
 from .exponents import conjugate
 from .lebesgue import luxemburg_norm, _log_abs
-from .mixed import FieldSequence, _LevelSolver, mixed_norm
+from .mixed import FieldSequence, _LevelSolver, _norm_hint, mixed_norm
 from .reports import CheckReport
 
 logger = logging.getLogger(__name__)
@@ -53,14 +53,15 @@ def extremal_witness(fs, p, q):
                          "use infinity_witness for p = inf")
     if not q.is_finite_valued():
         raise ValueError("extremal witness needs q finite-valued")
-    if fs.max_abs() == 0.0:
+    m = fs.max_abs()
+    if m == 0.0:
         raise ValueError("witness of the zero sequence is undefined")
 
     grid = fs.grid
     # the beta_j are the level infima of the norm solve at mu = K: solve them
     # on the same evaluator, warm-started from its last tangents
     solver = _LevelSolver(fs, p, q)
-    k_norm = solver.norm()
+    k_norm = solver.norm(_norm_hint(fs, m))
     log_k = math.log(k_norm)
     rq = 1.0 / q.values
 

@@ -33,8 +33,10 @@ def omega(t, p):
 
 
 def _log_abs(values):
+    """log|values| as a new float64 array (-inf at zeros), built in place."""
+    out = np.abs(values, dtype=np.float64)
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(values, dtype=np.float64))
+        return np.log(out, out=out)
 
 
 def modular(f, p):
@@ -55,6 +57,36 @@ def _exp(x):
     return math.exp(x) if x < _LOG_MAX else math.inf
 
 
+_ALL = slice(None)  # a node class that holds every node
+_EMPTY = np.empty(0)
+_EMPTY.flags.writeable = False
+
+
+def _node_class(mask):
+    """Index of the nodes in ``mask``: ``_ALL`` when it holds every node,
+    None when it holds none, else the mask itself."""
+    if mask.all():
+        return _ALL
+    return mask if mask.any() else None
+
+
+def _take(a, index):
+    """a[index] for a ``_node_class`` index: a view of ``a`` for ``_ALL``,
+    an empty array for None, a gathered copy otherwise."""
+    return _EMPTY if index is None else a[index]
+
+
+def _affine_row(la, index, p, log_cell):
+    """p * la[index] + log_cell, built in place on ``la[index]`` (so on
+    ``la`` itself when the class holds every node)."""
+    if index is None:
+        return _EMPTY
+    row = la[index]
+    row *= p
+    row += log_cell
+    return row
+
+
 class Modular:
     """Scaled modular of a field or a level stack, precomputed for solves.
 
@@ -66,9 +98,17 @@ class Modular:
 
     with a = p log|f_j| + log(cell) and c = p/q over finite-p nodes (the
     lam^{1/inf} = 1 convention makes c = 0 where q = inf).  Construction
-    precomputes a (one row per level) and c; ``solve`` then inverts in lam,
-    where each evaluation is one pass over a preallocated buffer returning
-    log rho with its partial derivatives in log lam and log mu.
+    precomputes a (one row per level, built in place from log|f_j|) and c;
+    a node class is gathered only when it holds some but not all nodes, so
+    the common all-finite case gathers nothing.  ``solve`` then inverts in
+    lam, where each evaluation is one pass over a preallocated buffer
+    returning log rho and its slope in log lam.
+
+    Two term buffers take turns: each evaluation on the feasible side
+    keeps its terms and hands the other buffer to the next evaluation, so
+    when the solve returns, the terms at the returned lam are still there.
+    The slope in log mu, which only the returned lam needs, is taken from
+    them once.
 
     The other nodes enter in closed form: q = inf nodes with finite p carry
     a lam-independent mass; p = inf nodes put a floor on log lam at
@@ -83,21 +123,25 @@ class Modular:
         levels = tuple(levels)
         require_same_grid(*levels, p, *(() if q is None else (q,)))
         pv = p.values.ravel()
+        fin = np.isfinite(pv)
         if q is None:
-            rq = np.ones_like(pv)
+            rq = None
+            dep, ind, floor, cap = _node_class(fin), None, _node_class(~fin), None
         else:
             qv = q.values.ravel()
             rq = np.where(np.isinf(qv), 0.0, 1.0 / qv)
-        fin = np.isfinite(pv)
-        dep = fin & (rq > 0.0)
-        ind = fin & (rq == 0.0)
-        floor = ~fin & (rq > 0.0)
-        cap = ~fin & (rq == 0.0)
+            with_q, no_q = rq > 0.0, rq == 0.0
+            dep, ind = _node_class(fin & with_q), _node_class(fin & no_q)
+            floor, cap = _node_class(~fin & with_q), _node_class(~fin & no_q)
+        self.p = _take(pv, dep)
+        # q = 1 gives c = p * 1.0 = p
+        self.c = self.p if rq is None else self.p * _take(rq, dep)
+        self._p_ind = _take(pv, ind)
+        if rq is None:
+            self._floor_q = np.ones_like(_take(pv, floor))
+        else:
+            self._floor_q = 1.0 / _take(rq, floor)
         log_cell = math.log(p.grid.cell)
-        self.p = pv[dep]
-        self.c = self.p * rq[dep]
-        self._p_ind = pv[ind]
-        self._floor_q = 1.0 / rq[floor]
         self.rows = []
         self._rows_ind = []
         self._floor_log = []
@@ -106,19 +150,30 @@ class Modular:
         self._row_size = []
         for f in levels:
             la = _log_abs(f.values).ravel()
-            row = self.p * la[dep] + log_cell
+            # gather the classes first: a class of every node is la itself,
+            # and its row is built in place
+            self._floor_log.append(_take(la, floor))
+            self._cap_log.append(-math.inf if cap is None else
+                                 float(np.max(la[cap], initial=-math.inf)))
+            self._rows_ind.append(_affine_row(la, ind, self._p_ind, log_cell))
+            row = _affine_row(la, dep, self.p, log_cell)
             self.rows.append(row)
-            self._rows_ind.append(self._p_ind * la[ind] + log_cell)
-            self._floor_log.append(la[floor])
-            self._cap_log.append(float(np.max(la[cap], initial=-math.inf)))
-            live = row > -math.inf
-            self._lam_dependent.append(bool(np.any(live)))
-            self._row_size.append(float(np.max(np.abs(row[live]), initial=0.0)))
+            # largest |a| over the live (nonzero-sample) nodes, 0 if none
+            hi = float(row.max()) if row.size else -math.inf
+            size = 0.0
+            if hi > -math.inf:
+                lo = float(row.min())
+                if lo == -math.inf:
+                    lo = float(row[row > -math.inf].min())
+                size = max(hi, -lo)
+            self._lam_dependent.append(hi > -math.inf)
+            self._row_size.append(size)
         self._c_max = float(np.max(self.c, initial=0.0))
         self._p_max = float(np.max(self.p, initial=0.0))
         self._sum_size = math.log2(max(self.p.size, 1))
         self._base = np.empty_like(self.p)
         self._buf = np.empty_like(self.p)
+        self._spare = np.empty_like(self.p)
 
     def solve(self, j, log_mu=0.0, hint=1.0, rel_tol=NORM_REL_TOL):
         """(lam, d log lam / d log mu) for lam = inf{lam > 0 : rho_j(lam, mu)
@@ -161,32 +216,40 @@ class Modular:
         if log_mu != 0.0:
             base = np.multiply(self.p, -log_mu, out=self._base)
             base += self.rows[j]
-        p, c, buf = self.p, self.c, self._buf
+        c = self.c
+        # [scratch, terms at the last feasible point]: swapped on each
+        # feasible evaluation
+        bufs = [self._buf, self._spare]
         # every term's exponent is a sum of three products: bound their
         # rounding, and the summation's, so that a point reported feasible
         # is feasible for any evaluator accurate to a few ulps
         slack = _ROUND * (self._row_size[j] + self._p_max * abs(log_mu) + self._sum_size)
         c_slack = _ROUND * self._c_max
         if floor > -math.inf:
-            log_rho = _kernels.log_modular(base, c, floor, buf, None, mass)[0]
+            log_rho = _kernels.log_modular(base, c, floor, bufs[0], mass)[0]
             if log_rho + slack + c_slack * abs(floor) <= 0.0:
                 return _exp(floor), floor_slope
             hint = max(hint, _exp(floor))
 
-        feasible = [math.nan, math.nan, math.nan]
+        feasible = [math.nan] * 4  # lam, d log rho / d log lam, log rho, scale
 
         def fn(lam):
             log_lam = math.log(lam)
-            log_rho, d_lam, d_mu = _kernels.log_modular(
-                base, c, log_lam, buf, p, mass, pmass)
+            log_rho, d_lam, scale = _kernels.log_modular(
+                base, c, log_lam, bufs[0], mass)
             v = _exp(log_rho + slack + c_slack * abs(log_lam))
             if v <= 1.0:
-                feasible[:] = (lam, d_lam, d_mu)
+                feasible[:] = (lam, d_lam, log_rho, scale)
+                bufs.reverse()
             return v, d_lam
 
         lam = solve_threshold(fn, hint, rel_tol=rel_tol)
         if lam == feasible[0] and feasible[1] < 0.0:
-            return lam, -feasible[2] / feasible[1]
+            _, d_lam, log_rho, scale = feasible
+            d_mu = -float(np.dot(self.p, bufs[1])) * scale
+            if pmass > 0.0:
+                d_mu -= math.exp(math.log(pmass) - log_rho)
+            return lam, -d_mu / d_lam
         return lam, math.nan
 
 

@@ -270,16 +270,19 @@ def hardy_bound(a, q_minus, gamma_grid=None):
     return float(np.min(1.0 / c))
 
 
-def verify_hardy(gs, a, p, q, gamma_grid=None, tolerance=1e-6):
+def verify_hardy(gs, a, p, q, gamma_grid=None, tolerance=1e-6, base=None):
     """Both transform ratios against the explicit admissible constant.
 
     Checks |(G_j)| / |(g_m)| and |(H_j)| / |(g_m)| against
-    min_gamma (1-a^gamma)^{-1/q^-} (1-a^{1-gamma/q^-})^{-1}.
+    min_gamma (1-a^gamma)^{-1/q^-} (1-a^{1-gamma/q^-})^{-1}.  ``base`` is
+    the norm |(g_m)| when the caller has it (it does not depend on a);
+    otherwise it is solved here.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
     bound = hardy_bound(a, q.p_minus, gamma_grid)
-    base = mixed_norm(gs, p, q)
+    if base is None:
+        base = mixed_norm(gs, p, q)
     if base == 0.0:
         return CheckReport("lp.hardy", "trivial", 0.0, bound, tolerance,
                            {"ratio_G": 0.0, "ratio_H": 0.0, "a": a})

@@ -99,7 +99,6 @@ class _LevelSolver:
     def __init__(self, fs, p, q):
         self.evaluator = Modular(fs, p, q)
         self.levels = fs.levels
-        self._hint = _norm_hint(fs)
         self._tangents = [None] * fs.levels  # (log mu, log lam, slope)
 
     def inner(self, j, log_mu=0.0, rel_tol=INNER_REL_TOL):
@@ -139,8 +138,9 @@ class _LevelSolver:
             return total
         return total, slope / total
 
-    def norm(self, rel_tol=NORM_REL_TOL):
-        return solve_threshold(self.scaled, self._hint, rel_tol=rel_tol)
+    def norm(self, hint, rel_tol=NORM_REL_TOL):
+        """The mixed norm, solved from ``hint`` (see ``_norm_hint``)."""
+        return solve_threshold(self.scaled, hint, rel_tol=rel_tol)
 
 
 def inner_lambda(f, p, q, hint=1.0, rel_tol=INNER_REL_TOL):
@@ -178,10 +178,11 @@ def mixed_modular(fs, p, q):
     return _LevelSolver(fs, p, q).modular()
 
 
-def _norm_hint(fs):
-    """A scale on the feasible side of the mixed norm, at most the largest
-    float (as in ``luxemburg_norm``)."""
-    hint = fs.max_abs() * max(1.0, fs.grid.box_measure) * fs.levels
+def _norm_hint(fs, max_abs):
+    """A scale on the feasible side of the mixed norm of ``fs``, whose
+    largest |f_j| is ``max_abs``, at most the largest float (as in
+    ``luxemburg_norm``)."""
+    hint = max_abs * max(1.0, fs.grid.box_measure) * fs.levels
     return min(hint, sys.float_info.max)
 
 
@@ -194,17 +195,19 @@ def mixed_norm(fs, p, q, rel_tol=NORM_REL_TOL):
     require_same_grid(*fs.entries, p, q)
     if np.all(np.isinf(q.values)):
         return max(luxemburg_norm(f, p) for f in fs)
-    if fs.max_abs() == 0.0:
+    m = fs.max_abs()
+    if m == 0.0:
         return 0.0
+    hint = _norm_hint(fs, m)
     if np.all(np.isinf(p.values)):
         level_fn = _esssup_levels(fs, q)
 
         def fn(mu):
             return level_fn(math.log(mu), early=True)
 
-        return solve_threshold(fn, _norm_hint(fs), rel_tol=rel_tol)
+        return solve_threshold(fn, hint, rel_tol=rel_tol)
 
-    return _LevelSolver(fs, p, q).norm(rel_tol=rel_tol)
+    return _LevelSolver(fs, p, q).norm(hint, rel_tol=rel_tol)
 
 
 def check_monotone_limit(fs, truncation_sets, p, q, rel_tol=1e-6):

@@ -104,6 +104,42 @@ class TestRun:
         assert [r.check_id for r in report.records] == [
             f"hardy.a{a}_q{q0}" for a in (0.25, 0.5, 0.75) for q0 in (1.5, 2.0, 4.0)]
 
+    def test_hardy_solves_one_base_norm_per_q(self, monkeypatch):
+        # per trial: 3 base norms (one per q0) and 2 transform norms for each
+        # of the 9 (a, q0) cases
+        from varbesov import cli, littlewood_paley
+
+        calls = []
+
+        def counting(module):
+            solve = module.mixed_norm
+
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return solve(*args, **kwargs)
+
+            monkeypatch.setattr(module, "mixed_norm", counted)
+
+        counting(cli)
+        counting(littlewood_paley)
+        run(dict(SMALL, trials=2, suites=["hardy"]))
+        assert len(calls) == 2 * 21
+
+    def test_verify_hardy_with_a_passed_base(self):
+        from varbesov.exponents import constant_exponent, log_smooth_exponent
+        from varbesov.grid import Grid
+        from varbesov.littlewood_paley import verify_hardy
+        from varbesov.mixed import mixed_norm
+        from varbesov.random_fields import band_limited_sequence
+
+        grid = Grid(1, 1024, 16.0)
+        gs = band_limited_sequence(grid, 7, 64, [4242, 10, 0])
+        p = log_smooth_exponent(grid, 2.0, 1.0)
+        q = constant_exponent(grid, 2.0)
+        base = mixed_norm(gs, p, q)
+        for a in (0.25, 0.75):
+            assert verify_hardy(gs, a, p, q, base=base) == verify_hardy(gs, a, p, q)
+
     def test_environment_has_no_timestamps(self, small_report):
         assert set(small_report.environment) == {
             "package_version", "backend", "numpy_version", "python_version"}

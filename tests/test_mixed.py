@@ -104,6 +104,20 @@ class TestMixedNorm:
             assert nrm == pytest.approx(classical_mixed_norm(seq, p0, q0),
                                         rel=1e-7)
 
+    @pytest.mark.parametrize("p0", [2.0, math.inf])
+    def test_one_max_abs_pass_per_norm(self, grid, seq, p0, monkeypatch):
+        # the zero check and the solve's hint share one pass over the levels
+        calls = []
+        max_abs = FieldSequence.max_abs
+
+        def counted(fs):
+            calls.append(1)
+            return max_abs(fs)
+
+        monkeypatch.setattr(FieldSequence, "max_abs", counted)
+        mixed_norm(seq, constant_exponent(grid, p0), cos_bump_exponent(grid, 1.5, 1.0))
+        assert len(calls) == 1
+
     def test_single_entry_collapses_to_luxemburg(self, grid):
         f = band_limited_field(grid, 40, 9)
         p = log_smooth_exponent(grid, 1.8, 1.2)

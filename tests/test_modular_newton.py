@@ -23,7 +23,7 @@ from varbesov.exponents import (ExponentField, constant_exponent,
 from varbesov.grid import Field, Grid, default_grid
 from varbesov.lebesgue import Modular, luxemburg_norm
 from varbesov.mixed import (FieldSequence, _LevelSolver, inner_lambda,
-                            mixed_norm)
+                            mixed_norm, sequence_from_values)
 from varbesov.random_fields import band_limited_sequence
 
 GRID = Grid(1, 256, 8.0)
@@ -335,3 +335,268 @@ def test_mixed_norm_solves_take_at_most_five_evaluations(monkeypatch):
     mixed_norm(fs, p, q)
     assert len(counts) > fs.levels
     assert statistics.median(counts) <= 5
+
+
+# ---------------------------------------------------------------------------
+# the evaluator against a reference copy of its masked, three-output form
+# ---------------------------------------------------------------------------
+
+def _reference_log_modular(base, c, log_lam, buf, p=None, mass=0.0, pmass=0.0):
+    """The evaluator pass that takes the slope in log mu at every point:
+    (log rho, d log rho / d log lam, d log rho / d log mu)."""
+    np.multiply(c, -log_lam, out=buf)
+    buf += base
+    np.exp(buf, out=buf)
+    s = float(buf.sum())
+    shift = 0.0
+    if not 1e-290 < s < math.inf:
+        np.multiply(c, -log_lam, out=buf)
+        buf += base
+        shift = float(buf.max()) if buf.size else -math.inf
+        if shift == -math.inf:
+            log_rho = math.log(mass) if mass > 0.0 else -math.inf
+            return log_rho, 0.0, (-pmass / mass if mass > 0.0 else math.nan)
+        buf -= shift
+        np.exp(buf, out=buf)
+        s = float(buf.sum())
+    log_rho = shift + math.log(s)
+    if mass > 0.0:
+        log_rho = float(np.logaddexp(math.log(mass), log_rho))
+    scale = math.exp(shift - log_rho)
+    d_lam = -float(np.dot(c, buf)) * scale
+    if p is None:
+        return log_rho, d_lam, math.nan
+    d_mu = -float(np.dot(p, buf)) * scale
+    if pmass > 0.0:
+        d_mu -= math.exp(math.log(pmass) - log_rho)
+    return log_rho, d_lam, d_mu
+
+
+class _ReferenceModular(Modular):
+    """``Modular`` built through a boolean gather of every node class and
+    solved with the three-output pass at every evaluation."""
+
+    def __init__(self, levels, p, q=None):
+        pv = p.values.ravel()
+        if q is None:
+            rq = np.ones_like(pv)
+        else:
+            qv = q.values.ravel()
+            rq = np.where(np.isinf(qv), 0.0, 1.0 / qv)
+        fin = np.isfinite(pv)
+        dep = fin & (rq > 0.0)
+        ind = fin & (rq == 0.0)
+        floor = ~fin & (rq > 0.0)
+        cap = ~fin & (rq == 0.0)
+        log_cell = math.log(p.grid.cell)
+        self.p = pv[dep]
+        self.c = self.p * rq[dep]
+        self._p_ind = pv[ind]
+        self._floor_q = 1.0 / rq[floor]
+        self.rows, self._rows_ind, self._floor_log = [], [], []
+        self._cap_log, self._lam_dependent, self._row_size = [], [], []
+        for f in levels:
+            with np.errstate(divide="ignore"):
+                la = np.log(np.abs(f.values, dtype=np.float64)).ravel()
+            row = self.p * la[dep] + log_cell
+            self.rows.append(row)
+            self._rows_ind.append(self._p_ind * la[ind] + log_cell)
+            self._floor_log.append(la[floor])
+            self._cap_log.append(float(np.max(la[cap], initial=-math.inf)))
+            live = row > -math.inf
+            self._lam_dependent.append(bool(np.any(live)))
+            self._row_size.append(float(np.max(np.abs(row[live]), initial=0.0)))
+        self._c_max = float(np.max(self.c, initial=0.0))
+        self._p_max = float(np.max(self.p, initial=0.0))
+        self._sum_size = math.log2(max(self.p.size, 1))
+        self._base = np.empty_like(self.p)
+        self._buf = np.empty_like(self.p)
+
+    def _solve(self, j, log_mu, hint, rel_tol):
+        mass = pmass = 0.0
+        if self._p_ind.size:
+            w = np.exp(self._rows_ind[j] - self._p_ind * log_mu)
+            mass = float(w.sum())
+            pmass = float(np.dot(self._p_ind, w))
+        if mass > 1.0 or (mass == 1.0 and self._lam_dependent[j]):
+            return math.inf, math.nan
+        floor, floor_slope = -math.inf, 0.0
+        floor_log = self._floor_log[j]
+        if floor_log.size:
+            lf = (floor_log - log_mu) * self._floor_q
+            k = int(np.argmax(lf))
+            if lf[k] > -math.inf:
+                qk = float(self._floor_q[k])
+                floor = float(lf[k]) + 4.0 * lebesgue._ROUND * qk * (
+                    1.0 + abs(float(floor_log[k])) + abs(log_mu))
+                floor_slope = -qk
+        if not self._lam_dependent[j]:
+            return (lebesgue._exp(floor), floor_slope) if floor > -math.inf else (0.0, 0.0)
+        base = self.rows[j]
+        if log_mu != 0.0:
+            base = np.multiply(self.p, -log_mu, out=self._base)
+            base += self.rows[j]
+        p, c, buf = self.p, self.c, self._buf
+        slack = lebesgue._ROUND * (
+            self._row_size[j] + self._p_max * abs(log_mu) + self._sum_size)
+        c_slack = lebesgue._ROUND * self._c_max
+        if floor > -math.inf:
+            log_rho = _reference_log_modular(base, c, floor, buf, None, mass)[0]
+            if log_rho + slack + c_slack * abs(floor) <= 0.0:
+                return lebesgue._exp(floor), floor_slope
+            hint = max(hint, lebesgue._exp(floor))
+        feasible = [math.nan, math.nan, math.nan]
+
+        def fn(lam):
+            log_lam = math.log(lam)
+            log_rho, d_lam, d_mu = _reference_log_modular(
+                base, c, log_lam, buf, p, mass, pmass)
+            v = lebesgue._exp(log_rho + slack + c_slack * abs(log_lam))
+            if v <= 1.0:
+                feasible[:] = (lam, d_lam, d_mu)
+            return v, d_lam
+
+        lam = _solve.solve_threshold(fn, hint, rel_tol=rel_tol)
+        if lam == feasible[0] and feasible[1] < 0.0:
+            return lam, -feasible[2] / feasible[1]
+        return lam, math.nan
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+_BUILD_ATTRS = ("p", "c", "_p_ind", "_floor_q", "_c_max", "_p_max", "_sum_size")
+_ROW_ATTRS = ("rows", "_rows_ind", "_floor_log", "_cap_log", "_lam_dependent",
+              "_row_size")
+
+
+def _assert_same_build(ev, ref):
+    for name in _BUILD_ATTRS:
+        assert _bits(getattr(ev, name)) == _bits(getattr(ref, name)), name
+    for name in _ROW_ATTRS:
+        for j, (a, b) in enumerate(zip(getattr(ev, name), getattr(ref, name))):
+            assert _bits(a) == _bits(b), (name, j)
+
+
+def _line_sequence(scale=1.0):
+    """Desk scale: 4096 nodes, 9 levels, with zero samples on one level."""
+    grid = default_grid(1)
+    fs = band_limited_sequence(grid, 9, 64, 3)
+    vals = [scale * f.values for f in fs]
+    vals[4] = np.where(np.abs(grid.axis_coordinates()) > 12.0, 0.0, vals[4])
+    return sequence_from_values(grid, vals)
+
+
+def _plane_blocks(scale=1.0):
+    """Littlewood-Paley blocks of a 64^2 field: ``.real`` views of ifftn."""
+    from varbesov.littlewood_paley import block_sequence, build_resolution
+    from varbesov.random_fields import band_limited_field
+
+    grid = Grid(2, 64, 8.0)
+    f = band_limited_field(grid, 12, 3, envelope=False)
+    blocks = block_sequence(Field(grid, scale * f.values), build_resolution(grid, 4))
+    assert not blocks[1].values.flags["C_CONTIGUOUS"]
+    return blocks
+
+
+def _exponents(grid, kind):
+    """(p, q) with every exponent finite, or with p = inf and/or q = inf
+    on parts of the box (p = q = inf where both parts meet)."""
+    p = log_smooth_exponent(grid, 2.0, 1.5)
+    q = cos_bump_exponent(grid, 1.5, 1.0)
+    r = grid.min_image_radius()
+    if kind in ("p_inf", "both_inf"):
+        p = ExponentField(grid, np.where(r > 0.75 * grid.half_width, math.inf, p.values))
+    if kind in ("q_inf", "both_inf"):
+        q = ExponentField(grid, np.where(r < 0.4 * grid.half_width, math.inf, q.values))
+    return p, q
+
+
+def _solve_all(ev, ref, levels, log_mus, hints):
+    """Compare every solve bitwise, from each hint and from the returned
+    lam itself (a solve from there mostly ends on an infeasible probe)."""
+    for j in range(levels):
+        for log_mu in log_mus:
+            for hint in hints:
+                got = ev.solve(j, log_mu, hint)
+                want = ref.solve(j, log_mu, hint)
+                assert _bits(got) == _bits(want), (j, log_mu, hint, got, want)
+                if 0.0 < got[0] < math.inf:
+                    again = ev.solve(j, log_mu, got[0])
+                    assert _bits(again) == _bits(ref.solve(j, log_mu, got[0]))
+
+
+def _record_last_evaluations(monkeypatch):
+    """Patch the evaluator's solver to record, per solve, whether its last
+    evaluation was feasible."""
+    last = []
+    solve = lebesgue.solve_threshold
+
+    def recorded(fn, hint, **kwargs):
+        seen = [None]
+
+        def wrapped(x):
+            out = fn(x)
+            seen[0] = out[0] <= 1.0
+            return out
+
+        try:
+            return solve(wrapped, hint, **kwargs)
+        finally:
+            last.append(seen[0])
+
+    monkeypatch.setattr(lebesgue, "solve_threshold", recorded)
+    return last
+
+
+@pytest.mark.parametrize("kind", ["finite", "p_inf", "q_inf", "both_inf"])
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+@pytest.mark.parametrize("make", [_line_sequence, _plane_blocks])
+def test_modular_matches_masked_reference_bitwise(make, scale, kind, monkeypatch):
+    fs = make(scale)
+    vals = [f.values for f in fs]
+    vals[2] = np.zeros(fs.grid.shape)  # an all-zero level
+    fs = sequence_from_values(fs.grid, vals)
+    p, q = _exponents(fs.grid, kind)
+    ev, ref = Modular(fs, p, q), _ReferenceModular(fs, p, q)
+    _assert_same_build(ev, ref)
+    last = _record_last_evaluations(monkeypatch)
+    top = math.log(scale)
+    _solve_all(ev, ref, fs.levels, [0.0, top - 0.7, top + 1.3],
+               [1.0, scale * 1e-3, scale * 1e6])
+    # solves ended on both sides of the bracket
+    assert False in last and True in last
+
+
+@pytest.mark.parametrize("kind", ["finite", "p_inf"])
+def test_luxemburg_modular_matches_masked_reference_bitwise(kind, monkeypatch):
+    # q omitted: the single-field Luxemburg evaluator
+    f = _line_sequence()[4]
+    p, _ = _exponents(f.grid, kind)
+    ev, ref = Modular((f,), p), _ReferenceModular((f,), p)
+    _assert_same_build(ev, ref)
+    _record_last_evaluations(monkeypatch)
+    _solve_all(ev, ref, 1, [0.0, -0.7, 1.3], [1.0, 1e-3, 1e6])
+
+
+def test_slope_is_taken_at_the_returned_point_after_an_infeasible_last_step(monkeypatch):
+    # from a hint at the returned lam, the first evaluation is feasible and
+    # the closing probe a tenth of the gap below it is not: the solve returns
+    # the earlier, feasible point, whose terms the evaluator must still hold
+    fs = _line_sequence()
+    p, q = _exponents(fs.grid, "finite")
+    ev, ref = Modular(fs, p, q), _ReferenceModular(fs, p, q)
+    last = _record_last_evaluations(monkeypatch)
+    checked = 0
+    for j in range(fs.levels):
+        for log_mu in (0.0, -0.7, 1.3):
+            lam = ev.solve(j, log_mu)[0]
+            if not 0.0 < lam < math.inf:
+                continue
+            got = ev.solve(j, log_mu, lam)
+            assert _bits(got) == _bits(ref.solve(j, log_mu, lam))
+            if last[-1] is False:
+                assert math.isfinite(got[1])
+                checked += 1
+    assert checked >= 10
