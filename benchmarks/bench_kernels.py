@@ -1,17 +1,14 @@
-"""Benchmark the numba-compiled kernels against their numpy twins.
+"""Time the kernels, the spectral layer and the modular evaluator.
 
 Run from the repository root:
 
     python benchmarks/bench_kernels.py
 
-Both implementations are always importable regardless of the
-VARBESOV_BACKEND setting, so this script times them side by side and also
-times a full mixed-norm solve under each backend.  Without numba only the
-numpy column and the numpy mixed-norm solve are timed.
+The modular rows time the public ``scaled_modular``, ``plain_modular`` and
+``esssup_modular`` on one 4096-node input.
 
-The anchored-pair kernels have one implementation (per-offset tables); they
-are timed against their per-pair loop forms, compiled with numba when it
-imports and plain python otherwise (a few seconds per loop call).
+The anchored-pair kernels (per-offset tables) are timed against their
+per-pair loop forms in plain python (a few seconds per loop call).
 ``eta_shift_curve`` is also timed alone on two variable-alpha inputs at
 R = c_loc, as ``check_lemma_eta_shift`` calls it (a constant alpha takes
 no sweep).
@@ -24,13 +21,10 @@ band-limited inputs as the suites generate them.
 The evaluator rows time one ``lebesgue.Modular`` build (the per-level rows
 of a level stack) and one ``mixed_norm`` on a band-limited sequence at desk
 scale (4096 nodes, 9 levels) and plane scale (256^2, 7 levels), with a
-log-smooth p and a cos-bump q as in the default configuration.
+log-smooth p and a cos-bump q as in the default configuration; the desk
+``mixed_norm`` row is the end-to-end mixed norm on the CLI's default grid.
 """
 
-import math
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -148,7 +142,7 @@ def bench_spectral():
 
 def bench(fn, *args, reps=REPS, warm=True):
     if warm:
-        fn(*args)  # warm up / JIT
+        fn(*args)  # warm up
     t0 = time.perf_counter()
     for _ in range(reps):
         fn(*args)
@@ -160,47 +154,27 @@ def main():
     cell = 32.0 / N
     anchors = np.arange(0, N, 16, dtype=np.int64)
 
-    print(f"numba available: {K.USE_NUMBA} (active backend: {K.BACKEND})")
     print(f"array size {N}, {REPS} repetitions per timing\n")
-
-    if not K.USE_NUMBA:
-        print("numba missing: compiled column would be the raw python loop; "
-              "only the numpy twins are timed")
     af = np.exp(log_af)
     g_samples = np.cos(coords[:, 0] / 3)
     rows = [
-        ("scaled_modular", REPS,
-         lambda: K._scaled_modular_impl(log_af, p, rq, 0.0, -0.3, cell, 0.0),
-         lambda: K._scaled_modular_np(log_af, p, rq, 0.0, -0.3, cell, 0.0)),
-        ("plain_modular", REPS,
-         lambda: K._plain_modular_impl(af, p, cell),
-         lambda: K._plain_modular_np(af, p, cell)),
-        ("esssup_modular", REPS,
-         lambda: K._esssup_modular_impl(log_af, q, 0.1),
-         lambda: K._esssup_modular_np(log_af, q, 0.1)),
+        ("scaled_modular",
+         lambda: K.scaled_modular(log_af, p, rq, 0.0, -0.3, cell)),
+        ("plain_modular", lambda: K.plain_modular(af, p, cell)),
+        ("esssup_modular", lambda: K.esssup_modular(log_af, q, 0.1)),
     ]
-    print(f"{'kernel':<18}{'compiled':>14}{'numpy':>14}{'speedup':>10}",
-          flush=True)
-    for name, reps, loop_fn, np_fn in rows:
-        t_loop = bench(loop_fn, reps=reps) if K.USE_NUMBA else math.nan
-        t_np = bench(np_fn, reps=reps)
-        speed = t_np / t_loop if K.USE_NUMBA else math.nan
-        print(f"{name:<18}{t_loop * 1e6:>11.1f} us{t_np * 1e6:>11.1f} us"
-              f"{speed:>9.2f}x", flush=True)
+    print(f"{'kernel':<18}{'time':>14}", flush=True)
+    for name, fn in rows:
+        print(f"{name:<18}{bench(fn) * 1e6:>11.1f} us", flush=True)
 
     alpha = 0.5 + 0.3 * np.sin(coords[:, 0])
     out = np.zeros(LEVELS)
-    log_holder_loop, eta_loop = K._log_holder_max_loop, K._eta_shift_curve_loop
-    if K.USE_NUMBA:
-        from numba import njit
-
-        log_holder_loop, eta_loop = njit(log_holder_loop), njit(eta_loop)
     pair_rows = [
         ("log_holder_max",
-         lambda: log_holder_loop(g_samples, coords, anchors, 32.0),
+         lambda: K._log_holder_max_loop(g_samples, coords, anchors, 32.0),
          lambda: K.log_holder_max(g_samples, coords, anchors, 32.0)),
         ("eta_shift_curve",
-         lambda: eta_loop(alpha, coords, anchors, 32.0, 3.0, out),
+         lambda: K._eta_shift_curve_loop(alpha, coords, anchors, 32.0, 3.0, out),
          lambda: K.eta_shift_curve(alpha, coords, anchors, 32.0, 3.0, LEVELS)),
     ]
     print(f"\nanchored pairs: {anchors.size} anchors x {N} nodes "
@@ -208,7 +182,7 @@ def main():
     print(f"{'kernel':<18}{'per-pair loop':>16}{'table':>14}{'speedup':>10}",
           flush=True)
     for name, loop_fn, table_fn in pair_rows:
-        t_loop = bench(loop_fn, reps=1, warm=K.USE_NUMBA)
+        t_loop = bench(loop_fn, reps=1, warm=False)
         t_table = bench(table_fn, reps=4)
         print(f"{name:<18}{t_loop * 1e3:>13.1f} ms{t_table * 1e3:>11.1f} ms"
               f"{t_loop / t_table:>9.1f}x", flush=True)
@@ -227,28 +201,6 @@ def main():
 
     bench_spectral()
     bench_modular()
-
-    print("\nend-to-end mixed norm (desk scale, 9 levels):", flush=True)
-    code = (
-        "import time, numpy as np;"
-        "from varbesov.grid import default_grid;"
-        "from varbesov.exponents import log_smooth_exponent, cos_bump_exponent;"
-        "from varbesov.mixed import mixed_norm;"
-        "from varbesov.random_fields import band_limited_sequence;"
-        "g = default_grid(1);"
-        "fs = band_limited_sequence(g, 9, 64, 3);"
-        "p = log_smooth_exponent(g, 2.0, 1.5);"
-        "q = cos_bump_exponent(g, 1.5, 1.0);"
-        "mixed_norm(fs, p, q);"
-        "t0 = time.perf_counter();"
-        "[mixed_norm(fs, p, q) for _ in range(5)];"
-        "print('  %-6s %7.1f ms' % "
-        "(__import__('os').environ.get('VARBESOV_BACKEND', 'auto'),"
-        " (time.perf_counter() - t0) / 5 * 1e3))"
-    )
-    for backend in ("numba", "numpy") if K.USE_NUMBA else ("numpy",):
-        env = dict(os.environ, VARBESOV_BACKEND=backend)
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 if __name__ == "__main__":

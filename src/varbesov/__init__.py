@@ -1,7 +1,6 @@
 """Variable-exponent Lebesgue, mixed sequence and Besov norms, with a
 verification harness for the duality, Hardy and commutator estimates."""
 
-from ._kernels import BACKEND, USE_NUMBA
 from .grid import (Field, Grid, boundary_deviation, convolve, default_grid,
                    eta_kernel, field_from_function, integrate,
                    spectral_derivative)
@@ -28,7 +27,7 @@ from .random_fields import (band_limited_field, band_limited_sequence,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "USE_NUMBA", "__version__",
+    "__version__",
     "Field", "Grid", "boundary_deviation", "convolve", "default_grid",
     "eta_kernel", "field_from_function", "integrate", "spectral_derivative",
     "ExponentField", "conjugate", "constant_exponent", "cos_bump_exponent",

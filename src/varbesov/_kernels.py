@@ -1,33 +1,21 @@
-"""Hot numeric inner loops.
+"""Hot numeric inner loops, all in numpy.
 
-The modular kernels ``scaled_modular``, ``plain_modular`` and
-``esssup_modular`` work on flat float64 arrays and come in two flavors: a
-loop form compiled with numba, and a vectorized numpy twin.  The environment
-variable ``VARBESOV_BACKEND`` selects the active flavor:
+``log_modular`` is the pass behind every threshold solve (through
+``lebesgue.Modular``) and behind ``scaled_modular``.  It returns log rho,
+its slope in log lam (the Newton slope of every evaluation) and the scale
+of the terms it leaves in its buffer; any other slope, such as the one in
+log mu, is a weighted sum of those terms that the caller takes only where
+it needs it.  ``scaled_modular``, ``plain_modular`` and ``esssup_modular``
+evaluate one modular on flat float64 arrays; the tests referee them against
+``lebesgue.omega`` applied node by node.
 
-    auto    use numba when it imports, fall back to numpy (default)
-    numba   require numba, fail loudly when missing
-    numpy   force the pure-numpy path
-
-The two paths agree up to floating-point summation order; determinism is
-guaranteed per backend (all reductions are sequential in the loop forms,
-pairwise in numpy).
-
-``log_modular`` is the numpy pass behind every threshold solve (through
-``lebesgue.Modular``) and behind the numpy ``scaled_modular``; it has no
-loop form.  It returns log rho, its slope in log lam (the Newton slope of
-every evaluation) and the scale of the terms it leaves in its buffer; any
-other slope, such as the one in log mu, is a weighted sum of those terms
-that the caller takes only where it needs it.
-
-The anchored-pair kernels ``log_holder_max`` and ``eta_shift_curve`` have
-one numpy implementation in every backend.  On a ``Grid`` the min-image
-distance between two nodes depends only on their index offset, so each call
-builds one per-offset table and reaches every anchor through a slice of it.
-Their per-pair loop forms ``_log_holder_max_loop`` and
-``_eta_shift_curve_loop`` stay as the reference the tests and
-``benchmarks/bench_kernels.py`` check them against; no package code calls
-them.
+The anchored-pair kernels ``log_holder_max`` and ``eta_shift_curve`` work
+on per-offset tables.  On a ``Grid`` the min-image distance between two
+nodes depends only on their index offset, so each call builds one
+per-offset table and reaches every anchor through a slice of it.  Their
+per-pair loop forms ``_log_holder_max_loop`` and ``_eta_shift_curve_loop``
+stay as the reference the tests and ``benchmarks/bench_kernels.py`` check
+them against; no package code calls them.
 
 ``eta_shift_curve`` of a constant, finite alpha reads each level off its
 kernel table: every exponent j(alpha(x) - alpha(y)) is then exactly 0, so
@@ -38,96 +26,19 @@ field is 0.0 without a sweep.
 """
 
 import math
-import os
 
 import numpy as np
 
 from .grid import Grid
 
-_ENV_VAR = "VARBESOV_BACKEND"
-_choice = os.environ.get(_ENV_VAR, "auto").strip().lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"{_ENV_VAR} must be one of auto|numba|numpy, got {_choice!r}"
-    )
-
-USE_NUMBA = False
-if _choice in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        USE_NUMBA = True
-    except ImportError:
-        if _choice == "numba":
-            raise RuntimeError(f"{_ENV_VAR}=numba but numba is not importable")
-
-BACKEND = "numba" if USE_NUMBA else "numpy"
+BACKEND = "numpy"  # the kernel backend named in every report's environment
 
 _INF = math.inf
 _SUM_MIN = 1e-290  # plain sums below this are redone relative to the top term
 
 
 # ---------------------------------------------------------------------------
-# loop forms (numba-compiled when the numba backend is active)
-# ---------------------------------------------------------------------------
-
-def _scaled_modular_loop(log_t, p, rq, log_mu, log_lam, cell, budget):
-    # sum over nodes of omega_{p(x)}( exp(log_t - rq*log_lam - log_mu) ) * cell
-    # log_t entries may be -inf (zero samples); rq = 1/q with 0 at q = inf.
-    # budget > 0 allows an early exit once the partial sum already exceeds it.
-    total = 0.0
-    for i in range(log_t.shape[0]):
-        u = log_t[i] - rq[i] * log_lam - log_mu
-        pi = p[i]
-        if math.isinf(pi):
-            if u > 0.0:
-                return _INF
-        elif u > -_INF:
-            total += math.exp(pi * u) * cell
-            if math.isinf(total):
-                return _INF
-            if budget > 0.0 and total > budget:
-                return total
-    return total
-
-
-def _plain_modular_loop(t, p, cell):
-    # sum over nodes of omega_{p(x)}(t) * cell, natural power form
-    total = 0.0
-    for i in range(t.shape[0]):
-        ti = t[i]
-        pi = p[i]
-        if math.isinf(pi):
-            if ti > 1.0:
-                return _INF
-        elif ti > 0.0:
-            total += ti ** pi * cell
-            if math.isinf(total):
-                return _INF
-    return total
-
-
-def _esssup_modular_loop(log_t, q, log_mu):
-    # sup over nodes of t^{q(x)} with t = exp(log_t - log_mu) and the
-    # conventions t^inf = 0 for t <= 1, inf for t > 1.
-    best = 0.0
-    for i in range(log_t.shape[0]):
-        u = log_t[i] - log_mu
-        qi = q[i]
-        if math.isinf(qi):
-            if u > 0.0:
-                return _INF
-        elif u > -_INF:
-            v = math.exp(qi * u)
-            if math.isinf(v):
-                return _INF
-            if v > best:
-                best = v
-    return best
-
-
-# ---------------------------------------------------------------------------
-# numpy twins
+# modular kernels
 # ---------------------------------------------------------------------------
 
 def log_modular(base, c, log_lam, buf, mass=0.0):
@@ -168,19 +79,33 @@ def log_modular(base, c, log_lam, buf, mass=0.0):
     return log_rho, -float(np.dot(c, buf)) * scale, scale
 
 
-def _scaled_modular_np(log_t, p, rq, log_mu, log_lam, cell, budget):
+def _flat(a):
+    return np.ascontiguousarray(a, dtype=np.float64).ravel()
+
+
+def scaled_modular(log_t, p, rq, log_mu, log_lam, cell, budget=0.0):
+    """Modular of the per-node scaled samples, exp-log fused form.
+
+    Sums omega_{p(x)}(exp(log_t - rq * log_lam - log_mu)) * cell over the
+    nodes; log_t may hold -inf (zero samples) and rq = 1/q is 0 at q = inf.
+    ``budget`` is accepted and ignored: the sum is always exact.
+    """
+    log_t, p, rq = _flat(log_t), _flat(p), _flat(rq)
+    log_mu, log_lam = float(log_mu), float(log_lam)
     infp = np.isinf(p)
     if np.any(log_t[infp] - rq[infp] * log_lam - log_mu > 0.0):
         return _INF
     fin = ~infp
     pf = p[fin]
-    base = pf * (log_t[fin] - log_mu) + math.log(cell)
+    base = pf * (log_t[fin] - log_mu) + math.log(float(cell))
     with np.errstate(over="ignore"):
         log_rho = log_modular(base, pf * rq[fin], log_lam, np.empty_like(base))[0]
         return float(np.exp(log_rho))
 
 
-def _plain_modular_np(t, p, cell):
+def plain_modular(t, p, cell):
+    """Modular in natural power form; `t` holds nonnegative samples."""
+    t, p = _flat(t), _flat(p)
     infp = np.isinf(p)
     if np.any(t[infp] > 1.0):
         return _INF
@@ -189,12 +114,14 @@ def _plain_modular_np(t, p, cell):
     pos = tf > 0.0
     with np.errstate(over="ignore"):
         terms = tf[pos] ** p[fin][pos]
-    total = float(np.sum(terms)) * cell
+    total = float(np.sum(terms)) * float(cell)
     return _INF if math.isinf(total) else total
 
 
-def _esssup_modular_np(log_t, q, log_mu):
-    u = log_t - log_mu
+def esssup_modular(log_t, q, log_mu):
+    """sup of t^{q(x)} over nodes, with the t^inf step convention."""
+    u = _flat(log_t) - float(log_mu)
+    q = _flat(q)
     infq = np.isinf(q)
     if np.any(u[infq] > 0.0):
         return _INF
@@ -205,49 +132,6 @@ def _esssup_modular_np(log_t, q, log_mu):
         vals = np.exp(q[fin] * u[fin])
     best = float(np.max(vals)) if vals.size else 0.0
     return _INF if math.isinf(best) else best
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    _scaled_modular_impl = njit(cache=True)(_scaled_modular_loop)
-    _plain_modular_impl = njit(cache=True)(_plain_modular_loop)
-    _esssup_modular_impl = njit(cache=True)(_esssup_modular_loop)
-else:
-    _scaled_modular_impl = _scaled_modular_np
-    _plain_modular_impl = _plain_modular_np
-    _esssup_modular_impl = _esssup_modular_np
-
-
-def _flat(a):
-    return np.ascontiguousarray(a, dtype=np.float64).ravel()
-
-
-def scaled_modular(log_t, p, rq, log_mu, log_lam, cell, budget=0.0):
-    """Modular of the per-node scaled samples, exp-log fused form.
-
-    With budget > 0 the returned value is only guaranteed to be on the same
-    side of the budget as the true sum (early exit); pass budget=0.0 for the
-    exact sum.
-    """
-    return float(
-        _scaled_modular_impl(
-            _flat(log_t), _flat(p), _flat(rq),
-            float(log_mu), float(log_lam), float(cell), float(budget),
-        )
-    )
-
-
-def plain_modular(t, p, cell):
-    """Modular in natural power form; `t` holds nonnegative samples."""
-    return float(_plain_modular_impl(_flat(t), _flat(p), float(cell)))
-
-
-def esssup_modular(log_t, q, log_mu):
-    """sup of t^{q(x)} over nodes, with the t^inf step convention."""
-    return float(_esssup_modular_impl(_flat(log_t), _flat(q), float(log_mu)))
 
 
 # ---------------------------------------------------------------------------

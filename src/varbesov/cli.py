@@ -304,9 +304,7 @@ def _suite_duality(cfg, grid, records, curves):
 
     f = band_limited_field(grid, kmax, [cfg["seed"], 7])
     rep = verify_norm_conjugate(f, p, trials=cfg["trials"], seed=cfg["seed"] + 17)
-    records.append(CheckRecord(rep.check_id, rep.status,
-                               _round12(rep.measured), _round12(rep.bound),
-                               _round12(rep.tolerance)))
+    _record(records, rep)
 
 
 def _suite_littlewood_paley(cfg, grid, records, curves):

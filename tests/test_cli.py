@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import varbesov
 from varbesov import _kernels
 from varbesov.cli import (ConfigError, DEFAULT_CONFIG, emit, emit_plot_data,
                           main, parse_report, run, validate_config)
@@ -143,6 +147,20 @@ class TestRun:
     def test_environment_has_no_timestamps(self, small_report):
         assert set(small_report.environment) == {
             "package_version", "backend", "numpy_version", "python_version"}
+
+    @pytest.mark.parametrize("value", ["numba", "bogus"])
+    def test_backend_is_not_an_environment_option(self, value):
+        # the kernels have one backend, so no environment value selects one
+        src = os.path.dirname(os.path.dirname(varbesov.__file__))
+        env = dict(os.environ, VARBESOV_BACKEND=value,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (f"import varbesov.cli as c; "
+                f"r = c.run({dict(SMALL, suites=['lebesgue'])!r}); "
+                f"print(r.environment['backend'], r.failed)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["numpy", "[]"]
 
     def test_two_dimensional_config(self):
         report = run({

@@ -1,11 +1,10 @@
 """Kernel agreement.
 
-The modular kernels: the numba loop forms and their numpy twins must compute
-the same numbers (up to summation order) on shared inputs.  The anchored-pair
-kernels: the per-offset table forms must reproduce their per-pair loop
-forms, bitwise where both take the same roundings, and ``eta_shift_curve``
-must reproduce bitwise a sweep of every pair through the same elementwise
-operations.
+The modular kernels must equal the scalar definition ``lebesgue.omega``
+applied node by node.  The anchored-pair kernels: the per-offset table forms
+must reproduce their per-pair loop forms, bitwise where both take the same
+roundings, and ``eta_shift_curve`` must reproduce bitwise a sweep of every
+pair through the same elementwise operations.
 """
 
 import math
@@ -16,6 +15,7 @@ import pytest
 from varbesov import _kernels as K
 from varbesov.exponents import cos_bump_exponent, log_smooth_exponent
 from varbesov.grid import Grid
+from varbesov.lebesgue import omega
 from varbesov.littlewood_paley import _anchors_for_pairs
 
 
@@ -37,41 +37,44 @@ def sample():
             "coords": coords}
 
 
-def test_backend_reports_choice():
-    assert K.BACKEND in ("numba", "numpy")
+def _omega_sum(t, p, cell):
+    return sum(omega(ti, pi) for ti, pi in zip(t, p)) * cell
 
 
 def test_scaled_modular_twins_agree(sample):
+    log_af, p, rq = sample["log_af"], sample["p"], sample["rq"]
     for log_lam in (-1.0, 0.0, 0.7):
-        a = K._scaled_modular_np(sample["log_af"], sample["p"], sample["rq"],
-                                 0.1, log_lam, 0.03125, 0.0)
-        b = K._scaled_modular_loop(sample["log_af"], sample["p"], sample["rq"],
-                                   0.1, log_lam, 0.03125, 0.0)
-        assert a == pytest.approx(b, rel=1e-12)
+        got = K.scaled_modular(log_af, p, rq, 0.1, log_lam, 0.03125)
+        t = np.exp(log_af - rq * log_lam - 0.1)
+        assert got == pytest.approx(_omega_sum(t, p, 0.03125), rel=1e-12)
+        # the budget argument changes nothing
+        assert K.scaled_modular(log_af, p, rq, 0.1, log_lam, 0.03125, 4.0) == got
 
 
 def test_scaled_modular_infinity_branch(sample):
     log_af = sample["log_af"].copy()
     log_af[31] = 2.0  # p[31] is inf and exp(2 - small) > 1
-    a = K._scaled_modular_np(log_af, sample["p"], sample["rq"], 0.0, 0.0, 1.0, 0.0)
-    b = K._scaled_modular_loop(log_af, sample["p"], sample["rq"], 0.0, 0.0, 1.0, 0.0)
-    assert a == b == math.inf
+    got = K.scaled_modular(log_af, sample["p"], sample["rq"], 0.0, 0.0, 1.0)
+    assert got == _omega_sum(np.exp(log_af), sample["p"], 1.0) == math.inf
 
 
 def test_plain_modular_twins_agree(sample):
-    a = K._plain_modular_np(sample["af"], sample["p"], 0.03125)
-    b = K._plain_modular_loop(sample["af"], sample["p"], 0.03125)
-    assert a == pytest.approx(b, rel=1e-12)
+    af = sample["af"]
+    for t in (af, af / af.max()):  # some p = inf node above 1, then none
+        got = K.plain_modular(t, sample["p"], 0.03125)
+        want = _omega_sum(t, sample["p"], 0.03125)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_esssup_twins_agree(sample):
     for log_mu in (-0.5, 0.0, 1.0):
-        a = K._esssup_modular_np(sample["log_af"], sample["q"], log_mu)
-        b = K._esssup_modular_loop(sample["log_af"], sample["q"], log_mu)
-        if math.isinf(a) or math.isinf(b):
-            assert a == b
+        got = K.esssup_modular(sample["log_af"], sample["q"], log_mu)
+        want = max(omega(ti, qi) for ti, qi in
+                   zip(np.exp(sample["log_af"] - log_mu), sample["q"]))
+        if math.isinf(got) or math.isinf(want):
+            assert got == want
         else:
-            assert a == pytest.approx(b, rel=1e-13)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_log_holder_twins_agree(sample):
@@ -89,16 +92,6 @@ def test_eta_shift_twins_agree(sample):
     out_b = np.zeros(6)
     K._eta_shift_curve_loop(alpha, sample["coords"], anchors, 16.0, 0.9, out_b)
     np.testing.assert_allclose(out_a, out_b, rtol=1e-13)
-
-
-def test_budget_early_exit_is_sound(sample):
-    # with a budget the kernel may stop early, but only on the correct side
-    exact = K._scaled_modular_np(sample["log_af"], sample["p"], sample["rq"],
-                                 0.0, -3.0, 0.03125, 0.0)
-    budgeted = K._scaled_modular_loop(sample["log_af"], sample["p"],
-                                      sample["rq"], 0.0, -3.0, 0.03125, 4.0)
-    assert (exact > 4.0) == (budgeted > 4.0)
-    assert (exact <= 1.0) == (budgeted <= 1.0)
 
 
 # ---------------------------------------------------------------------------
