@@ -14,9 +14,12 @@ R = c_loc, as ``check_lemma_eta_shift`` calls it (a constant alpha takes
 no sweep).
 
 The spectral rows time one ``convolve``, the per-level eta convolutions of
-``verify_eta_convolution`` and one ``commutator_sequence`` on the desk
-grids of the CLI (4096 nodes with J = 8; 256^2 with J = 6), on
-band-limited inputs as the suites generate them.
+``verify_eta_convolution``, one ``commutator_sequence``, one ``besov_norm``
+and one ``verify_mixed_eta`` on the desk grids of the CLI (4096 nodes with
+J = 8; 256^2 with J = 6), on band-limited inputs as the suites generate
+them.  Beside each time stands the number of minor page faults per call
+(the ``ru_minflt`` delta of ``getrusage``): pages the call touched for the
+first time, mostly in fresh allocations of its arrays.
 
 The evaluator rows time one ``lebesgue.Modular`` build (the per-level rows
 of a level stack) and one ``mixed_norm`` on a band-limited sequence at desk
@@ -25,6 +28,7 @@ log-smooth p and a cos-bump q as in the default configuration; the desk
 ``mixed_norm`` row is the end-to-end mixed norm on the CLI's default grid.
 """
 
+import resource
 import time
 
 import numpy as np
@@ -111,19 +115,32 @@ def bench_modular():
             print(f"    {name:<40}{t * 1e3:>9.2f} ms", flush=True)
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def bench_spectral():
     from varbesov.commutator import VectorField, commutator_sequence
-    from varbesov.exponents import log_smooth_exponent
+    from varbesov.exponents import (constant_exponent, cos_bump_exponent,
+                                    log_smooth_exponent)
     from varbesov.grid import convolve, eta_kernel
-    from varbesov.littlewood_paley import build_resolution, verify_eta_convolution
+    from varbesov.littlewood_paley import (besov_norm, build_resolution,
+                                           verify_eta_convolution,
+                                           verify_mixed_eta)
     from varbesov.random_fields import (band_limited_field,
+                                        band_limited_sequence,
                                         band_limited_vector_field)
 
-    print("\nspectral layer (eta order n + 2, band-limited inputs):", flush=True)
+    print("\nspectral layer (eta order n + 2, band-limited inputs; "
+          "s = 1, log-smooth p, cos-bump q):", flush=True)
+    print(f"    {'':<40}{'time':>12}{'minor faults':>18}", flush=True)
     for label, grid, top, eta_top, band in spectral_inputs():
         f = band_limited_field(grid, band, 3)
         v = VectorField(tuple(band_limited_vector_field(grid, band, 5)))
+        fs = band_limited_sequence(grid, top + 1, band, 9)
+        s = constant_exponent(grid, 1.0)
         p = log_smooth_exponent(grid, 2.0, 1.0)
+        q = cos_bump_exponent(grid, 1.5, 1.0)
         rou = build_resolution(grid, top)
         m = float(grid.dim + 2)
         kernel = eta_kernel(eta_top, m, grid)
@@ -133,11 +150,19 @@ def bench_spectral():
              lambda: verify_eta_convolution(f, p, m, eta_top), 10),
             (f"commutator_sequence, {rou.levels} levels",
              lambda: commutator_sequence(v, f, rou), 10),
+            (f"besov_norm, {rou.levels} levels",
+             lambda: besov_norm(f, s, p, q, rou), 10),
+            (f"verify_mixed_eta, {fs.levels} levels",
+             lambda: verify_mixed_eta(fs, p, q, m), 10),
         ]
         print(f"  {label}", flush=True)
         for name, fn, reps in rows:
-            t = bench(fn, reps=reps)
-            print(f"    {name:<40}{t * 1e3:>9.2f} ms", flush=True)
+            fn()  # warm up
+            before = minor_faults()
+            t = bench(fn, reps=reps, warm=False)
+            faults = (minor_faults() - before) / reps
+            print(f"    {name:<40}{t * 1e3:>9.2f} ms{faults:>13.0f}/call",
+                  flush=True)
 
 
 def bench(fn, *args, reps=REPS, warm=True):

@@ -264,7 +264,8 @@ def _suite_mixed(cfg, grid, records, curves):
     fs = band_limited_sequence(grid, levels, kmax, [cfg["seed"], 4])
     qi = constant_exponent(grid, math.inf)
     p = _build_exponent(cfg, grid, "p")
-    sup_norm = max(luxemburg_norm(f, p) for f in fs)
+    level_norms = [luxemburg_norm(f, p) for f in fs]
+    sup_norm = max(level_norms)
     _record_value(records, "mixed.q_infinity_shortcut",
                   abs(mixed_norm(fs, p, qi) - sup_norm), 0.0, 0.0)
 
@@ -276,7 +277,8 @@ def _suite_mixed(cfg, grid, records, curves):
     _record(records, rep)
 
     gs = band_limited_sequence(grid, levels, kmax, [cfg["seed"], 5])
-    rep = check_holder(fs, gs, p, conjugate(p), q, conjugate(q))
+    rep = check_holder(fs, gs, p, conjugate(p), q, conjugate(q),
+                       level_norms=level_norms, norm=rep.details["full_norm"])
     _record(records, rep)
 
 

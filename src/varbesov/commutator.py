@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import ExponentField, exponent_from_family, harmonic_sum
-from .grid import (Field, Grid, _derivative_of_spectrum, boundary_deviation,
+from .grid import (Field, Grid, _derivative_of_spectrum, _filtered,
+                   _spectrum, _work_array, boundary_deviation,
                    require_same_grid, spectral_derivative)
 from .lebesgue import luxemburg_norm
 from .littlewood_paley import besov_norm, build_resolution
@@ -99,20 +100,27 @@ def _commutators(v, f, rou, levels):
     """The commutators at the given levels from stored spectra: one forward
     transform of f, of each V_k d_k f and of each block.  Level j equals
     sum_k V_k d_k lp_block(f, rou, j) - lp_block(V_k d_k f, rou, j) bitwise.
+    The spectra and every product live in per-call work arrays.
     """
     g = require_same_grid(*v.components, f, rou)
-    spec = np.fft.fftn(f.values)
+    spec = _spectrum(f.values, _work_array(g))
+    work = _work_array(g)
     inner_specs = [
-        np.fft.fftn(comp.values * _derivative_of_spectrum(g, spec, k))
+        _spectrum(comp.values * _derivative_of_spectrum(g, spec, k, work),
+                  _work_array(g))
         for k, comp in enumerate(v)
     ]
+    block_spec = _work_array(g)
     for j in levels:
         multiplier = rou.multipliers[j]
-        block_spec = np.fft.fftn(np.fft.ifftn(multiplier * spec).real)
+        # the spectrum of the block: the real part of its inverse transform
+        _filtered(multiplier, spec, block_spec)
+        block_spec.imag = 0.0
+        np.fft.fftn(block_spec, out=block_spec)
         acc = np.zeros(g.shape)
         for k, comp in enumerate(v):
-            acc += comp.values * _derivative_of_spectrum(g, block_spec, k)
-            acc -= np.fft.ifftn(multiplier * inner_specs[k]).real
+            acc += comp.values * _derivative_of_spectrum(g, block_spec, k, work)
+            acc -= _filtered(multiplier, inner_specs[k], work)
         yield Field(g, acc)
 
 
@@ -137,8 +145,9 @@ def _vector_besov(fields, s, p, q, rou):
 
 
 def _gradient(f):
-    spec = np.fft.fftn(f.values)
-    return [Field(f.grid, _derivative_of_spectrum(f.grid, spec, k))
+    spec = _spectrum(f.values, _work_array(f.grid))
+    work = _work_array(f.grid)
+    return [Field(f.grid, _derivative_of_spectrum(f.grid, spec, k, work).copy())
             for k in range(f.grid.dim)]
 
 

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .grid import Field, integrate, require_same_grid
+from .grid import Field, _work_array, integrate, require_same_grid
 from .exponents import conjugate
 from .lebesgue import luxemburg_norm, _log_abs
 from .mixed import FieldSequence, _LevelSolver, _norm_hint, mixed_norm
@@ -136,12 +136,13 @@ def _shaped_candidate(fs, p, rng):
     p_vals = np.where(np.isfinite(p.values), p.values, 4.0)
     out = []
     kmax = max(4, n // 64)
+    spec = _work_array(grid)
     for f in fs:
-        spec = np.zeros(grid.shape, dtype=complex)
+        spec.fill(0.0)
         flat = spec.ravel()
         coeff = rng.normal(size=2 * (kmax + 1)).view(np.complex128)
         flat[: kmax + 1] = coeff
-        smooth = np.fft.ifftn(spec).real
+        smooth = np.fft.ifftn(spec, out=spec).real
         smooth -= smooth.min()
         smooth += 0.05 * (smooth.max() - smooth.min() + 1e-30)
         scale = f.max_abs()

@@ -163,6 +163,27 @@ def integrate(f):
     return float(np.sum(f.values)) * f.grid.cell
 
 
+def _work_array(grid):
+    """An uninitialized complex array of the grid's shape, for one call's
+    transforms to write into."""
+    return np.empty(grid.shape, dtype=np.complex128)
+
+
+def _spectrum(values, work):
+    """Forward transform of the real ``values``, copied into the complex
+    ``work`` array and transformed there; returns ``work``."""
+    np.copyto(work, values)
+    return np.fft.fftn(work, out=work)
+
+
+def _filtered(multiplier, spec, out):
+    """Real part of the inverse transform of ``multiplier * spec``, formed in
+    ``out`` (which may be ``spec``).  The result is a view of ``out``: a
+    caller that keeps it past the next use of ``out`` copies it."""
+    np.multiply(multiplier, spec, out=out)
+    return np.fft.ifftn(out, out=out).real
+
+
 def convolve(f, g):
     """h^n-scaled circular convolution via the FFT, with the coordinate
     origin x = 0 as the convolution origin.
@@ -174,7 +195,8 @@ def convolve(f, g):
     variable-exponent norms.
     """
     grid = require_same_grid(f, g)
-    return _convolve_spectra(grid, np.fft.fftn(f.values), np.fft.fftn(g.values),
+    return _convolve_spectra(grid, _spectrum(f.values, _work_array(grid)),
+                             _spectrum(g.values, _work_array(grid)),
                              _origin_phase(grid))
 
 
@@ -186,8 +208,11 @@ def _origin_phase(grid):
 
 
 def _convolve_spectra(grid, spec_f, spec_g, phase):
-    """``convolve`` from the two forward transforms and the origin phase."""
-    return Field(grid, np.fft.ifftn(spec_f * spec_g * phase).real * grid.cell)
+    """``convolve`` from the two forward transforms and the origin phase;
+    the product is formed in ``spec_f``, which it overwrites."""
+    np.multiply(spec_f, spec_g, out=spec_f)
+    spec_f *= phase
+    return Field(grid, np.fft.ifftn(spec_f, out=spec_f).real * grid.cell)
 
 
 def spectral_derivative(f, axis):
@@ -199,15 +224,18 @@ def spectral_derivative(f, axis):
     g = f.grid
     if not 0 <= axis < g.dim:
         raise ValueError(f"axis {axis} out of range for dim {g.dim}")
-    return Field(g, _derivative_of_spectrum(g, np.fft.fftn(f.values), axis))
+    spec = _spectrum(f.values, _work_array(g))
+    return Field(g, _derivative_of_spectrum(g, spec, axis, spec).copy())
 
 
-def _derivative_of_spectrum(grid, spec, axis):
-    """``spectral_derivative`` values from the field's forward transform."""
+def _derivative_of_spectrum(grid, spec, axis, out):
+    """``spectral_derivative`` values from the field's forward transform,
+    formed in ``out`` (which may be ``spec``) and returned as a view of it,
+    as ``_filtered`` does."""
     k = grid.axis_modes()
     k[np.abs(k) == grid.nyquist_index] = 0.0
     xi = np.pi * k / grid.half_width
-    return np.fft.ifftn(grid._along_axis(1j * xi, axis) * spec).real
+    return _filtered(grid._along_axis(1j * xi, axis), spec, out)
 
 
 def eta_kernel(j, m, grid):

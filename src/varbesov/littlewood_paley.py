@@ -14,8 +14,9 @@ import numpy as np
 
 from . import _kernels
 from .exponents import local_log_holder
-from .grid import (Field, _convolve_spectra, _eta_kernel, _origin_phase,
-                   integrate, require_same_grid)
+from .grid import (Field, _convolve_spectra, _eta_kernel, _filtered,
+                   _origin_phase, _spectrum, _work_array, integrate,
+                   require_same_grid)
 from .lebesgue import luxemburg_norm
 from .mixed import FieldSequence, mixed_norm
 from .reports import CheckReport, graded_report
@@ -79,20 +80,20 @@ def lp_block(f, rou, j):
     if not 0 <= j < rou.levels:
         raise ValueError(f"block index {j} out of range 0..{rou.top_level}")
     require_same_grid(f, rou)
-    return _block(f.grid, np.fft.fftn(f.values), rou.multipliers[j])
-
-
-def _block(grid, spec, multiplier):
-    return Field(grid, np.fft.ifftn(multiplier * spec).real)
+    spec = _spectrum(f.values, _work_array(f.grid))
+    return Field(f.grid, _filtered(rou.multipliers[j], spec, spec).copy())
 
 
 def _blocks(f, rou):
     """The blocks of f, levels 0..J in turn, from one forward transform;
-    block j equals ``lp_block(f, rou, j)`` bitwise."""
+    block j equals ``lp_block(f, rou, j)`` bitwise.  Every level is formed
+    in one work array, so each block is a contiguous copy of its real
+    part."""
     require_same_grid(f, rou)
-    spec = np.fft.fftn(f.values)
+    spec = _spectrum(f.values, _work_array(f.grid))
+    work = _work_array(f.grid)
     for multiplier in rou.multipliers:
-        yield _block(f.grid, spec, multiplier)
+        yield Field(f.grid, _filtered(multiplier, spec, work).copy())
 
 
 def block_sequence(f, rou):
@@ -160,6 +161,34 @@ def check_lemma_eta_shift(alpha, big_r, m, top_level):
     )
 
 
+def _eta_kernels(grid, m, levels):
+    """(eta_{j,m}, its discrete mass h^n sum(eta_{j,m})) for j < levels,
+    each kernel built only when asked for."""
+    radius = grid.min_image_radius()
+    for j in range(levels):
+        kernel = _eta_kernel(j, m, grid, radius)
+        yield kernel, integrate(kernel)
+
+
+def _eta_convolutions(grid, m, fields):
+    """Kernel masses and convolutions eta_{j,m} * fields[j], level by level:
+    each kernel is built, weighed, transformed and dropped in turn.  A field
+    repeated from the previous level is not transformed again.  The
+    transforms write into two work arrays that are gone when this returns,
+    before the caller solves any norm."""
+    phase = _origin_phase(grid)
+    kernel_spec, field_spec = _work_array(grid), _work_array(grid)
+    masses, smoothed, last = [], [], None
+    for (kernel, mass), f in zip(_eta_kernels(grid, m, len(fields)), fields):
+        masses.append(mass)
+        if f is not last:
+            _spectrum(f.values, field_spec)
+            last = f
+        smoothed.append(_convolve_spectra(
+            grid, _spectrum(kernel.values, kernel_spec), field_spec, phase))
+    return masses, smoothed
+
+
 def verify_eta_convolution(f, p, m, top_level, c_report=None, trend_bound=4.0):
     """Per-level ratios |eta_{j,m} * f|_p / |f|_p.
 
@@ -172,22 +201,19 @@ def verify_eta_convolution(f, p, m, top_level, c_report=None, trend_bound=4.0):
     if m <= grid.dim:
         raise ValueError(f"kernel order m must exceed the dimension {grid.dim}")
     base = luxemburg_norm(f, p)
-    radius = grid.min_image_radius()
-    kernels = [_eta_kernel(j, m, grid, radius) for j in range(top_level + 1)]
-    masses = [integrate(k) for k in kernels]
+    levels = top_level + 1
+    if base == 0.0:
+        masses = [mass for _, mass in _eta_kernels(grid, m, levels)]
+    else:
+        masses, smoothed = _eta_convolutions(grid, m, [f] * levels)
     if c_report is None:
         c_report = 2.0 * max(masses)
     if base == 0.0:
         return CheckReport(
             "lp.eta_convolution", "trivial", 0.0, c_report, 1e-6,
-            {"ratios": [0.0] * (top_level + 1), "masses": masses},
+            {"ratios": [0.0] * levels, "masses": masses},
         )
-    spec_f = np.fft.fftn(f.values)
-    phase = _origin_phase(grid)
-    ratios = []
-    for k in kernels:
-        smoothed = _convolve_spectra(grid, np.fft.fftn(k.values), spec_f, phase)
-        ratios.append(luxemburg_norm(smoothed, p) / base)
+    ratios = [luxemburg_norm(g, p) / base for g in smoothed]
     r_max, r_min = max(ratios), min(ratios)
     trend = r_max / r_min if r_min > 0 else math.inf
     ok = r_max <= c_report + 1e-6 and trend <= trend_bound
@@ -215,21 +241,17 @@ def verify_mixed_eta(fs, p, q, m, c_report=None):
             f"kernel order m={m} must exceed n + c_loc(1/q) = "
             f"{grid.dim + c_loc_rq:.6g}"
         )
-    radius = grid.min_image_radius()
-    kernels = [_eta_kernel(j, m, grid, radius) for j in range(fs.levels)]
-    masses = [integrate(k) for k in kernels]
+    base = mixed_norm(fs, p, q)
+    if base == 0.0:
+        masses = [mass for _, mass in _eta_kernels(grid, m, fs.levels)]
+    else:
+        masses, smoothed = _eta_convolutions(grid, m, fs.entries)
     if c_report is None:
         c_report = 2.0 * max(masses)
-    base = mixed_norm(fs, p, q)
     if base == 0.0:
         return CheckReport("lp.mixed_eta", "trivial", 0.0, c_report, 1e-6,
                            {"ratio": 0.0, "c_loc_rq": c_loc_rq})
-    phase = _origin_phase(grid)
-    smoothed = FieldSequence(tuple(
-        _convolve_spectra(grid, np.fft.fftn(k.values), np.fft.fftn(f.values), phase)
-        for k, f in zip(kernels, fs)
-    ))
-    ratio = mixed_norm(smoothed, p, q) / base
+    ratio = mixed_norm(FieldSequence(tuple(smoothed)), p, q) / base
     return graded_report(
         "lp.mixed_eta", ratio, c_report, 1e-6,
         details={"ratio": ratio, "c_loc_rq": c_loc_rq, "masses": masses},

@@ -230,7 +230,9 @@ def check_monotone_limit(fs, truncation_sets, p, q, rel_tol=1e-6):
         raise ValueError("union of masks must cover the grid")
 
     full = mixed_norm(fs, p, q)
-    norms = [mixed_norm(fs.masked(mk), p, q) for mk in masks]
+    # a mask over every node leaves the values of fs bitwise as they are
+    norms = [full if np.all(mk) else mixed_norm(fs.masked(mk), p, q)
+             for mk in masks]
     scale = max(full, 1e-300)
     # slack covers the threshold-solver resolution on two nearly equal norms
     increasing = all(
@@ -256,12 +258,16 @@ def _ratio(lhs, rhs):
     return lhs / rhs
 
 
-def check_holder(fs, gs, p1, p2, q1, q2, bound=C_HOLDER, tolerance=1e-6):
+def check_holder(fs, gs, p1, p2, q1, q2, bound=C_HOLDER, tolerance=1e-6,
+                 level_norms=None, norm=None):
     """Empirical constants for the three Holder inequality forms.
 
     Measures LHS/RHS for the scalar product inequality, the fully split
     sequence inequality, and the sup-form with only the integrability index
-    split; asserts every ratio stays below `bound`.
+    split; asserts every ratio stays below `bound`.  ``level_norms`` (the
+    Luxemburg norms |f_j|_{p1}) and ``norm`` (the mixed norm of ``fs`` at
+    (p1, q1)) are used when the caller has them; otherwise they are solved
+    here.
     """
     from .exponents import harmonic_sum
 
@@ -274,12 +280,17 @@ def check_holder(fs, gs, p1, p2, q1, q2, bound=C_HOLDER, tolerance=1e-6):
         tuple(Field(grid, a.values * b.values) for a, b in zip(fs, gs))
     )
 
+    if level_norms is None:
+        level_norms = [luxemburg_norm(f, p1) for f in fs]
+    if norm is None:
+        norm = mixed_norm(fs, p1, q1)
+
     lhs_scalar = luxemburg_norm(prod[0], p)
-    rhs_scalar = luxemburg_norm(fs[0], p1) * luxemburg_norm(gs[0], p2)
+    rhs_scalar = level_norms[0] * luxemburg_norm(gs[0], p2)
 
     lhs_seq = mixed_norm(prod, p, q)
-    rhs_split = mixed_norm(fs, p1, q1) * mixed_norm(gs, p2, q2)
-    rhs_sup = max(luxemburg_norm(f, p1) for f in fs) * mixed_norm(gs, p2, q)
+    rhs_split = norm * mixed_norm(gs, p2, q2)
+    rhs_sup = max(level_norms) * mixed_norm(gs, p2, q)
 
     ratios = {
         "scalar": _ratio(lhs_scalar, rhs_scalar),

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .grid import Field, integrate
+from .grid import Field, _spectrum, _work_array, integrate
 from .mixed import FieldSequence
 
 # sigma = L / 7.7 and a 19-mode margin balance the two error sources at
@@ -65,7 +65,7 @@ def band_limited_field(grid, kmax, rng_key, envelope=True):
 def _field_source(grid, kmax, envelope):
     """``band_limited_field`` at one (grid, kmax, envelope) as a function of
     the rng key; the envelope and the out-of-band mask are built once for
-    every field it draws."""
+    every field it draws, and its transforms share one work array."""
     if 2 * kmax > grid.nyquist_index:
         raise ValueError(f"kmax={kmax} incompatible with Nyquist index "
                          f"{grid.nyquist_index}")
@@ -79,11 +79,12 @@ def _field_source(grid, kmax, envelope):
         env = gaussian_envelope(grid)
         out_of_band = grid.mode_magnitude() > kmax
     n = grid.points_per_axis
+    spec = _work_array(grid)
 
     def draw(rng_key):
         rng = np.random.default_rng(rng_key)
         coeff = _coefficient_table(rng, draw_kmax, grid.dim)
-        spec = np.zeros(grid.shape, dtype=complex)
+        spec.fill(0.0)
         if grid.dim == 1:
             spec[: draw_kmax + 1] = coeff
         else:
@@ -91,16 +92,17 @@ def _field_source(grid, kmax, envelope):
                 for idx2, k2 in enumerate(range(-draw_kmax, draw_kmax + 1)):
                     spec[i1, k2 % n] = coeff[i1, idx2]
         # undo the 1/N^n of ifftn so the continuum function is grid-independent
-        vals = np.fft.ifftn(spec).real * grid.node_count
+        vals = np.fft.ifftn(spec, out=spec).real * grid.node_count
         if envelope:
-            # project the enveloped field back onto |k| <= kmax
-            spec = np.fft.fftn(vals * env)
+            # project the enveloped field back onto |k| <= kmax; vals is
+            # then a view of the work array
+            _spectrum(vals * env, spec)
             spec[out_of_band] = 0.0
-            vals = np.fft.ifftn(spec).real
+            vals = np.fft.ifftn(spec, out=spec).real
         f = Field(grid, vals)
         scale = math.sqrt(integrate(Field(grid, f.values ** 2)))
         if scale == 0.0:
-            return f
+            return Field(grid, vals.copy())
         return Field(grid, f.values / scale)
 
     return draw

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from varbesov.exponents import (constant_exponent, cos_bump_exponent,
+from varbesov import mixed
+from varbesov.exponents import (conjugate, constant_exponent, cos_bump_exponent,
                                 log_smooth_exponent)
 from varbesov.grid import Field, Grid
 from varbesov.lebesgue import luxemburg_norm
@@ -230,6 +231,22 @@ class TestMonotoneLimit:
         assert rep.status == "pass"
         assert rep.details["increasing"]
 
+    def test_covering_mask_reuses_the_full_norm(self, grid, seq, monkeypatch):
+        # masking by every node leaves the values bitwise as they are, so
+        # the covering mask takes the full norm instead of a second solve
+        p = log_smooth_exponent(grid, 2.0, 1.0)
+        q = cos_bump_exponent(grid, 1.5, 1.0)
+        radius = grid.min_image_radius()
+        masks = [radius <= grid.half_width * 0.5, np.ones(grid.shape, dtype=bool)]
+        assert mixed_norm(seq.masked(masks[1]), p, q) == mixed_norm(seq, p, q)
+        calls = []
+        solve = mixed.mixed_norm
+        monkeypatch.setattr(mixed, "mixed_norm",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
+        rep = check_monotone_limit(seq, masks, p, q)
+        assert len(calls) == 2
+        assert rep.details["norms"][1] == rep.details["full_norm"]
+
     def test_zero_sequence(self, grid):
         p = constant_exponent(grid, 2.0)
         q = constant_exponent(grid, 2.0)
@@ -287,6 +304,16 @@ class TestHolder:
         rep = check_holder(seq, gs, two, two, two, two)
         assert rep.passed
         assert rep.details["ratios"]["split"] <= 1.0 + 1e-6
+
+    def test_caller_norms_give_the_same_report(self, grid, seq):
+        gs = band_limited_sequence(grid, seq.levels, 40, 778)
+        p = log_smooth_exponent(grid, 2.0, 1.0)
+        q = cos_bump_exponent(grid, 1.5, 1.0)
+        args = (seq, gs, p, conjugate(p), q, conjugate(q))
+        given = check_holder(*args,
+                             level_norms=[luxemburg_norm(f, p) for f in seq],
+                             norm=mixed_norm(seq, p, q))
+        assert given == check_holder(*args)
 
     def test_level_count_mismatch(self, grid, seq):
         gs = band_limited_sequence(grid, seq.levels - 1, 40, 3)

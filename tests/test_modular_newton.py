@@ -489,13 +489,18 @@ def _line_sequence(scale=1.0):
 
 
 def _plane_blocks(scale=1.0):
-    """Littlewood-Paley blocks of a 64^2 field: ``.real`` views of ifftn."""
-    from varbesov.littlewood_paley import block_sequence, build_resolution
+    """Littlewood-Paley blocks of a 64^2 field as strided ``.real`` views of
+    ifftn outputs (``block_sequence`` returns contiguous copies of the same
+    values), so the evaluator is also fed non-contiguous levels."""
+    from varbesov.littlewood_paley import build_resolution
     from varbesov.random_fields import band_limited_field
 
     grid = Grid(2, 64, 8.0)
     f = band_limited_field(grid, 12, 3, envelope=False)
-    blocks = block_sequence(Field(grid, scale * f.values), build_resolution(grid, 4))
+    spec = np.fft.fftn(scale * f.values)
+    blocks = sequence_from_values(grid, [
+        np.fft.ifftn(mult * spec).real
+        for mult in build_resolution(grid, 4).multipliers])
     assert not blocks[1].values.flags["C_CONTIGUOUS"]
     return blocks
 
