@@ -11,18 +11,25 @@ evaluate one modular on flat float64 arrays; the tests referee them against
 
 The anchored-pair kernels ``log_holder_max`` and ``eta_shift_curve`` work
 on per-offset tables.  On a ``Grid`` the min-image distance between two
-nodes depends only on their index offset, so each call builds one
-per-offset table and reaches every anchor through a slice of it.  Their
-per-pair loop forms ``_log_holder_max_loop`` and ``_eta_shift_curve_loop``
-stay as the reference the tests and ``benchmarks/bench_kernels.py`` check
-them against; no package code calls them.
+nodes depends only on their index offset, so each call checks axis by axis
+that its coordinates are a grid's nodes (``_lattice``), builds one
+per-offset table from the grid's axis coordinates (``_offset_table``) and
+reaches every anchor through a slice of it.  Their per-pair loop forms
+``_log_holder_max_loop`` and ``_eta_shift_curve_loop`` stay as the
+reference the tests and ``benchmarks/bench_kernels.py`` check them
+against; no package code calls them.  ``perfbench/spans.py`` reads the
+kernels' arguments by position, so their parameter order is fixed.
 
-``eta_shift_curve`` of a constant, finite alpha reads each level off its
-kernel table: every exponent j(alpha(x) - alpha(y)) is then exactly 0, so
-every ratio is exp2(0) * K_j(d) = K_j(d) with K_j(d) = (1 + 2^j d)^-R, and
-every anchor meets every offset, so the level's maximum is the table's
-largest entry and no anchor is swept.  ``log_holder_max`` of a constant
-field is 0.0 without a sweep.
+A constant field is answered after the lattice check and before any table
+is built.  ``log_holder_max`` returns 0.0.  ``eta_shift_curve`` with
+R >= 0 returns ones: every exponent j(alpha(x) - alpha(y)) is exactly 0,
+so every ratio is K_j(d) = (1 + 2^j d)^-R <= 1, and the offset d = 0,
+which every anchor meets, gives exactly 1.  R < 0 or NaN takes the sweep.
+
+``log_holder_bound`` bounds ``log_holder_max`` from above in one pass over
+the field, by fl(max g - min g) times the weight at the smallest positive
+table distance rounded up; a caller that only compares the constant with
+a threshold sweeps the pairs only when the bound cannot decide.
 """
 
 import math
@@ -197,30 +204,43 @@ def _eta_shift_curve_loop(alpha, coords, anchors, period, big_r, out):
 
 # table forms
 
-def _min_image_dist_np(coords, a, period):
-    dd = np.abs(coords - coords[a])
-    dd = np.minimum(dd, period - dd)
-    return np.sqrt(np.sum(dd * dd, axis=1))
-
-
-def _offset_table(coords, period):
-    """Min-image distance from node 0 to every node, shaped as the grid and
-    doubled along axis 0.
-
-    On a ``Grid`` lattice the distance between two nodes depends only on
-    their index offset mod N per axis, so this one table serves every
-    anchor (see ``_reach``).  Raises ValueError when ``coords`` are not the
-    nodes of the grid with box period ``period``.
-    """
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
+def _lattice(coords, period):
+    """The ``Grid`` whose nodes ``coords`` are, in ``flat_coordinates``
+    order, with box period ``period``; raises ValueError when there is
+    none.  Each column is compared with the grid's axis coordinates
+    broadcast along its axis, so no (N, dim) copy of the nodes is built."""
+    coords = np.asarray(coords, dtype=np.float64)
     n, dim = coords.shape
     side = int(round(n ** (1.0 / dim)))
     if side ** dim != n:
         raise ValueError(f"{n} nodes do not fill a {dim}-d square lattice")
     grid = Grid(dim, side, 0.5 * period)
-    if not np.array_equal(coords, grid.flat_coordinates()):
-        raise ValueError("pair kernels need the node coordinates of a Grid")
-    table = _min_image_dist_np(coords, 0, float(period)).reshape(grid.shape)
+    x = grid.axis_coordinates()
+    for axis in range(dim):
+        if not np.all(coords[:, axis].reshape(grid.shape)
+                      == grid._along_axis(x, axis)):
+            raise ValueError("pair kernels need the node coordinates of a Grid")
+    return grid
+
+
+def _axis_offsets(grid):
+    """Min-image distance along one axis from index 0 to every index."""
+    x = grid.axis_coordinates()
+    dd = np.abs(x - x[0])
+    return np.minimum(dd, 2.0 * grid.half_width - dd)
+
+
+def _offset_table(grid):
+    """Min-image distance from node 0 to every node of ``grid``, doubled
+    along axis 0.
+
+    The distance between two lattice nodes depends only on their index
+    offset mod N per axis, so this one table serves every anchor (see
+    ``_reach``).  It sums the per-axis offsets in squares through
+    ``Grid._axis_norm``, which is bitwise the same as summing the columns
+    of the (N, dim) node offsets.
+    """
+    table = grid._axis_norm(_axis_offsets(grid))
     return np.concatenate((table, table), axis=0)
 
 
@@ -245,13 +265,14 @@ def log_holder_max(g, coords, anchors, period):
     pair set visits offsets 1..N/2 only (d and |g(x)-g(y)| are symmetric)
     and scales each offset's largest difference by its weight; rounding of
     x * w is monotone in x for w > 0, so the result is bitwise the per-pair
-    maximum.  A constant g gives 0.0 without a sweep.
+    maximum.  A constant g gives 0.0 before any table is built.
     """
     g = _flat(g)
     n = g.shape[0]
-    table2 = _offset_table(coords, period)
+    grid = _lattice(coords, period)
     if g.max() - g.min() == 0.0:
         return 0.0
+    table2 = _offset_table(grid)
     pos = table2 > 0.0
     w2 = np.zeros_like(table2)
     w2[pos] = np.log(math.e + 1.0 / table2[pos])
@@ -272,6 +293,28 @@ def log_holder_max(g, coords, anchors, period):
     return best
 
 
+def log_holder_bound(g, grid):
+    """An upper bound on ``log_holder_max`` of ``g`` on the nodes of
+    ``grid``, whatever the anchors, from one pass over ``g``.
+
+    Every term the kernel forms is fl(|g(x) - g(y)|) * fl(log(e + 1/d)) at
+    a positive table distance d.  Rounding is monotone, so the difference
+    is at most fl(max g - min g).  The smallest positive distance lies on
+    an axis (a 2-D entry sums two squares, one of them an axis entry's),
+    and its weight rounded up by one ulp dominates a faithfully rounded
+    weight at any larger d.  So the rounded product dominates every term.
+    A g with a NaN or an infinity gives a bound that decides nothing.
+    """
+    g = _flat(g)
+    offsets = _axis_offsets(grid)
+    axis = np.sqrt(offsets * offsets)  # the table's entries along one axis
+    positive = axis[axis > 0.0]
+    if positive.size == 0:  # one node per axis: no pair is weighed
+        return 0.0
+    weight = np.log(math.e + 1.0 / positive.min())
+    return float(g.max() - g.min()) * float(np.nextafter(weight, _INF))
+
+
 def eta_shift_curve(alpha, coords, anchors, period, big_r, jcount):
     """Per-level maxima of the shifted-kernel ratio, levels 0..jcount-1.
 
@@ -279,19 +322,21 @@ def eta_shift_curve(alpha, coords, anchors, period, big_r, jcount):
     * (1 + 2^j d)^(-big_r); the kernel order m cancels in the ratio.
     ``coords`` must be the nodes of a ``Grid`` with box period ``period``.
     Levels run outermost, so only one level's kernel table is alive.  A
-    constant, finite alpha takes each level's largest kernel entry without
-    a sweep (see the module docstring).
+    constant alpha with big_r >= 0 gives ones (zeros with no anchors)
+    before any table is built (see the module docstring).
     """
     alpha = _flat(alpha)
-    table2 = _offset_table(coords, period)
-    constant = alpha.max() - alpha.min() == 0.0
+    big_r = float(big_r)
+    grid = _lattice(coords, period)
     out = np.zeros(int(jcount), dtype=np.float64)
+    if big_r >= 0.0 and alpha.max() - alpha.min() == 0.0:
+        if len(anchors):
+            out.fill(1.0)
+        return out
+    table2 = _offset_table(grid)
     buf = np.empty_like(alpha)
     for j in range(out.shape[0]):
-        k2 = (1.0 + 2.0 ** j * table2) ** (-float(big_r))
-        if constant:
-            out[j] = max(0.0, float(k2.max())) if len(anchors) else 0.0
-            continue
+        k2 = (1.0 + 2.0 ** j * table2) ** (-big_r)
         best = 0.0
         for a in anchors:
             np.subtract(alpha[a], alpha, out=buf)

@@ -23,8 +23,9 @@ from .exponents import FAMILIES, conjugate, constant_exponent, exponent_from_fam
 from .grid import Grid, Field
 from .lebesgue import luxemburg_norm, modular
 from .littlewood_paley import (build_resolution, besov_norm, block_sequence,
-                               check_lemma_eta_shift, verify_eta_convolution,
-                               verify_hardy, verify_mixed_eta)
+                               check_lemma_eta_shift, hardy_transform,
+                               verify_eta_convolution, verify_hardy,
+                               verify_mixed_eta)
 from .mixed import check_holder, check_monotone_limit, mixed_norm
 from .duality import (extremal_witness, pairing, random_dual_search,
                       verify_norm_conjugate)
@@ -297,7 +298,8 @@ def _suite_duality(cfg, grid, records, curves):
         beta_worst = max(beta_worst, abs(sum(betas) - 1.0))
         feas_worst = max(feas_worst, mixed_norm(hs, conjugate(p), conjugate(q)))
         pair_worst = min(pair_worst, pairing(fs, hs) / k_norm)
-        best = random_dual_search(fs, p, q, trials=2, seed=cfg["seed"] + t)
+        best = random_dual_search(fs, p, q, trials=2, seed=cfg["seed"] + t,
+                                  witness=hs)
         upper_worst = max(upper_worst, best / k_norm)
     _record_value(records, "duality.beta_sum", beta_worst, 0.0, 1e-5)
     _record_value(records, "duality.witness_feasible", feas_worst, 1.0, 1e-4)
@@ -356,19 +358,25 @@ def _suite_hardy(cfg, grid, records, curves):
     levels = cfg["levels"] + 1
     kmax = _suite_band(cfg, grid)
     p = _build_exponent(cfg, grid, "p")
-    cases = [(a, q0) for a in (0.25, 0.5, 0.75) for q0 in (1.5, 2.0, 4.0)]
+    a_values = (0.25, 0.5, 0.75)
+    qs = {q0: constant_exponent(grid, q0) for q0 in (1.5, 2.0, 4.0)}
+    cases = [(a, q0) for a in a_values for q0 in qs]
     worst = dict.fromkeys(cases, 0.0)
     bound = dict.fromkeys(cases, 0.0)
-    qs = {q0: constant_exponent(grid, q0) for _, q0 in cases}
-    # one sequence per trial, shared by every (a, q0) case, and one base
-    # norm per (trial, q0), shared by every a
+    # one sequence per trial, shared by every (a, q0) case; one base norm
+    # per (trial, q0), shared by every a; one transform pair per (trial, a),
+    # shared by every q0 and dropped before the next a's is built
     for t in range(cfg["trials"]):
         gs = band_limited_sequence(grid, levels, kmax, [cfg["seed"], 10, t])
         bases = {q0: mixed_norm(gs, p, q) for q0, q in qs.items()}
-        for a, q0 in cases:
-            rep = verify_hardy(gs, a, p, qs[q0], base=bases[q0])
-            worst[a, q0] = max(worst[a, q0], rep.measured)
-            bound[a, q0] = rep.bound
+        for a in a_values:
+            transforms = hardy_transform(gs, a)
+            for q0, q in qs.items():
+                rep = verify_hardy(gs, a, p, q, base=bases[q0],
+                                   transforms=transforms)
+                worst[a, q0] = max(worst[a, q0], rep.measured)
+                bound[a, q0] = rep.bound
+            del transforms
     for a, q0 in cases:
         _record_value(records, f"hardy.a{a}_q{q0}", worst[a, q0],
                       bound[a, q0], 1e-6)

@@ -151,12 +151,14 @@ def _shaped_candidate(fs, p, rng):
     return FieldSequence(tuple(out))
 
 
-def random_dual_search(fs, p, q, trials, seed):
+def random_dual_search(fs, p, q, trials, seed, witness=None):
     """Monte-Carlo lower bound for the duality supremum.
 
     Samples shaped candidates, rescales each to the conjugate unit ball and
     records the best pairing; the closed-form witness joins the pool whenever
-    its preconditions hold.  Deterministic given the seed.
+    its preconditions hold.  ``witness`` is that witness, the ``hs`` of
+    ``extremal_witness(fs, p, q)``, when the caller has it; otherwise it is
+    built here.  Deterministic given the seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -165,10 +167,9 @@ def random_dual_search(fs, p, q, trials, seed):
         return 0.0
     pc = conjugate(p)
     qc = conjugate(q)
-    best = 0.0
-    if np.all(np.isfinite(p.values)) and q.is_finite_valued():
-        hs, _, _ = extremal_witness(fs, p, q)
-        best = pairing(fs, hs)
+    if witness is None and np.all(np.isfinite(p.values)) and q.is_finite_valued():
+        witness = extremal_witness(fs, p, q)[0]
+    best = 0.0 if witness is None else pairing(fs, witness)
     for trial in range(trials):
         rng = np.random.default_rng([int(seed), trial])
         gs = _shaped_candidate(fs, p, rng)

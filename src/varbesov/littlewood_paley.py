@@ -228,19 +228,36 @@ def verify_eta_convolution(f, p, m, top_level, c_report=None, trend_bound=4.0):
     )
 
 
-def verify_mixed_eta(fs, p, q, m, c_report=None):
-    """Mixed-norm ratio |(eta_{j,m} * f_j)_j| / |(f_j)_j|.
+def _mixed_eta_guard(rq, grid, m):
+    """Check m > n + c_loc(1/q); returns the details key and value the
+    check was decided on.
 
-    Requires m > n + c_loc(1/q), the variable-q admissibility margin.
+    ``_kernels.log_holder_bound`` bounds c_loc(1/q) from above in one pass
+    over 1/q, so when m exceeds n plus the bound, the sweep of every
+    anchored pair cannot change the answer and is not run.
     """
-    grid = fs.grid
-    rq = q.reciprocals()
+    bound = _kernels.log_holder_bound(rq, grid)
+    if m > grid.dim + bound:
+        return "c_loc_rq_bound", bound
     c_loc_rq = local_log_holder(rq, grid)
     if m <= grid.dim + c_loc_rq:
         raise ValueError(
             f"kernel order m={m} must exceed n + c_loc(1/q) = "
             f"{grid.dim + c_loc_rq:.6g}"
         )
+    return "c_loc_rq", c_loc_rq
+
+
+def verify_mixed_eta(fs, p, q, m, c_report=None):
+    """Mixed-norm ratio |(eta_{j,m} * f_j)_j| / |(f_j)_j|.
+
+    Requires m > n + c_loc(1/q), the variable-q admissibility margin, and
+    raises ValueError otherwise.  The guard is decided by an upper bound on
+    c_loc(1/q) when it can be (``details["c_loc_rq_bound"]``), and by the
+    measured constant otherwise (``details["c_loc_rq"]``).
+    """
+    grid = fs.grid
+    c_key, c_loc = _mixed_eta_guard(q.reciprocals(), grid, m)
     base = mixed_norm(fs, p, q)
     if base == 0.0:
         masses = [mass for _, mass in _eta_kernels(grid, m, fs.levels)]
@@ -250,11 +267,11 @@ def verify_mixed_eta(fs, p, q, m, c_report=None):
         c_report = 2.0 * max(masses)
     if base == 0.0:
         return CheckReport("lp.mixed_eta", "trivial", 0.0, c_report, 1e-6,
-                           {"ratio": 0.0, "c_loc_rq": c_loc_rq})
+                           {"ratio": 0.0, c_key: c_loc})
     ratio = mixed_norm(FieldSequence(tuple(smoothed)), p, q) / base
     return graded_report(
         "lp.mixed_eta", ratio, c_report, 1e-6,
-        details={"ratio": ratio, "c_loc_rq": c_loc_rq, "masses": masses},
+        details={"ratio": ratio, c_key: c_loc, "masses": masses},
     )
 
 
@@ -292,13 +309,15 @@ def hardy_bound(a, q_minus, gamma_grid=None):
     return float(np.min(1.0 / c))
 
 
-def verify_hardy(gs, a, p, q, gamma_grid=None, tolerance=1e-6, base=None):
+def verify_hardy(gs, a, p, q, gamma_grid=None, tolerance=1e-6, base=None,
+                 transforms=None):
     """Both transform ratios against the explicit admissible constant.
 
     Checks |(G_j)| / |(g_m)| and |(H_j)| / |(g_m)| against
     min_gamma (1-a^gamma)^{-1/q^-} (1-a^{1-gamma/q^-})^{-1}.  ``base`` is
-    the norm |(g_m)| when the caller has it (it does not depend on a);
-    otherwise it is solved here.
+    the norm |(g_m)| when the caller has it (it does not depend on a), and
+    ``transforms`` is ``hardy_transform(gs, a)`` when the caller has it (it
+    does not depend on p or q); each is formed here otherwise.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
@@ -308,7 +327,9 @@ def verify_hardy(gs, a, p, q, gamma_grid=None, tolerance=1e-6, base=None):
     if base == 0.0:
         return CheckReport("lp.hardy", "trivial", 0.0, bound, tolerance,
                            {"ratio_G": 0.0, "ratio_H": 0.0, "a": a})
-    big_g, big_h = hardy_transform(gs, a)
+    if transforms is None:
+        transforms = hardy_transform(gs, a)
+    big_g, big_h = transforms
     r_g = mixed_norm(big_g, p, q) / base
     r_h = mixed_norm(big_h, p, q) / base
     return graded_report(

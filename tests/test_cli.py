@@ -68,8 +68,10 @@ class TestRun:
         assert len(ids) == len(set(ids))
 
     def test_littlewood_paley_sweeps_each_field_once(self, monkeypatch):
-        # one local log-Holder sweep for alpha (the eta shift check) and one
-        # for 1/q (the mixed eta check)
+        # one local log-Holder sweep for alpha (the eta shift check); the
+        # mixed eta check sweeps 1/q only when the bound on its constant
+        # cannot decide the guard m > n + c_loc(1/q): the default q's bound
+        # is 0.95 < 2, cos_bump(1, 9)'s is 3.19
         sweeps = []
         sweep = _kernels.log_holder_max
 
@@ -78,8 +80,13 @@ class TestRun:
             return sweep(*args)
 
         monkeypatch.setattr(_kernels, "log_holder_max", counted)
-        run(dict(SMALL, suites=["littlewood_paley"]))
-        assert len(sweeps) == 2
+        wide_q = {"q": {"family": "cos_bump", "params": {"a": 1.0, "b": 9.0}}}
+        for exponents, count in (({}, 1), (wide_q, 2)):
+            sweeps.clear()
+            report = run(dict(SMALL, suites=["littlewood_paley"],
+                              exponents=exponents))
+            assert len(sweeps) == count
+            assert not report.failed
 
     def test_two_level_gauge_on_nodes_off_the_unit_pieces(self):
         # h = 10/1024: [0, 1) and [1, 2) hold 103 and 102 nodes, so their
@@ -107,6 +114,23 @@ class TestRun:
         assert keys == [[SMALL["seed"], 10, 0], [SMALL["seed"], 10, 1]]
         assert [r.check_id for r in report.records] == [
             f"hardy.a{a}_q{q0}" for a in (0.25, 0.5, 0.75) for q0 in (1.5, 2.0, 4.0)]
+
+    def test_hardy_forms_one_transform_pair_per_a(self, monkeypatch):
+        # per trial: one pair for each of the 3 values of a, shared by the
+        # 3 values of q0; verify_hardy forms none of its own
+        from varbesov import cli, littlewood_paley
+
+        calls = []
+        transform = littlewood_paley.hardy_transform
+
+        def counted(gs, a):
+            calls.append(a)
+            return transform(gs, a)
+
+        monkeypatch.setattr(cli, "hardy_transform", counted)
+        monkeypatch.setattr(littlewood_paley, "hardy_transform", counted)
+        run(dict(SMALL, trials=2, suites=["hardy"]))
+        assert calls == [0.25, 0.5, 0.75] * 2
 
     def test_hardy_solves_one_base_norm_per_q(self, monkeypatch):
         # per trial: 3 base norms (one per q0) and 2 transform norms for each
@@ -143,6 +167,21 @@ class TestRun:
         base = mixed_norm(gs, p, q)
         for a in (0.25, 0.75):
             assert verify_hardy(gs, a, p, q, base=base) == verify_hardy(gs, a, p, q)
+
+    def test_verify_hardy_with_passed_transforms(self):
+        from varbesov.exponents import cos_bump_exponent, log_smooth_exponent
+        from varbesov.grid import Grid
+        from varbesov.littlewood_paley import hardy_transform, verify_hardy
+        from varbesov.random_fields import band_limited_sequence
+
+        grid = Grid(1, 1024, 16.0)
+        gs = band_limited_sequence(grid, 7, 64, [4242, 10, 0])
+        p = log_smooth_exponent(grid, 2.0, 1.0)
+        q = cos_bump_exponent(grid, 1.5, 1.0)
+        for a in (0.25, 0.75):
+            assert verify_hardy(gs, a, p, q,
+                                transforms=hardy_transform(gs, a)) == \
+                verify_hardy(gs, a, p, q)
 
     def test_environment_has_no_timestamps(self, small_report):
         assert set(small_report.environment) == {

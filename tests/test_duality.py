@@ -176,6 +176,16 @@ class TestRandomDualSearch:
         b = random_dual_search(fs, p, q, trials=3, seed=99)
         assert a == b
 
+    def test_passed_witness_gives_the_same_best_bitwise(self, grid):
+        fs = band_limited_sequence(grid, 5, 40, 61)
+        p = log_smooth_exponent(grid, 2.0, 1.0)
+        q = cos_bump_exponent(grid, 1.5, 1.0)
+        hs, _, _ = extremal_witness(fs, p, q)
+        for seed in (3, 12):
+            best = random_dual_search(fs, p, q, trials=2, seed=seed)
+            assert random_dual_search(fs, p, q, trials=2, seed=seed,
+                                      witness=hs) == best
+
     def test_rejects_zero_trials(self, grid):
         fs = band_limited_sequence(grid, 2, 40, 5)
         p = constant_exponent(grid, 2.0)

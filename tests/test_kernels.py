@@ -7,13 +7,18 @@ roundings, and ``eta_shift_curve`` must reproduce bitwise a sweep of every
 pair through the same elementwise operations.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varbesov import _kernels as K
-from varbesov.exponents import cos_bump_exponent, log_smooth_exponent
+from varbesov import exponents
+from varbesov.exponents import (cos_bump_exponent, local_log_holder,
+                                log_smooth_exponent, two_level_exponent)
 from varbesov.grid import Grid
 from varbesov.lebesgue import omega
 from varbesov.littlewood_paley import _anchors_for_pairs
@@ -199,6 +204,108 @@ def test_pair_kernels_constant_fields(dim, n):
             assert np.array_equal(curve, np.ones(7))
 
 
+def _old_offset_table(grid):
+    """The offset table as the (N, dim) coordinate pass formed it: every
+    node's offsets from node 0, wrapped, squared and summed per row."""
+    coords = grid.flat_coordinates()
+    period = 2.0 * grid.half_width
+    dd = np.abs(coords - coords[0])
+    dd = np.minimum(dd, period - dd)
+    table = np.sqrt(np.sum(dd * dd, axis=1)).reshape(grid.shape)
+    return np.concatenate((table, table), axis=0)
+
+
+@pytest.mark.parametrize("half_width", [8.0, 10.0, 16.0])
+@pytest.mark.parametrize("dim, n", [(1, 512), (1, 4096), (2, 16), (2, 64),
+                                    (2, 256)])
+def test_offset_table_matches_the_coordinate_pass_bitwise(dim, n, half_width):
+    grid = Grid(dim, n, half_width)
+    got = K._offset_table(K._lattice(grid.flat_coordinates(),
+                                     2.0 * grid.half_width))
+    assert got.tobytes() == _old_offset_table(grid).tobytes()
+
+
+@pytest.mark.parametrize("dim, n", [(1, 512), (2, 16)])
+def test_constant_eta_shift_matches_the_table_path_bitwise(dim, n):
+    # the constant answer (ones for R >= 0) against every pair swept through
+    # the kernel's elementwise operations; R < 0 and NaN take the sweep
+    grid = Grid(dim, n, 8.0)
+    x = grid.flat_coordinates()
+    c = np.full(grid.node_count, 0.7)
+    full = np.arange(grid.node_count, dtype=np.int64)
+    for anchors in (full, full[::37], full[:0]):
+        for big_r in (0.0, 0.5, 3.0, 4.0, -1.0, math.nan):
+            got = K.eta_shift_curve(c, x, anchors, 16.0, big_r, 5)
+            want = _all_pairs_curve(c, x, anchors, 16.0, big_r, 5)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_constant_fields_are_answered_before_any_table(monkeypatch):
+    def no_table(grid):
+        raise AssertionError("offset table built for a constant field")
+
+    monkeypatch.setattr(K, "_offset_table", no_table)
+    grid = Grid(2, 64, 8.0)
+    x = grid.flat_coordinates()
+    c = np.full(grid.node_count, 2.0)
+    anchors = np.arange(0, grid.node_count, 16, dtype=np.int64)
+    assert K.log_holder_max(c, x, anchors, 16.0) == 0.0
+    assert np.array_equal(K.eta_shift_curve(c, x, anchors, 16.0, 3.0, 6),
+                          np.ones(6))
+    # the lattice check still comes first
+    with pytest.raises(ValueError):
+        K.log_holder_max(c, x, anchors, 20.0)
+    with pytest.raises(ValueError):
+        K.eta_shift_curve(c, x, anchors, 20.0, 3.0, 6)
+
+
+_BOUND_GRIDS = [Grid(1, 512, 16.0), Grid(1, 256, 5.0), Grid(2, 32, 8.0),
+                Grid(2, 16, 3.0)]
+
+
+@settings(max_examples=40)
+@given(grid=st.sampled_from(_BOUND_GRIDS),
+       family=st.sampled_from(["log_smooth", "cos_bump", "two_level"]),
+       low=st.floats(1.0, 8.0), spread=st.floats(0.0, 20.0),
+       radius=st.floats(0.1, 4.0))
+def test_log_holder_bound_dominates_the_measured_constant(
+        grid, family, low, spread, radius):
+    if family == "log_smooth":
+        q = log_smooth_exponent(grid, low, spread)
+    elif family == "cos_bump":
+        q = cos_bump_exponent(grid, low, spread)
+    else:
+        q = two_level_exponent(grid, low + spread, low, radius)
+    rq = q.reciprocals()
+    assert K.log_holder_bound(rq, grid) >= local_log_holder(rq, grid)
+
+
+@pytest.mark.parametrize("grid", _BOUND_GRIDS)
+def test_log_holder_bound_dominates_nearest_neighbour_noise(grid):
+    # noise puts the largest difference next to the smallest distance,
+    # where the bound is tightest
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        g = rng.random(grid.node_count)
+        bound = K.log_holder_bound(g, grid)
+        assert bound >= local_log_holder(g, grid)
+        assert bound >= K.log_holder_max(g, grid.flat_coordinates(),
+                                         np.arange(grid.node_count),
+                                         2.0 * grid.half_width)
+
+
+def test_pair_kernel_signatures_are_pinned():
+    # perfbench/spans.py traces these and ``local_log_holder`` by name and
+    # reads the kernels' arguments by position (``_WORK``: arguments 0 and 2
+    # of both, argument 5 of eta_shift_curve); a reorder or rename breaks
+    # ``--trace 1`` while every other test stays green
+    assert list(inspect.signature(K.log_holder_max).parameters) == [
+        "g", "coords", "anchors", "period"]
+    assert list(inspect.signature(K.eta_shift_curve).parameters) == [
+        "alpha", "coords", "anchors", "period", "big_r", "jcount"]
+    assert callable(exponents.local_log_holder)
+
+
 def test_log_holder_full_pairs_invariant_under_grid_rolls():
     grid = Grid(1, 1024, 8.0)
     x, g, _ = _fields(grid)
@@ -237,7 +344,7 @@ def test_pair_kernels_reject_non_lattice_coordinates():
 def _all_pairs_curve(alpha, coords, anchors, period, big_r, jcount):
     """Every anchor/node pair through the kernel's elementwise operations,
     at the distances of its offset table: no shortcut."""
-    table2 = K._offset_table(coords, period)
+    table2 = K._offset_table(K._lattice(coords, period))
     side = table2.shape[0] // 2
     table = table2[:side]
     idx = np.indices(table.shape).reshape(table.ndim, -1)

@@ -236,6 +236,33 @@ class TestMixedEta:
             verify_mixed_eta(fs, p, q, 1.0)
 
 
+    def test_guard_sweeps_only_when_the_bound_cannot_decide(self, desk_grid,
+                                                            monkeypatch):
+        # on the desk grid the bound on c_loc(1/q) is 1.30 for the default
+        # q = cos_bump(1.5, 1) and 4.39 for cos_bump(1, 9); m - n = 2
+        from varbesov import _kernels
+
+        sweeps = []
+        sweep = _kernels.log_holder_max
+
+        def counted(*args):
+            sweeps.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(_kernels, "log_holder_max", counted)
+        fs = band_limited_sequence(desk_grid, 3, 32, 37)
+        p = constant_exponent(desk_grid, 2.0)
+        for (a, b), count, key in (((1.5, 1.0), 0, "c_loc_rq_bound"),
+                                   ((1.0, 9.0), 1, "c_loc_rq")):
+            sweeps.clear()
+            q = cos_bump_exponent(desk_grid, a, b)
+            rep = verify_mixed_eta(fs, p, q, 3.0)
+            assert len(sweeps) == count
+            assert rep.status == "pass"
+            assert set(rep.details) == {"ratio", key, "masses"}
+        assert rep.details["c_loc_rq"] == local_log_holder(q.reciprocals(),
+                                                           desk_grid)
+
 class TestHardy:
     def test_single_level_geometric(self, small_grid):
         # only g_0 nonzero: G_0 = g_0, G_j = 0 beyond, H_j = a^j g_0
