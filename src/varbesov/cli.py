@@ -333,8 +333,7 @@ def _suite_littlewood_paley(cfg, grid, records, curves):
     rel = abs(besov_norm(f0, s, p, q, rou) / luxemburg_norm(f0, p) - 1.0)
     _record_value(records, "lp.single_block_identity", rel, 0.0, 1e-7)
 
-    alpha = _build_exponent(cfg, grid, "s")
-    rep = check_lemma_eta_shift(alpha, alpha.local_log_holder(),
+    rep = check_lemma_eta_shift(s, s.local_log_holder(),
                                 float(grid.dim + 2), top)
     _record(records, rep)
     curves["lp.eta_shift"] = rep.details["per_level"]
@@ -382,55 +381,35 @@ def _suite_hardy(cfg, grid, records, curves):
                       bound[a, q0], 1e-6)
 
 
+# (theorem, exponent roles set over the configured ones, seed offset)
+_COMMUTATOR_SWEEPS = (
+    ("theorem1", {}, 23),
+    ("theorem2", {"s": ("constant", {"value": 0.5})}, 29),
+    ("theorem3", {"s1": ("constant", {"value": 0.6}),
+                  "s2": ("cos_bump", {"a": 0.0, "b": 0.3}),
+                  "q1": ("constant", {"value": 4.0}),
+                  "q2": ("constant", {"value": 4.0})}, 31),
+)
+
+
 def _suite_commutator(cfg, grid, records, curves):
-    base = {
-        "p1": (cfg["exponents"]["p1"]["family"], cfg["exponents"]["p1"]["params"]),
-        "p2": (cfg["exponents"]["p2"]["family"], cfg["exponents"]["p2"]["params"]),
-        "q": (cfg["exponents"]["q"]["family"], cfg["exponents"]["q"]["params"]),
-        "s": (cfg["exponents"]["s"]["family"], cfg["exponents"]["s"]["params"]),
-    }
+    base = {role: (cfg["exponents"][role]["family"],
+                   cfg["exponents"][role]["params"])
+            for role in ("p1", "p2", "q", "s")}
     band = _suite_band(cfg, grid)
-    sweep_cfg = SweepConfig(
-        dim=grid.dim,
-        points_per_axis=grid.points_per_axis,
-        half_width=grid.half_width,
-        levels=cfg["levels"],
-        exponents=base,
-        kmax=band,
-    )
-    summary = constant_sweep(sweep_cfg, "theorem1", trials=cfg["trials"],
-                             seed=cfg["seed"] + 23, refine=False)
-    worst = max(summary["max_ratio"].values())
-    _record_value(records, "commutator.theorem1_ratio_finite",
-                  0.0 if math.isfinite(worst) else 1.0, 0.0, 0.0)
-    curves["commutator.theorem1"] = [
-        summary["max_ratio"][k] for k in sorted(summary["max_ratio"])
-    ]
-
-    t2 = dict(base)
-    t2["s"] = ("constant", {"value": 0.5})
-    sweep2 = SweepConfig(dim=grid.dim, points_per_axis=grid.points_per_axis,
-                         half_width=grid.half_width, levels=cfg["levels"],
-                         exponents=t2, kmax=band)
-    summary2 = constant_sweep(sweep2, "theorem2", trials=cfg["trials"],
-                              seed=cfg["seed"] + 29, refine=False)
-    worst2 = max(summary2["max_ratio"].values())
-    _record_value(records, "commutator.theorem2_ratio_finite",
-                  0.0 if math.isfinite(worst2) else 1.0, 0.0, 0.0)
-
-    t3 = dict(base)
-    t3["s1"] = ("constant", {"value": 0.6})
-    t3["s2"] = ("cos_bump", {"a": 0.0, "b": 0.3})
-    t3["q1"] = ("constant", {"value": 4.0})
-    t3["q2"] = ("constant", {"value": 4.0})
-    sweep3 = SweepConfig(dim=grid.dim, points_per_axis=grid.points_per_axis,
-                         half_width=grid.half_width, levels=cfg["levels"],
-                         exponents=t3, kmax=band)
-    summary3 = constant_sweep(sweep3, "theorem3", trials=cfg["trials"],
-                              seed=cfg["seed"] + 31, refine=False)
-    worst3 = max(summary3["max_ratio"].values())
-    _record_value(records, "commutator.theorem3_ratio_finite",
-                  0.0 if math.isfinite(worst3) else 1.0, 0.0, 0.0)
+    for theorem, roles, offset in _COMMUTATOR_SWEEPS:
+        sweep = SweepConfig(dim=grid.dim, points_per_axis=grid.points_per_axis,
+                            half_width=grid.half_width, levels=cfg["levels"],
+                            exponents=base | roles, kmax=band)
+        summary = constant_sweep(sweep, theorem, trials=cfg["trials"],
+                                 seed=cfg["seed"] + offset, refine=False)
+        worst = max(summary["max_ratio"].values())
+        _record_value(records, f"commutator.{theorem}_ratio_finite",
+                      0.0 if math.isfinite(worst) else 1.0, 0.0, 0.0)
+        if theorem == "theorem1":
+            curves["commutator.theorem1"] = [
+                summary["max_ratio"][k] for k in sorted(summary["max_ratio"])
+            ]
 
 
 _SUITE_RUNNERS = {

@@ -24,8 +24,9 @@ from .grid import (Field, Grid, _derivative_of_spectrum, _filtered,
                    _spectrum, _work_array, boundary_deviation,
                    require_same_grid, spectral_derivative)
 from .lebesgue import luxemburg_norm
-from .littlewood_paley import besov_norm, build_resolution
-from .mixed import FieldSequence, mixed_norm
+from .littlewood_paley import (besov_norm, block_sequence, build_resolution,
+                               weighted_norm)
+from .mixed import FieldSequence
 from .reports import make_estimate_report
 
 DECAY_GUARD = 1e-10
@@ -47,12 +48,7 @@ class VectorField:
         if len(comps) != g.dim:
             raise ValueError(f"expected {g.dim} components, got {len(comps)}")
         for i, c in enumerate(comps):
-            dev = boundary_deviation(c)
-            if dev > DECAY_GUARD:
-                raise ValueError(
-                    f"component {i} violates the boundary decay guard: "
-                    f"deviation {dev:.3e} > {DECAY_GUARD:.0e}"
-                )
+            _check_field_decay(c, f"component {i}")
         object.__setattr__(self, "components", comps)
 
     @property
@@ -75,10 +71,8 @@ def _check_field_decay(f, name):
 
 
 def divergence(v):
-    acc = np.zeros(v.grid.shape)
-    for k, comp in enumerate(v):
-        acc += spectral_derivative(comp, k).values
-    return Field(v.grid, acc)
+    return Field(v.grid, sum(spectral_derivative(comp, k).values
+                             for k, comp in enumerate(v)))
 
 
 def commutator(v, f, rou, j):
@@ -126,22 +120,15 @@ def _commutators(v, f, rou, levels):
 
 def commutator_lhs_norm(v, f, s, p, q, rou):
     """Mixed norm of the smoothness-weighted commutator sequence."""
-    comm = commutator_sequence(v, f, rou)
-    weighted = FieldSequence(
-        tuple(
-            Field(f.grid, np.exp2(j * s.values) * c.values)
-            for j, c in enumerate(comm)
-        )
-    )
-    return mixed_norm(weighted, p, q)
+    return weighted_norm(_commutators(v, f, rou, range(rou.levels)), s, p, q)
 
 
 def _vector_luxemburg(fields, p):
     return sum(luxemburg_norm(f, p) for f in fields)
 
 
-def _vector_besov(fields, s, p, q, rou):
-    return sum(besov_norm(f, s, p, q, rou) for f in fields)
+def _vector_besov(block_seqs, s, p, q):
+    return sum(weighted_norm(blocks, s, p, q) for blocks in block_seqs)
 
 
 def _gradient(f):
@@ -165,8 +152,6 @@ def theorem1_report(v, f, s, p1, p2, q, rou, config=None):
     """
     if not s.p_minus > 0:
         raise ValueError(f"needs positive smoothness, got min {s.p_minus}")
-    for comp in v:
-        _check_field_decay(comp, "V component")
     _check_field_decay(f, "f")
     p = harmonic_sum(p1, p2)
     config = dict(config or {})
@@ -174,17 +159,20 @@ def theorem1_report(v, f, s, p1, p2, q, rou, config=None):
     lhs = commutator_lhs_norm(v, f, s, p, q, rou)
     grad_f = _gradient(f)
     grad_f_p1 = _vector_luxemburg(grad_f, p1)
-    v_besov = _vector_besov(v.components, s, p2, q, rou)
-    grad_v_p1 = sum(
-        luxemburg_norm(d, p1) for comp in v for d in _gradient(comp)
-    )
+    v_blocks = [block_sequence(comp, rou) for comp in v]
+    v_besov = _vector_besov(v_blocks, s, p2, q)
+    v_besov_up = _vector_besov(v_blocks, _shift_smoothness(s, 1.0), p2, q)
+    del v_blocks
+    grad_v = [_gradient(comp) for comp in v]
+    grad_v_p1 = sum(luxemburg_norm(d, p1) for grad in grad_v for d in grad)
+    # divergence(v), summed from the gradient's diagonal
+    div_v = sum(grad[k].values for k, grad in enumerate(grad_v))
+    del grad_v
     f_besov = besov_norm(f, s, p2, q, rou)
     v_p1 = _vector_luxemburg(v.components, p1)
-    grad_f_besov = _vector_besov(grad_f, s, p2, q, rou)
-    f_div = Field(f.grid, f.values * divergence(v).values)
-    f_div_besov = besov_norm(f_div, s, p, q, rou)
+    grad_f_besov = sum(besov_norm(d, s, p2, q, rou) for d in grad_f)
+    f_div_besov = besov_norm(Field(f.grid, f.values * div_v), s, p, q, rou)
     f_p1 = luxemburg_norm(f, p1)
-    v_besov_up = _vector_besov(v.components, _shift_smoothness(s, 1.0), p2, q, rou)
 
     reports = {
         "grad_v": make_estimate_report(
@@ -213,8 +201,6 @@ def theorem1_report(v, f, s, p1, p2, q, rou, config=None):
 def theorem2_report(v, f, s, p1, p2, q, rou, config=None):
     """Reduced estimate: single term for 0 < s < 1, two-term divergence form
     for -1 < s < 0."""
-    for comp in v:
-        _check_field_decay(comp, "V component")
     _check_field_decay(f, "f")
     p = harmonic_sum(p1, p2)
     config = dict(config or {})
@@ -222,7 +208,7 @@ def theorem2_report(v, f, s, p1, p2, q, rou, config=None):
 
     if 0.0 < s.p_minus and s.p_plus < 1.0:
         grad_f_p1 = _vector_luxemburg(_gradient(f), p1)
-        v_besov = _vector_besov(v.components, s, p2, q, rou)
+        v_besov = sum(besov_norm(comp, s, p2, q, rou) for comp in v)
         return {
             "positive": make_estimate_report(
                 lhs, {"grad_f_p1 * V_besov": grad_f_p1 * v_besov},
@@ -233,7 +219,8 @@ def theorem2_report(v, f, s, p1, p2, q, rou, config=None):
         f_div = Field(f.grid, f.values * divergence(v).values)
         f_div_besov = besov_norm(f_div, s, p, q, rou)
         f_p1 = luxemburg_norm(f, p1)
-        v_besov_up = _vector_besov(v.components, _shift_smoothness(s, 1.0), p2, q, rou)
+        s_up = _shift_smoothness(s, 1.0)
+        v_besov_up = sum(besov_norm(comp, s_up, p2, q, rou) for comp in v)
         return {
             "negative": make_estimate_report(
                 lhs,
@@ -250,8 +237,6 @@ def theorem2_report(v, f, s, p1, p2, q, rou, config=None):
 def theorem3_report(v, f, s1, s2, p1, p2, q1, q2, rou, config=None):
     """Split-index estimate: s = s1 + s2 with s > 0 and s2 < 1; both the
     integrability and the sequence indices split harmonically."""
-    for comp in v:
-        _check_field_decay(comp, "V component")
     _check_field_decay(f, "f")
     s = ExponentField(s1.grid, s1.values + s2.values)
     if not s.p_minus > 0:
@@ -265,9 +250,11 @@ def theorem3_report(v, f, s1, s2, p1, p2, q1, q2, rou, config=None):
     lhs = commutator_lhs_norm(v, f, s, p, q, rou)
     grad_f = _gradient(f)
     grad_f_p1 = _vector_luxemburg(grad_f, p1)
-    v_besov = _vector_besov(v.components, s, p2, q, rou)
-    grad_f_besov_s1 = _vector_besov(grad_f, s1, p1, q1, rou)
-    v_besov_s2 = _vector_besov(v.components, s2, p2, q2, rou)
+    v_blocks = [block_sequence(comp, rou) for comp in v]
+    v_besov = _vector_besov(v_blocks, s, p2, q)
+    v_besov_s2 = _vector_besov(v_blocks, s2, p2, q2)
+    del v_blocks
+    grad_f_besov_s1 = sum(besov_norm(d, s1, p1, q1, rou) for d in grad_f)
     return {
         "split": make_estimate_report(
             lhs,
@@ -315,13 +302,8 @@ class SweepConfig:
 _THEOREMS = ("theorem1", "theorem2", "theorem3")
 
 
-def _sweep_key(seed, *extra):
-    parts = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    return [int(x) for x in parts] + [int(e) for e in extra]
-
-
 def _instance_reports(theorem, config, grid, top_level, seed):
-    from .random_fields import band_limited_field, band_limited_vector_field
+    from .random_fields import _key, band_limited_field, band_limited_vector_field
 
     rou = build_resolution(grid, top_level)
     if config.constant_v:
@@ -331,8 +313,8 @@ def _instance_reports(theorem, config, grid, top_level, seed):
         ))
     else:
         v = VectorField(tuple(band_limited_vector_field(grid, config.band(), seed)))
-    f = band_limited_field(grid, config.band(), _sweep_key(seed, 7919))
-    meta = {"seed": _sweep_key(seed), "points": grid.points_per_axis,
+    f = band_limited_field(grid, config.band(), _key(seed, 7919))
+    meta = {"seed": _key(seed), "points": grid.points_per_axis,
             "levels": top_level,
             "exponents": {k: list(v) for k, v in config.exponents.items()}}
     if theorem == "theorem1":

@@ -255,10 +255,13 @@ def _eta_kernel(j, m, grid, radius):
     return Field(grid, vals)
 
 
-def boundary_deviation(f, slab_fraction=1.0 / 32.0):
+BOUNDARY_SLAB = 1.0 / 32.0
+
+
+def boundary_deviation(f):
     """How far the field wanders from its corner value inside the boundary
-    slab (the strip of nodes with any coordinate within slab_fraction*2L of
-    the box edge), relative to the field scale.
+    slab (the strip of nodes with any coordinate within BOUNDARY_SLAB * 2L
+    of the box edge), relative to the field scale.
 
     Constant fields (exactly periodic) score 0; fields decaying to a constant
     near |x| = L score ~0; generic periodic fields score O(1).  This is the
@@ -266,7 +269,7 @@ def boundary_deviation(f, slab_fraction=1.0 / 32.0):
     """
     v = f.values
     n = f.grid.points_per_axis
-    w = max(1, int(n * slab_fraction))
+    w = max(1, int(n * BOUNDARY_SLAB))
     idx = np.zeros(n, dtype=bool)
     idx[:w] = True
     idx[n - w:] = True

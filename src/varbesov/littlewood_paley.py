@@ -21,6 +21,8 @@ from .lebesgue import luxemburg_norm
 from .mixed import FieldSequence, mixed_norm
 from .reports import CheckReport, graded_report
 
+ETA_TREND_BOUND = 4.0
+
 
 def smooth_step(t):
     """C-infinity cutoff: 1 for t <= 1, 0 for t >= 2, exp(-1/t)-blended
@@ -100,19 +102,25 @@ def block_sequence(f, rou):
     return FieldSequence(tuple(_blocks(f, rou)))
 
 
+def weighted_norm(blocks, s, p, q):
+    """Mixed norm of the smoothness-weighted sequence (2^{j s(x)} b_j(x))_j
+    of the dyadic sequence ``blocks`` (levels 0, 1, ... in order; any
+    iterable of fields, read once)."""
+    require_same_grid(s, p, q)
+    if not s.is_finite_valued():
+        raise ValueError("smoothness exponent must be finite-valued")
+    return mixed_norm(FieldSequence(tuple(
+        Field(b.grid, np.exp2(j * s.values) * b.values)
+        for j, b in enumerate(blocks))), p, q)
+
+
 def besov_norm(f, s, p, q, rou):
     """Mixed norm of the weighted block sequence (2^{j s(x)} block_j(x))_j.
 
     Inputs should be band-limited below 2^J; beyond that the dyadic tail is
     truncated without a quantified error.
     """
-    require_same_grid(f, s, p, q, rou)
-    if not s.is_finite_valued():
-        raise ValueError("smoothness exponent must be finite-valued")
-    weighted = []
-    for j, block in enumerate(_blocks(f, rou)):
-        weighted.append(Field(f.grid, np.exp2(j * s.values) * block.values))
-    return mixed_norm(FieldSequence(tuple(weighted)), p, q)
+    return weighted_norm(_blocks(f, rou), s, p, q)
 
 
 def _anchors_for_pairs(grid):
@@ -189,13 +197,13 @@ def _eta_convolutions(grid, m, fields):
     return masses, smoothed
 
 
-def verify_eta_convolution(f, p, m, top_level, c_report=None, trend_bound=4.0):
+def verify_eta_convolution(f, p, m, top_level):
     """Per-level ratios |eta_{j,m} * f|_p / |f|_p.
 
     The discrete kernel masses h^n sum(eta_{j,m}) bound the constant-exponent
-    case by Young's inequality; the default budget c_report doubles the
-    largest mass to leave headroom for log-Holder variable exponents.  Also
-    asserts the ratios show no growth trend in j.
+    case by Young's inequality; the budget c_report doubles the largest mass
+    to leave headroom for log-Holder variable exponents.  Also asserts the
+    ratios show no growth trend in j: max/min at most ETA_TREND_BOUND.
     """
     grid = f.grid
     if m <= grid.dim:
@@ -206,8 +214,7 @@ def verify_eta_convolution(f, p, m, top_level, c_report=None, trend_bound=4.0):
         masses = [mass for _, mass in _eta_kernels(grid, m, levels)]
     else:
         masses, smoothed = _eta_convolutions(grid, m, [f] * levels)
-    if c_report is None:
-        c_report = 2.0 * max(masses)
+    c_report = 2.0 * max(masses)
     if base == 0.0:
         return CheckReport(
             "lp.eta_convolution", "trivial", 0.0, c_report, 1e-6,
@@ -216,7 +223,7 @@ def verify_eta_convolution(f, p, m, top_level, c_report=None, trend_bound=4.0):
     ratios = [luxemburg_norm(g, p) / base for g in smoothed]
     r_max, r_min = max(ratios), min(ratios)
     trend = r_max / r_min if r_min > 0 else math.inf
-    ok = r_max <= c_report + 1e-6 and trend <= trend_bound
+    ok = r_max <= c_report + 1e-6 and trend <= ETA_TREND_BOUND
     return CheckReport(
         "lp.eta_convolution",
         "pass" if ok else "fail",
@@ -224,7 +231,7 @@ def verify_eta_convolution(f, p, m, top_level, c_report=None, trend_bound=4.0):
         bound=c_report,
         tolerance=1e-6,
         details={"ratios": ratios, "masses": masses, "trend": trend,
-                 "trend_bound": trend_bound},
+                 "trend_bound": ETA_TREND_BOUND},
     )
 
 
@@ -248,8 +255,9 @@ def _mixed_eta_guard(rq, grid, m):
     return "c_loc_rq", c_loc_rq
 
 
-def verify_mixed_eta(fs, p, q, m, c_report=None):
-    """Mixed-norm ratio |(eta_{j,m} * f_j)_j| / |(f_j)_j|.
+def verify_mixed_eta(fs, p, q, m):
+    """Mixed-norm ratio |(eta_{j,m} * f_j)_j| / |(f_j)_j| against twice the
+    largest kernel mass.
 
     Requires m > n + c_loc(1/q), the variable-q admissibility margin, and
     raises ValueError otherwise.  The guard is decided by an upper bound on
@@ -263,8 +271,7 @@ def verify_mixed_eta(fs, p, q, m, c_report=None):
         masses = [mass for _, mass in _eta_kernels(grid, m, fs.levels)]
     else:
         masses, smoothed = _eta_convolutions(grid, m, fs.entries)
-    if c_report is None:
-        c_report = 2.0 * max(masses)
+    c_report = 2.0 * max(masses)
     if base == 0.0:
         return CheckReport("lp.mixed_eta", "trivial", 0.0, c_report, 1e-6,
                            {"ratio": 0.0, c_key: c_loc})

@@ -7,9 +7,13 @@ from varbesov.commutator import (SweepConfig, VectorField, commutator,
                                  commutator_lhs_norm, commutator_sequence,
                                  constant_sweep, divergence, theorem1_report,
                                  theorem2_report, theorem3_report)
-from varbesov.exponents import constant_exponent, cos_bump_exponent
+from varbesov.exponents import (ExponentField, constant_exponent,
+                                cos_bump_exponent, harmonic_sum,
+                                log_smooth_exponent)
 from varbesov.grid import Field, Grid, field_from_function, spectral_derivative
-from varbesov.littlewood_paley import build_resolution, lp_block
+from varbesov.lebesgue import luxemburg_norm
+from varbesov.littlewood_paley import besov_norm, build_resolution, lp_block
+from varbesov.mixed import FieldSequence, mixed_norm
 from varbesov.random_fields import (band_limited_field,
                                     band_limited_vector_field)
 
@@ -73,6 +77,17 @@ def transport_case(request):
     return v, band_limited_field(g, band, 43), build_resolution(g, top)
 
 
+def _count_transforms(monkeypatch):
+    """Counts of np.fft.fftn and np.fft.ifftn calls from here on."""
+    counts = {"fftn": 0, "ifftn": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
 class TestCommutatorSpectra:
     def test_sequence_equals_levels_and_composition_bitwise(self, transport_case):
         v, f, rou = transport_case
@@ -86,17 +101,49 @@ class TestCommutatorSpectra:
         # forward: f, each V_k d_k f and each block; inverse: each d_k f, and
         # per level the block, its n derivatives and the n blocks of V_k d_k f
         v, f, rou = transport_case
-        counts = {"fftn": 0, "ifftn": 0}
-        for name in counts:
-            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-                counts[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
+        counts = _count_transforms(monkeypatch)
         commutator_sequence(v, f, rou)
         dim, levels = f.grid.dim, rou.levels
         assert counts == {"fftn": 1 + dim + levels,
                           "ifftn": dim + levels * (2 * dim + 1)}
         assert (counts["fftn"], counts["ifftn"]) == {1: (11, 28), 2: (9, 32)}[dim]
+
+    @pytest.mark.parametrize("theorem", ["theorem1", "theorem2", "theorem3"])
+    def test_reports_transform_each_v_component_once(self, transport_case,
+                                                     theorem, monkeypatch):
+        # beyond the commutator sequence (lhs): each V_k is transformed once
+        # for its blocks (n forward, n * levels inverse) where two terms
+        # read them, and once for its gradient (n forward, n^2 inverse),
+        # whose diagonal is the divergence; f and each d_k f are
+        # transformed once per term
+        v, f, rou = transport_case
+        g = f.grid
+        one, s_neg = constant_exponent(g, 1.0), constant_exponent(g, -0.5)
+        p, q = constant_exponent(g, 4.0), constant_exponent(g, 2.0)
+        n, levels = g.dim, rou.levels
+        lhs = (1 + n + levels, n + levels * (2 * n + 1))
+        counts = _count_transforms(monkeypatch)
+        if theorem == "theorem1":
+            # grad f, V blocks, grad V, then f, d_k f and f div V blocks
+            theorem1_report(v, f, one, p, p, q, rou)
+            extra = (1 + n + n + 1 + n + 1,
+                     n + n * levels + n * n + levels + n * levels + levels)
+            want = {1: (17, 66), 2: (18, 74)}[n]
+        elif theorem == "theorem2":
+            # each band transforms V once: blocks at s or at s + 1
+            theorem2_report(v, f, constant_exponent(g, 0.5), p, p, q, rou)
+            theorem2_report(v, f, s_neg, p, p, q, rou)
+            lhs = (2 * lhs[0], 2 * lhs[1])
+            extra = (1 + n + n + 1 + n, n + n * levels + n + levels + n * levels)
+            want = {1: (27, 85), 2: (26, 98)}[n]
+        else:
+            # grad f, V blocks (read at s and at s2), d_k f blocks
+            theorem3_report(v, f, constant_exponent(g, 0.6),
+                            constant_exponent(g, 0.3), p, p, q, q, rou)
+            extra = (1 + n + n, n + n * levels + n * levels)
+            want = {1: (14, 47), 2: (14, 58)}[n]
+        assert counts == {"fftn": lhs[0] + extra[0], "ifftn": lhs[1] + extra[1]}
+        assert (counts["fftn"], counts["ifftn"]) == want
 
     def test_level_out_of_range(self, grid, rou, vfield, sample_f):
         with pytest.raises(ValueError, match="out of range"):
@@ -140,7 +187,98 @@ class TestCommutatorOperator:
         assert commutator_lhs_norm(vfield, z, s, p, p, rou) == 0.0
 
 
+def _composed_reports(theorem, v, f, s, p1, p2, q, rou, s2=None, q2=None):
+    """(lhs, rhs_terms) of each variant, one public per-field function at a
+    time; theorem3 reads s, q as s1, q1."""
+    g = f.grid
+
+    def weighted(fields, s, p, q):
+        return mixed_norm(FieldSequence(tuple(
+            Field(g, np.exp2(j * s.values) * c.values)
+            for j, c in enumerate(fields))), p, q)
+
+    def grad(h):
+        return [spectral_derivative(h, k) for k in range(g.dim)]
+
+    def up(s):
+        return ExponentField(g, s.values + 1.0)
+
+    def vec_lux(fields, p):
+        return sum(luxemburg_norm(h, p) for h in fields)
+
+    def vec_besov(fields, s, p, q):
+        return sum(besov_norm(h, s, p, q, rou) for h in fields)
+
+    p = harmonic_sum(p1, p2)
+    if theorem == "theorem3":
+        s1, q1 = s, q
+        s = ExponentField(g, s1.values + s2.values)
+        q = harmonic_sum(q1, q2)
+    lhs = weighted(commutator_sequence(v, f, rou), s, p, q)
+    f_div = Field(g, f.values * divergence(v).values)
+    if theorem == "theorem1":
+        grad_v = sum(luxemburg_norm(d, p1) for comp in v for d in grad(comp))
+        a = vec_lux(grad(f), p1) * vec_besov(v, s, p2, q)
+        b = grad_v * besov_norm(f, s, p2, q, rou)
+        return {
+            "grad_v": (lhs, {"grad_f_p1 * V_besov": a, "grad_V_p1 * f_besov": b}),
+            "grad_f": (lhs, {"grad_f_p1 * V_besov": a,
+                             "V_p1 * grad_f_besov": vec_lux(v, p1)
+                             * vec_besov(grad(f), s, p2, q)}),
+            "divergence": (lhs, {
+                "f_div_besov": besov_norm(f_div, s, p, q, rou),
+                "grad_V_p1 * f_besov": b,
+                "f_p1 * V_besov_up": luxemburg_norm(f, p1)
+                * vec_besov(v, up(s), p2, q)}),
+        }
+    if theorem == "theorem2" and s.p_minus > 0:
+        return {"positive": (lhs, {"grad_f_p1 * V_besov":
+                                   vec_lux(grad(f), p1) * vec_besov(v, s, p2, q)})}
+    if theorem == "theorem2":
+        return {"negative": (lhs, {
+            "f_div_besov": besov_norm(f_div, s, p, q, rou),
+            "f_p1 * V_besov_up": luxemburg_norm(f, p1) * vec_besov(v, up(s), p2, q)})}
+    return {"split": (lhs, {
+        "grad_f_p1 * V_besov": vec_lux(grad(f), p1) * vec_besov(v, s, p2, q),
+        "grad_f_besov_s1 * V_besov_s2": vec_besov(grad(f), s1, p1, q1)
+        * vec_besov(v, s2, p2, q2)})}
+
+
 class TestTheoremReports:
+    @pytest.mark.parametrize("theorem, s_lo, s_amp", [
+        ("theorem1", 0.5, 0.5), ("theorem2", 0.3, 0.4), ("theorem2", -0.7, 0.4),
+        ("theorem3", 0.6, 0.0)], ids=["theorem1", "theorem2-positive",
+                                      "theorem2-negative", "theorem3"])
+    def test_reports_equal_per_field_composition_bitwise(
+            self, transport_case, theorem, s_lo, s_amp):
+        # every term of every variant, with variable s (or s2), p2 and q
+        # (or q1): a term computed from the wrong blocks or index moves
+        # its bits even where the report's ratio stays finite
+        v, f, rou = transport_case
+        g = f.grid
+        s = cos_bump_exponent(g, s_lo, s_amp)
+        p1 = constant_exponent(g, 4.0)
+        p2 = log_smooth_exponent(g, 3.0, 1.5)
+        q = cos_bump_exponent(g, 1.5, 1.0)
+        if theorem == "theorem3":
+            s2, q2 = cos_bump_exponent(g, 0.0, 0.3), constant_exponent(g, 4.0)
+            q = cos_bump_exponent(g, 2.5, 1.5)
+            got = theorem3_report(v, f, s, s2, p1, p2, q, q2, rou)
+            want = _composed_reports(theorem, v, f, s, p1, p2, q, rou, s2, q2)
+        else:
+            report = {"theorem1": theorem1_report,
+                      "theorem2": theorem2_report}[theorem]
+            got = report(v, f, s, p1, p2, q, rou)
+            want = _composed_reports(theorem, v, f, s, p1, p2, q, rou)
+        assert set(got) == set(want)
+        for variant, (lhs, terms) in want.items():
+            rep = got[variant]
+            assert rep.lhs == lhs
+            assert rep.rhs_terms == terms
+            assert list(rep.rhs_terms) == list(terms)
+            assert rep.ratio == lhs / sum(terms.values())
+            assert rep.ratio > 0
+
     def test_theorem1_variants(self, grid, rou, vfield, sample_f):
         s = constant_exponent(grid, 1.0)
         p1 = constant_exponent(grid, 4.0)
