@@ -19,19 +19,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, _kernels
-from .exponents import FAMILIES, conjugate, constant_exponent, exponent_from_family
+from .exponents import (FAMILIES, ExponentField, conjugate, constant_exponent,
+                        exponent_from_family)
 from .grid import Grid, Field
-from .lebesgue import luxemburg_norm, modular
-from .littlewood_paley import (build_resolution, besov_norm, block_sequence,
+from .lebesgue import classical_norm, luxemburg_norm, modular
+from .littlewood_paley import (build_resolution, block_sequence,
                                check_lemma_eta_shift, hardy_transform,
+                               partition_of_unity, single_block_identity,
                                verify_eta_convolution, verify_hardy,
                                verify_mixed_eta)
-from .mixed import check_holder, check_monotone_limit, mixed_norm
+from .mixed import (check_holder, check_monotone_limit, classical_mixed_norm,
+                    mixed_norm)
 from .duality import (extremal_witness, pairing, random_dual_search,
                       verify_norm_conjugate)
 from .commutator import SweepConfig, constant_sweep
 from .random_fields import (band_limited_field, band_limited_sequence,
                             gaussian_envelope)
+from .reports import CheckReport, graded_report
 
 SUITES = ("lebesgue", "mixed", "duality", "littlewood_paley", "hardy",
           "commutator")
@@ -59,19 +63,11 @@ DEFAULT_CONFIG = {
 
 
 @dataclass
-class CheckRecord:
-    check_id: str
-    status: str
-    measured: float
-    bound: float
-    tolerance: float
-
-
-@dataclass
 class SuiteReport:
     records: list
     config: dict
     environment: dict = field(default_factory=dict)
+    curves: dict = field(default_factory=dict)
 
     @property
     def failed(self):
@@ -178,21 +174,6 @@ def _suite_band(cfg, grid):
     return min(band, ceiling)
 
 
-def _record(records, report):
-    records.append(CheckRecord(report.check_id, report.status,
-                               _round12(report.measured), _round12(report.bound),
-                               _round12(report.tolerance)))
-
-
-def _record_value(records, check_id, measured, bound, tolerance, trivial=False):
-    if trivial:
-        status = "trivial"
-    else:
-        status = "pass" if measured <= bound + tolerance else "fail"
-    records.append(CheckRecord(check_id, status, _round12(measured),
-                               _round12(bound), _round12(tolerance)))
-
-
 def _suite_lebesgue(cfg, grid, records, curves):
     mesh = grid.coordinate_mesh()[0]
     tol = _tol(cfg, "lebesgue", 1e-6)
@@ -208,40 +189,30 @@ def _suite_lebesgue(cfg, grid, records, curves):
         vals[first | second] = 1.0
         pv = np.full(grid.shape, 2.0)
         pv[first] = 1.0
-        from .exponents import ExponentField
-
         lam = luxemburg_norm(Field(grid, vals), ExponentField(grid, pv))
         m1 = np.count_nonzero(first) * grid.cell
         m2 = np.count_nonzero(second) * grid.cell
         exact = (m1 + math.sqrt(m1 * m1 + 4.0 * m2)) / 2.0
-        _record_value(records, "lebesgue.two_level_gauge", abs(lam - exact),
-                      0.0, 1e-8)
+        records.append(graded_report("lebesgue.two_level_gauge",
+                                     abs(lam - exact), 0.0, 1e-8))
 
     f = band_limited_field(grid, _suite_band(cfg, grid), [cfg["seed"], 1])
     for p0 in (1.0, 1.5, 2.0, 3.0, math.inf):
-        pc = constant_exponent(grid, p0)
-        nrm = luxemburg_norm(f, pc)
-        if math.isinf(p0):
-            direct = f.max_abs()
-        else:
-            direct = (float(np.sum(np.abs(f.values) ** p0)) * grid.cell) ** (1.0 / p0)
-        rel = abs(nrm - direct) / direct
-        _record_value(records, f"lebesgue.constant_reduction_p{p0}", rel, 0.0, tol)
+        nrm = luxemburg_norm(f, constant_exponent(grid, p0))
+        direct = classical_norm(f, p0)
+        records.append(graded_report(f"lebesgue.constant_reduction_p{p0}",
+                                     abs(nrm - direct) / direct, 0.0, tol))
 
     p = _build_exponent(cfg, grid, "p")
     violations = 0
     for t in range(cfg["trials"]):
         ft = band_limited_field(grid, _suite_band(cfg, grid), [cfg["seed"], 2, t])
         nrm = luxemburg_norm(ft, p)
-        for scale_idx, scale in enumerate((0.5, 0.999, 1.001, 2.0)):
-            gt = Field(grid, ft.values * (scale / nrm))
-            rho = modular(gt, p)
-            target = scale
-            if abs(target - 1.0) < 1e-7:
-                continue
-            if (target < 1.0) != (rho <= 1.0):
-                violations += 1
-    _record_value(records, "lebesgue.unit_ball_equivalence", violations, 0.0, 0.0)
+        for scale in (0.5, 0.999, 1.001, 2.0):
+            rho = modular(Field(grid, ft.values * (scale / nrm)), p)
+            violations += (scale < 1.0) != (rho <= 1.0)
+    records.append(graded_report("lebesgue.unit_ball_equivalence",
+                                 violations, 0.0, 0.0))
 
 
 def _suite_mixed(cfg, grid, records, curves):
@@ -255,32 +226,29 @@ def _suite_mixed(cfg, grid, records, curves):
     for t in range(cfg["trials"]):
         fs = band_limited_sequence(grid, levels, kmax, [cfg["seed"], 3, t])
         nrm = mixed_norm(fs, pc, qc)
-        direct = sum(
-            (float(np.sum(np.abs(f.values) ** p0)) * grid.cell) ** (q0 / p0)
-            for f in fs
-        ) ** (1.0 / q0)
+        direct = classical_mixed_norm(fs, p0, q0)
         worst = max(worst, abs(nrm - direct) / direct)
-    _record_value(records, "mixed.constant_reduction", worst, 0.0, tol)
+    records.append(graded_report("mixed.constant_reduction", worst, 0.0, tol))
 
     fs = band_limited_sequence(grid, levels, kmax, [cfg["seed"], 4])
     qi = constant_exponent(grid, math.inf)
     p = _build_exponent(cfg, grid, "p")
     level_norms = [luxemburg_norm(f, p) for f in fs]
     sup_norm = max(level_norms)
-    _record_value(records, "mixed.q_infinity_shortcut",
-                  abs(mixed_norm(fs, p, qi) - sup_norm), 0.0, 0.0)
+    records.append(graded_report("mixed.q_infinity_shortcut",
+                                 abs(mixed_norm(fs, p, qi) - sup_norm), 0.0, 0.0))
 
     q = _build_exponent(cfg, grid, "q")
     radius = grid.min_image_radius()
     masks = [radius <= grid.half_width * frac for frac in (0.25, 0.5, 0.75)]
     masks.append(np.ones(grid.shape, dtype=bool))
     rep = check_monotone_limit(fs, masks, p, q)
-    _record(records, rep)
+    records.append(rep)
 
     gs = band_limited_sequence(grid, levels, kmax, [cfg["seed"], 5])
     rep = check_holder(fs, gs, p, conjugate(p), q, conjugate(q),
                        level_norms=level_norms, norm=rep.details["full_norm"])
-    _record(records, rep)
+    records.append(rep)
 
 
 def _suite_duality(cfg, grid, records, curves):
@@ -301,41 +269,40 @@ def _suite_duality(cfg, grid, records, curves):
         best = random_dual_search(fs, p, q, trials=2, seed=cfg["seed"] + t,
                                   witness=hs)
         upper_worst = max(upper_worst, best / k_norm)
-    _record_value(records, "duality.beta_sum", beta_worst, 0.0, 1e-5)
-    _record_value(records, "duality.witness_feasible", feas_worst, 1.0, 1e-4)
-    _record_value(records, "duality.witness_pairing", 0.999 - pair_worst, 0.0, 0.0)
-    _record_value(records, "duality.upper_bound", upper_worst, 8.0, 1e-9)
+    records.append(graded_report("duality.beta_sum", beta_worst, 0.0, 1e-5))
+    records.append(graded_report("duality.witness_feasible", feas_worst,
+                                 1.0, 1e-4))
+    records.append(graded_report("duality.witness_pairing",
+                                 0.999 - pair_worst, 0.0, 0.0))
+    records.append(graded_report("duality.upper_bound", upper_worst, 8.0, 1e-9))
 
     f = band_limited_field(grid, kmax, [cfg["seed"], 7])
     rep = verify_norm_conjugate(f, p, trials=cfg["trials"], seed=cfg["seed"] + 17)
-    _record(records, rep)
+    records.append(rep)
 
 
 def _suite_littlewood_paley(cfg, grid, records, curves):
     top = cfg["levels"]
     rou = build_resolution(grid, top)
-    kmag = grid.mode_magnitude()
-    total = sum(rou.multipliers)
-    residual = float(np.max(np.abs(total[kmag <= 2.0 ** top] - 1.0)))
-    _record_value(records, "lp.partition_of_unity", residual, 0.0, 1e-12)
+    records.append(partition_of_unity(rou))
 
     kmax = _suite_band(cfg, grid)
     f = band_limited_field(grid, kmax, [cfg["seed"], 8])
     recon = sum(b.values for b in block_sequence(f, rou))
-    _record_value(records, "lp.reconstruction",
-                  float(np.max(np.abs(recon - f.values))) / f.max_abs(), 0.0, 1e-10)
+    records.append(graded_report(
+        "lp.reconstruction",
+        float(np.max(np.abs(recon - f.values))) / f.max_abs(), 0.0, 1e-10))
 
     s = _build_exponent(cfg, grid, "s")
     p = _build_exponent(cfg, grid, "p")
     q = _build_exponent(cfg, grid, "q")
     mesh = grid.coordinate_mesh()[0]
     f0 = Field(grid, 0.4 + 0.3 * np.cos(np.pi * mesh / grid.half_width))
-    rel = abs(besov_norm(f0, s, p, q, rou) / luxemburg_norm(f0, p) - 1.0)
-    _record_value(records, "lp.single_block_identity", rel, 0.0, 1e-7)
+    records.append(single_block_identity(f0, s, p, q, rou))
 
     rep = check_lemma_eta_shift(s, s.local_log_holder(),
                                 float(grid.dim + 2), top)
-    _record(records, rep)
+    records.append(rep)
     curves["lp.eta_shift"] = rep.details["per_level"]
 
     bump = Field(grid, gaussian_envelope(grid))
@@ -345,12 +312,12 @@ def _suite_littlewood_paley(cfg, grid, records, curves):
     eta_top = min(top, int(math.floor(math.log2(
         grid.points_per_axis / grid.half_width))) - (grid.dim - 1))
     rep = verify_eta_convolution(bump, p, float(grid.dim + 2), eta_top)
-    _record(records, rep)
+    records.append(rep)
     curves["lp.eta_convolution"] = rep.details["ratios"]
 
     fs = band_limited_sequence(grid, top + 1, kmax, [cfg["seed"], 9])
     rep = verify_mixed_eta(fs, p, q, float(grid.dim + 2))
-    _record(records, rep)
+    records.append(rep)
 
 
 def _suite_hardy(cfg, grid, records, curves):
@@ -377,8 +344,8 @@ def _suite_hardy(cfg, grid, records, curves):
                 bound[a, q0] = rep.bound
             del transforms
     for a, q0 in cases:
-        _record_value(records, f"hardy.a{a}_q{q0}", worst[a, q0],
-                      bound[a, q0], 1e-6)
+        records.append(graded_report(f"hardy.a{a}_q{q0}", worst[a, q0],
+                                     bound[a, q0], 1e-6))
 
 
 # (theorem, exponent roles set over the configured ones, seed offset)
@@ -404,8 +371,9 @@ def _suite_commutator(cfg, grid, records, curves):
         summary = constant_sweep(sweep, theorem, trials=cfg["trials"],
                                  seed=cfg["seed"] + offset, refine=False)
         worst = max(summary["max_ratio"].values())
-        _record_value(records, f"commutator.{theorem}_ratio_finite",
-                      0.0 if math.isfinite(worst) else 1.0, 0.0, 0.0)
+        records.append(graded_report(f"commutator.{theorem}_ratio_finite",
+                                     0.0 if math.isfinite(worst) else 1.0,
+                                     0.0, 0.0))
         if theorem == "theorem1":
             curves["commutator.theorem1"] = [
                 summary["max_ratio"][k] for k in sorted(summary["max_ratio"])
@@ -441,9 +409,12 @@ def run(config):
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
     }
-    report = SuiteReport(records=records, config=cfg, environment=environment)
-    report.curves = curves
-    return report
+    # a record keeps 12 significant digits and none of its check's details
+    records = [CheckReport(r.check_id, r.status, _round12(r.measured),
+                           _round12(r.bound), _round12(r.tolerance))
+               for r in records]
+    return SuiteReport(records=records, config=cfg, environment=environment,
+                       curves=curves)
 
 
 def emit(report, fmt="json"):
@@ -475,7 +446,7 @@ def emit_plot_data(report):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["check_id", "level", "value"])
-    for check_id in sorted(getattr(report, "curves", {})):
+    for check_id in sorted(report.curves):
         for j, v in enumerate(report.curves[check_id]):
             writer.writerow([check_id, j, _round12(v)])
     return buf.getvalue().encode()
@@ -484,11 +455,8 @@ def emit_plot_data(report):
 def parse_report(blob):
     """Inverse of emit(..., "json")."""
     doc = json.loads(blob.decode())
-    records = [
-        CheckRecord(r["id"], r["status"], r["measured"], r["bound"],
-                    r["tolerance"])
-        for r in doc["records"]
-    ]
+    records = [CheckReport(r["id"], r["status"], r["measured"], r["bound"],
+                           r["tolerance"]) for r in doc["records"]]
     return SuiteReport(records=records, config=doc["config"],
                        environment=doc["environment"])
 

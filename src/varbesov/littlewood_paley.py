@@ -123,6 +123,22 @@ def besov_norm(f, s, p, q, rou):
     return weighted_norm(_blocks(f, rou), s, p, q)
 
 
+def partition_of_unity(rou):
+    """Largest |sum_j psi_j(k) - 1| over the modes |k| <= 2^J, graded
+    against 0: the multipliers telescope to 1 there."""
+    kmag = rou.grid.mode_magnitude()
+    total = sum(rou.multipliers)
+    residual = float(np.max(np.abs(total[kmag <= 2.0 ** rou.top_level] - 1.0)))
+    return graded_report("lp.partition_of_unity", residual, 0.0, 1e-12)
+
+
+def single_block_identity(f, s, p, q, rou):
+    """|besov_norm / luxemburg_norm - 1| graded against 0: for f with spectrum
+    in |k| <= 1, where psi_0 = 1, block 0 is f and the Besov norm is |f|_p."""
+    rel = abs(besov_norm(f, s, p, q, rou) / luxemburg_norm(f, p) - 1.0)
+    return graded_report("lp.single_block_identity", rel, 0.0, 1e-7)
+
+
 def _anchors_for_pairs(grid):
     n = grid.node_count
     if grid.dim == 1 and grid.points_per_axis <= 1024:

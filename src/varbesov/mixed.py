@@ -29,7 +29,7 @@ import numpy as np
 from . import _kernels
 from ._solve import solve_threshold
 from .grid import Field, require_same_grid
-from .lebesgue import Modular, luxemburg_norm, _log_abs
+from .lebesgue import Modular, luxemburg_norm, _log_abs, _power_integral
 from .reports import CheckReport, graded_report
 
 NORM_REL_TOL = 1e-9
@@ -208,6 +208,12 @@ def mixed_norm(fs, p, q, rel_tol=NORM_REL_TOL):
         return solve_threshold(fn, hint, rel_tol=rel_tol)
 
     return _LevelSolver(fs, p, q).norm(hint, rel_tol=rel_tol)
+
+
+def classical_mixed_norm(fs, p0, q0):
+    """The l^{q0}(L^{p0}) norm for constant finite exponents in closed form,
+    the referee of ``mixed_norm``: (sum_j (h^n sum |f_j|^p0)^(q0/p0))^(1/q0)."""
+    return sum(_power_integral(f, p0) ** (q0 / p0) for f in fs) ** (1.0 / q0)
 
 
 def check_monotone_limit(fs, truncation_sets, p, q, rel_tol=1e-6):

@@ -25,11 +25,13 @@ class CheckReport:
 
 
 def graded_report(check_id, measured, bound, tolerance, details=None, trivial=False):
+    """The one grading rule: pass when measured is at most bound + tolerance.
+    ``measured`` is kept as given, so a count stays an int."""
     if trivial:
         status = "trivial"
     else:
         status = "pass" if measured <= bound + tolerance else "fail"
-    return CheckReport(check_id, status, float(measured), float(bound),
+    return CheckReport(check_id, status, measured, float(bound),
                        float(tolerance), details or {})
 
 

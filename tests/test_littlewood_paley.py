@@ -7,12 +7,13 @@ from varbesov.exponents import (constant_exponent, cos_bump_exponent,
                                 local_log_holder, log_smooth_exponent)
 from varbesov.grid import Field, convolve, eta_kernel, field_from_function
 from varbesov.lebesgue import luxemburg_norm
-from varbesov.littlewood_paley import (besov_norm, build_resolution,
-                                       check_lemma_eta_shift, hardy_bound,
-                                       hardy_transform, lp_block, smooth_step,
-                                       verify_eta_convolution, verify_hardy,
-                                       verify_mixed_eta)
-from varbesov.mixed import FieldSequence, mixed_norm
+from varbesov.littlewood_paley import (ResolutionOfUnity, besov_norm,
+                                       build_resolution, check_lemma_eta_shift,
+                                       hardy_bound, hardy_transform, lp_block,
+                                       partition_of_unity, single_block_identity,
+                                       smooth_step, verify_eta_convolution,
+                                       verify_hardy, verify_mixed_eta)
+from varbesov.mixed import FieldSequence, classical_mixed_norm, mixed_norm
 from varbesov.random_fields import band_limited_field, band_limited_sequence
 
 
@@ -32,15 +33,15 @@ class TestSmoothStep:
 
 class TestResolution:
     def test_partition_of_unity_exact(self, small_grid, small_rou):
-        kmag = small_grid.mode_magnitude()
-        total = sum(small_rou.multipliers)
-        residual = np.max(np.abs(total[kmag <= 2.0**7] - 1.0))
-        assert residual <= 1e-12
+        assert partition_of_unity(small_rou).status == "pass"
+        # with level 3 dropped the sum misses psi_3, which reaches 1
+        mults = small_rou.multipliers
+        gapped = ResolutionOfUnity(small_grid, mults[:3] + mults[4:])
+        assert partition_of_unity(gapped).status == "fail"
 
-    def test_partition_at_half_top_scale(self, small_grid, small_rou):
-        kmag = small_grid.mode_magnitude()
-        at = np.isclose(kmag, 2.0**6)
-        assert np.all(np.abs(sum(small_rou.multipliers)[at] - 1.0) <= 1e-12)
+    def test_partition_at_half_top_scale(self, small_grid):
+        # a resolution that stops at level 6 telescopes to 1 up to |k| = 2^6
+        assert partition_of_unity(build_resolution(small_grid, 6)).status == "pass"
 
     def test_level_one_vanishes_low(self, small_grid, small_rou):
         kmag = small_grid.mode_magnitude()
@@ -93,14 +94,14 @@ class TestBlocks:
 
 class TestBesovNorm:
     def test_single_block_identity(self, small_grid, small_rou):
-        f = field_from_function(
-            small_grid,
-            lambda x: 0.4 + 0.3 * np.cos(np.pi * x / small_grid.half_width))
         s = cos_bump_exponent(small_grid, 0.2, 1.1)
         p = log_smooth_exponent(small_grid, 1.7, 1.0)
         q = constant_exponent(small_grid, 2.0)
-        assert besov_norm(f, s, p, q, small_rou) == pytest.approx(
-            luxemburg_norm(f, p), rel=1e-7)
+        # mode 1 lies where psi_0 = 1; mode 8 lies in block 3 alone
+        for mode, status in ((1, "pass"), (8, "fail")):
+            f = field_from_function(small_grid, lambda x: 0.4 + 0.3 * np.cos(
+                mode * np.pi * x / small_grid.half_width))
+            assert single_block_identity(f, s, p, q, small_rou).status == status
 
     def test_zero_field(self, small_grid, small_rou):
         z = Field(small_grid, np.zeros(small_grid.shape))
@@ -111,12 +112,9 @@ class TestBesovNorm:
     def test_classical_oracle(self, small_grid, small_rou):
         f = band_limited_field(small_grid, 32, 13)
         s0, p0, q0 = 0.8, 2.0, 3.0
-        direct = 0.0
-        for j in range(small_rou.levels):
-            b = lp_block(f, small_rou, j)
-            lp = (float(np.sum(np.abs(b.values) ** p0)) * small_grid.cell) ** (1 / p0)
-            direct += (2.0 ** (j * s0) * lp) ** q0
-        direct = direct ** (1 / q0)
+        direct = classical_mixed_norm(FieldSequence(tuple(
+            Field(small_grid, 2.0 ** (j * s0) * lp_block(f, small_rou, j).values)
+            for j in range(small_rou.levels))), p0, q0)
         got = besov_norm(f, constant_exponent(small_grid, s0),
                          constant_exponent(small_grid, p0),
                          constant_exponent(small_grid, q0), small_rou)

@@ -9,7 +9,8 @@ from varbesov.exponents import (conjugate, constant_exponent, cos_bump_exponent,
 from varbesov.grid import Field, Grid
 from varbesov.lebesgue import luxemburg_norm
 from varbesov.mixed import (FieldSequence, check_holder, check_monotone_limit,
-                            inner_lambda, mixed_modular, mixed_norm)
+                            classical_mixed_norm, inner_lambda, mixed_modular,
+                            mixed_norm)
 from varbesov.random_fields import band_limited_field, band_limited_sequence
 
 
@@ -21,19 +22,6 @@ def grid():
 @pytest.fixture(scope="module")
 def seq(grid):
     return band_limited_sequence(grid, 7, 40, 2024)
-
-
-def classical_mixed_norm(fs, p0, q0):
-    cell = fs.grid.cell
-    if math.isinf(q0):
-        return max(
-            (float(np.sum(np.abs(f.values) ** p0)) * cell) ** (1 / p0) for f in fs
-        )
-    total = 0.0
-    for f in fs:
-        lp = (float(np.sum(np.abs(f.values) ** p0)) * cell) ** (1 / p0)
-        total += lp**q0
-    return total ** (1 / q0)
 
 
 class TestInnerLambda:

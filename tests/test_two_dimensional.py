@@ -15,9 +15,10 @@ from varbesov.duality import extremal_witness, pairing
 from varbesov.exponents import (conjugate, constant_exponent,
                                 cos_bump_exponent, log_smooth_exponent)
 from varbesov.grid import Field, Grid, integrate
-from varbesov.lebesgue import luxemburg_norm
-from varbesov.littlewood_paley import besov_norm, build_resolution, lp_block, verify_hardy
-from varbesov.mixed import FieldSequence, mixed_norm
+from varbesov.lebesgue import classical_norm, luxemburg_norm
+from varbesov.littlewood_paley import (besov_norm, build_resolution, lp_block,
+                                       partition_of_unity, verify_hardy)
+from varbesov.mixed import FieldSequence, classical_mixed_norm, mixed_norm
 from varbesov.random_fields import (band_limited_field, band_limited_sequence,
                                     band_limited_vector_field)
 
@@ -41,35 +42,25 @@ def test_quadrature_and_convolution_product():
 def test_constant_exponent_reduction():
     f = band_limited_field(GRID2, BAND2, 8002)
     for p0 in (1.5, 2.0, 3.0):
-        direct = (float(np.sum(np.abs(f.values) ** p0)) * GRID2.cell) ** (1 / p0)
         assert luxemburg_norm(f, constant_exponent(GRID2, p0)) == pytest.approx(
-            direct, rel=1e-6)
+            classical_norm(f, p0), rel=1e-6)
 
 
 def test_mixed_norm_classical(seq2):
     p0, q0 = 2.0, 3.0
     nrm = mixed_norm(seq2, constant_exponent(GRID2, p0),
                      constant_exponent(GRID2, q0))
-    direct = sum(
-        ((float(np.sum(np.abs(f.values) ** p0)) * GRID2.cell) ** (1 / p0)) ** q0
-        for f in seq2
-    ) ** (1 / q0)
-    assert nrm == pytest.approx(direct, rel=1e-7)
+    assert nrm == pytest.approx(classical_mixed_norm(seq2, p0, q0), rel=1e-7)
 
 
 def test_partition_and_besov_oracle():
-    kmag = GRID2.mode_magnitude()
-    total = sum(ROU2.multipliers)
-    assert np.max(np.abs(total[kmag <= 2.0**LEVELS2] - 1.0)) <= 1e-12
+    assert partition_of_unity(ROU2).status == "pass"
 
     f = band_limited_field(GRID2, BAND2, 8003)
     s0, p0, q0 = 0.6, 2.0, 2.0
-    direct = 0.0
-    for j in range(ROU2.levels):
-        b = lp_block(f, ROU2, j)
-        lp_norm = (float(np.sum(np.abs(b.values) ** p0)) * GRID2.cell) ** (1 / p0)
-        direct += (2.0 ** (j * s0) * lp_norm) ** q0
-    direct = direct ** (1 / q0)
+    direct = classical_mixed_norm(FieldSequence(tuple(
+        Field(GRID2, 2.0 ** (j * s0) * lp_block(f, ROU2, j).values)
+        for j in range(ROU2.levels))), p0, q0)
     got = besov_norm(f, constant_exponent(GRID2, s0),
                      constant_exponent(GRID2, p0),
                      constant_exponent(GRID2, q0), ROU2)
