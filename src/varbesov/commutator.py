@@ -98,23 +98,21 @@ def _commutators(v, f, rou, levels):
     """
     g = require_same_grid(*v.components, f, rou)
     spec = _spectrum(f.values, _work_array(g))
-    work = _work_array(g)
+    work, real = _work_array(g), np.empty(g.shape)
     inner_specs = [
-        _spectrum(comp.values * _derivative_of_spectrum(g, spec, k, work),
+        _spectrum(comp.values * _derivative_of_spectrum(g, spec, k, work, real),
                   _work_array(g))
         for k, comp in enumerate(v)
     ]
-    block_spec = _work_array(g)
+    block, block_spec = np.empty(g.shape), _work_array(g)
     for j in levels:
         multiplier = rou.multipliers[j]
-        # the spectrum of the block: the real part of its inverse transform
-        _filtered(multiplier, spec, block_spec)
-        block_spec.imag = 0.0
-        np.fft.fftn(block_spec, out=block_spec)
+        _spectrum(_filtered(multiplier, spec, work, block), block_spec)
         acc = np.zeros(g.shape)
         for k, comp in enumerate(v):
-            acc += comp.values * _derivative_of_spectrum(g, block_spec, k, work)
-            acc -= _filtered(multiplier, inner_specs[k], work)
+            acc += comp.values * _derivative_of_spectrum(g, block_spec, k,
+                                                         work, real)
+            acc -= _filtered(multiplier, inner_specs[k], work, real)
         yield Field(g, acc)
 
 
@@ -134,7 +132,8 @@ def _vector_besov(block_seqs, s, p, q):
 def _gradient(f):
     spec = _spectrum(f.values, _work_array(f.grid))
     work = _work_array(f.grid)
-    return [Field(f.grid, _derivative_of_spectrum(f.grid, spec, k, work).copy())
+    return [Field(f.grid, _derivative_of_spectrum(f.grid, spec, k, work,
+                                                  np.empty(f.grid.shape)))
             for k in range(f.grid.dim)]
 
 

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .grid import Field, _work_array, integrate, require_same_grid
+from .grid import Field, integrate, require_same_grid
 from .exponents import conjugate
 from .lebesgue import luxemburg_norm, _log_abs
 from .mixed import FieldSequence, _LevelSolver, _norm_hint, mixed_norm
@@ -136,7 +136,7 @@ def _shaped_candidate(fs, p, rng):
     p_vals = np.where(np.isfinite(p.values), p.values, 4.0)
     out = []
     kmax = max(4, n // 64)
-    spec = _work_array(grid)
+    spec = np.empty(grid.shape, dtype=np.complex128)
     for f in fs:
         spec.fill(0.0)
         flat = spec.ravel()

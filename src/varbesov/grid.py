@@ -5,6 +5,21 @@ power of two).  Convolution and differentiation are spectral, so both are
 exact for fields whose discrete spectrum sits strictly below the Nyquist
 index N/2.  Frequencies are counted in integer FFT mode indices throughout;
 the spectral derivative converts to the physical angular frequency pi*k/L.
+
+Spectral layout.  Every field is real, so the spectral operators keep only
+the half spectrum of ``np.fft.rfftn``: an array of shape N^{n-1} x (N/2+1)
+whose leading axes hold the fftfreq modes and whose last axis holds the
+modes 0..N/2.  The modes left out are the complex conjugates of those kept,
+and ``np.fft.irfftn`` restores them.  That is exact only for a Hermitian
+product, which holds here because every multiplier is even in k (the dyadic
+multipliers and the origin phase) or odd and purely imaginary with its
+Nyquist mode zeroed (the derivative).  This module owns the layout: the
+work arrays, the mode tables and the transforms on them.
+
+The random-input generators (``random_fields``, ``duality``) draw their
+spectra on the full complex lattice and keep full complex transforms on
+arrays of their own.  They define the inputs, and any change to their
+transforms would move every input by rounding.
 """
 
 from dataclasses import dataclass, field
@@ -82,18 +97,28 @@ class Grid:
     def axis_product(self, factor):
         """factor[i_1] * ... * factor[i_n] at node (i_1, ..., i_n), multiplied
         onto ones in axis order."""
-        out = np.ones(self.shape)
-        for axis in range(self.dim):
-            out = out * self._along_axis(factor, axis)
+        return self._product_of_axes([factor] * self.dim)
+
+    def _product_of_axes(self, vectors):
+        """vectors[0][i_1] * ... * vectors[n-1][i_n] over the lattice the
+        per-axis vectors span, multiplied onto ones in axis order."""
+        out = np.ones(tuple(len(v) for v in vectors))
+        for axis, v in enumerate(vectors):
+            out = out * self._along_axis(v, axis)
         return out
 
     def _axis_norm(self, vector):
         """sqrt(vector[i_1]^2 + ... + vector[i_n]^2) at node (i_1, ..., i_n),
         summed onto zeros in axis order."""
-        square = vector * vector
-        acc = np.zeros(self.shape)
-        for axis in range(self.dim):
-            acc += self._along_axis(square, axis)
+        return self._norm_of_axes([vector] * self.dim)
+
+    def _norm_of_axes(self, vectors):
+        """sqrt(vectors[0][i_1]^2 + ... + vectors[n-1][i_n]^2) over the
+        lattice the per-axis vectors span, summed onto zeros in axis
+        order."""
+        acc = np.zeros(tuple(len(v) for v in vectors))
+        for axis, v in enumerate(vectors):
+            acc += self._along_axis(v * v, axis)
         return np.sqrt(acc)
 
     def min_image_radius(self):
@@ -111,6 +136,24 @@ class Grid:
     def mode_magnitude(self):
         """|k| over the FFT index lattice."""
         return self._axis_norm(self.axis_modes())
+
+    @property
+    def _half_shape(self):
+        """Shape of the half spectrum: N along every axis but the last,
+        which holds the N/2 + 1 modes 0..N/2."""
+        return self.shape[:-1] + (self.points_per_axis // 2 + 1,)
+
+    def _half_modes(self, axis):
+        """Integer mode indices along ``axis`` of the half spectrum."""
+        if axis == self.dim - 1:
+            n = self.points_per_axis
+            return np.fft.rfftfreq(n, d=1.0 / n)
+        return self.axis_modes()
+
+    def _half_mode_magnitude(self):
+        """|k| over the half spectrum."""
+        return self._norm_of_axes(
+            [self._half_modes(axis) for axis in range(self.dim)])
 
     def field(self, values):
         return Field(self, np.asarray(values, dtype=np.float64))
@@ -164,24 +207,23 @@ def integrate(f):
 
 
 def _work_array(grid):
-    """An uninitialized complex array of the grid's shape, for one call's
+    """An uninitialized half-spectrum complex array, for one call's
     transforms to write into."""
-    return np.empty(grid.shape, dtype=np.complex128)
+    return np.empty(grid._half_shape, dtype=np.complex128)
 
 
 def _spectrum(values, work):
-    """Forward transform of the real ``values``, copied into the complex
-    ``work`` array and transformed there; returns ``work``."""
-    np.copyto(work, values)
-    return np.fft.fftn(work, out=work)
+    """Half-spectrum forward transform of the real ``values``, written into
+    ``work``; returns ``work``."""
+    return np.fft.rfftn(values, axes=range(values.ndim), out=work)
 
 
-def _filtered(multiplier, spec, out):
-    """Real part of the inverse transform of ``multiplier * spec``, formed in
-    ``out`` (which may be ``spec``).  The result is a view of ``out``: a
-    caller that keeps it past the next use of ``out`` copies it."""
-    np.multiply(multiplier, spec, out=out)
-    return np.fft.ifftn(out, out=out).real
+def _filtered(multiplier, spec, work, out):
+    """Inverse transform of ``multiplier * spec``, the product formed in the
+    half-spectrum ``work`` (which may be ``spec``) and the real result
+    written into ``out``; returns ``out``."""
+    np.multiply(multiplier, spec, out=work)
+    return np.fft.irfftn(work, s=out.shape, axes=range(out.ndim), out=out)
 
 
 def convolve(f, g):
@@ -201,18 +243,20 @@ def convolve(f, g):
 
 
 def _origin_phase(grid):
-    """(-1)^(k_1 + ... + k_n) over the mode lattice.  N is a power of two,
-    so each fftfreq index has the parity of its array position."""
-    return grid.axis_product(
-        np.where(np.arange(grid.points_per_axis) % 2 == 0, 1.0, -1.0))
+    """(-1)^(k_1 + ... + k_n) over the half spectrum.  N is a power of two,
+    so each mode index has the parity of its array position."""
+    return grid._product_of_axes(
+        [np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
+         for size in grid._half_shape])
 
 
 def _convolve_spectra(grid, spec_f, spec_g, phase):
     """``convolve`` from the two forward transforms and the origin phase;
     the product is formed in ``spec_f``, which it overwrites."""
     np.multiply(spec_f, spec_g, out=spec_f)
-    spec_f *= phase
-    return Field(grid, np.fft.ifftn(spec_f, out=spec_f).real * grid.cell)
+    out = _filtered(phase, spec_f, spec_f, np.empty(grid.shape))
+    out *= grid.cell
+    return Field(grid, out)
 
 
 def spectral_derivative(f, axis):
@@ -225,17 +269,18 @@ def spectral_derivative(f, axis):
     if not 0 <= axis < g.dim:
         raise ValueError(f"axis {axis} out of range for dim {g.dim}")
     spec = _spectrum(f.values, _work_array(g))
-    return Field(g, _derivative_of_spectrum(g, spec, axis, spec).copy())
+    return Field(g, _derivative_of_spectrum(g, spec, axis, spec,
+                                            np.empty(g.shape)))
 
 
-def _derivative_of_spectrum(grid, spec, axis, out):
+def _derivative_of_spectrum(grid, spec, axis, work, out):
     """``spectral_derivative`` values from the field's forward transform,
-    formed in ``out`` (which may be ``spec``) and returned as a view of it,
-    as ``_filtered`` does."""
-    k = grid.axis_modes()
+    formed as ``_filtered`` does: the product in ``work`` (which may be
+    ``spec``), the real derivative in ``out``, which it returns."""
+    k = grid._half_modes(axis)
     k[np.abs(k) == grid.nyquist_index] = 0.0
     xi = np.pi * k / grid.half_width
-    return _filtered(grid._along_axis(1j * xi, axis), spec, out)
+    return _filtered(grid._along_axis(1j * xi, axis), spec, work, out)
 
 
 def eta_kernel(j, m, grid):

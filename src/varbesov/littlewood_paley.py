@@ -1,7 +1,8 @@
 """Dyadic filter bank, Besov norms with variable indices, eta-kernel and
 Hardy-type inequality checks.
 
-The resolution of unity lives on the integer FFT mode lattice: the base
+The resolution of unity lives on the half spectrum of the integer FFT mode
+lattice (``grid`` holds the layout): the base
 profile equals 1 up to |k| = 1 and vanishes beyond |k| = 2, and level j
 rescales it by 2^{-j}.  Summing levels 0..J telescopes to 1 on |k| <= 2^J
 exactly, so band-limited inputs are decomposed with zero truncation error.
@@ -66,7 +67,7 @@ def build_resolution(grid, top_level):
             f"level {top_level} needs modes up to {2 ** (top_level + 1)}, "
             f"grid Nyquist index is {grid.nyquist_index}"
         )
-    kmag = grid.mode_magnitude()
+    kmag = grid._half_mode_magnitude()
     inner = smooth_step(kmag)
     mults = [inner]
     for j in range(1, top_level + 1):
@@ -83,19 +84,21 @@ def lp_block(f, rou, j):
         raise ValueError(f"block index {j} out of range 0..{rou.top_level}")
     require_same_grid(f, rou)
     spec = _spectrum(f.values, _work_array(f.grid))
-    return Field(f.grid, _filtered(rou.multipliers[j], spec, spec).copy())
+    return Field(f.grid, _filtered(rou.multipliers[j], spec, spec,
+                                   np.empty(f.grid.shape)))
 
 
 def _blocks(f, rou):
     """The blocks of f, levels 0..J in turn, from one forward transform;
-    block j equals ``lp_block(f, rou, j)`` bitwise.  Every level is formed
-    in one work array, so each block is a contiguous copy of its real
-    part."""
+    block j equals ``lp_block(f, rou, j)`` bitwise.  Every level's product
+    is formed in one work array, and each block is written into a
+    contiguous real array of its own."""
     require_same_grid(f, rou)
     spec = _spectrum(f.values, _work_array(f.grid))
     work = _work_array(f.grid)
     for multiplier in rou.multipliers:
-        yield Field(f.grid, _filtered(multiplier, spec, work).copy())
+        yield Field(f.grid, _filtered(multiplier, spec, work,
+                                      np.empty(f.grid.shape)))
 
 
 def block_sequence(f, rou):
@@ -126,7 +129,7 @@ def besov_norm(f, s, p, q, rou):
 def partition_of_unity(rou):
     """Largest |sum_j psi_j(k) - 1| over the modes |k| <= 2^J, graded
     against 0: the multipliers telescope to 1 there."""
-    kmag = rou.grid.mode_magnitude()
+    kmag = rou.grid._half_mode_magnitude()
     total = sum(rou.multipliers)
     residual = float(np.max(np.abs(total[kmag <= 2.0 ** rou.top_level] - 1.0)))
     return graded_report("lp.partition_of_unity", residual, 0.0, 1e-12)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .grid import Field, _spectrum, _work_array, integrate
+from .grid import Field, integrate
 from .mixed import FieldSequence
 
 # sigma = L / 7.7 and a 19-mode margin balance the two error sources at
@@ -65,7 +65,8 @@ def band_limited_field(grid, kmax, rng_key, envelope=True):
 def _field_source(grid, kmax, envelope):
     """``band_limited_field`` at one (grid, kmax, envelope) as a function of
     the rng key; the envelope and the out-of-band mask are built once for
-    every field it draws, and its transforms share one work array."""
+    every field it draws, and its transforms share one complex work array
+    over the full mode lattice."""
     if 2 * kmax > grid.nyquist_index:
         raise ValueError(f"kmax={kmax} incompatible with Nyquist index "
                          f"{grid.nyquist_index}")
@@ -79,7 +80,7 @@ def _field_source(grid, kmax, envelope):
         env = gaussian_envelope(grid)
         out_of_band = grid.mode_magnitude() > kmax
     n = grid.points_per_axis
-    spec = _work_array(grid)
+    spec = np.empty(grid.shape, dtype=np.complex128)
 
     def draw(rng_key):
         rng = np.random.default_rng(rng_key)
@@ -94,9 +95,11 @@ def _field_source(grid, kmax, envelope):
         # undo the 1/N^n of ifftn so the continuum function is grid-independent
         vals = np.fft.ifftn(spec, out=spec).real * grid.node_count
         if envelope:
-            # project the enveloped field back onto |k| <= kmax; vals is
-            # then a view of the work array
-            _spectrum(vals * env, spec)
+            # project the enveloped field back onto |k| <= kmax, copied
+            # into the work array and transformed in place; vals is then a
+            # view of the work array
+            np.copyto(spec, vals * env)
+            np.fft.fftn(spec, out=spec)
             spec[out_of_band] = 0.0
             vals = np.fft.ifftn(spec, out=spec).real
         f = Field(grid, vals)

@@ -78,8 +78,10 @@ def transport_case(request):
 
 
 def _count_transforms(monkeypatch):
-    """Counts of np.fft.fftn and np.fft.ifftn calls from here on."""
-    counts = {"fftn": 0, "ifftn": 0}
+    """Counts of np.fft.rfftn and np.fft.irfftn calls from here on, and of
+    the complex np.fft.fftn and np.fft.ifftn, which the operators never
+    call."""
+    counts = {"rfftn": 0, "irfftn": 0, "fftn": 0, "ifftn": 0}
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
             counts[_name] += 1
@@ -104,9 +106,10 @@ class TestCommutatorSpectra:
         counts = _count_transforms(monkeypatch)
         commutator_sequence(v, f, rou)
         dim, levels = f.grid.dim, rou.levels
-        assert counts == {"fftn": 1 + dim + levels,
-                          "ifftn": dim + levels * (2 * dim + 1)}
-        assert (counts["fftn"], counts["ifftn"]) == {1: (11, 28), 2: (9, 32)}[dim]
+        assert counts == {"rfftn": 1 + dim + levels,
+                          "irfftn": dim + levels * (2 * dim + 1),
+                          "fftn": 0, "ifftn": 0}
+        assert (counts["rfftn"], counts["irfftn"]) == {1: (11, 28), 2: (9, 32)}[dim]
 
     @pytest.mark.parametrize("theorem", ["theorem1", "theorem2", "theorem3"])
     def test_reports_transform_each_v_component_once(self, transport_case,
@@ -142,8 +145,9 @@ class TestCommutatorSpectra:
                             constant_exponent(g, 0.3), p, p, q, q, rou)
             extra = (1 + n + n, n + n * levels + n * levels)
             want = {1: (14, 47), 2: (14, 58)}[n]
-        assert counts == {"fftn": lhs[0] + extra[0], "ifftn": lhs[1] + extra[1]}
-        assert (counts["fftn"], counts["ifftn"]) == want
+        assert counts == {"rfftn": lhs[0] + extra[0], "irfftn": lhs[1] + extra[1],
+                          "fftn": 0, "ifftn": 0}
+        assert (counts["rfftn"], counts["irfftn"]) == want
 
     def test_level_out_of_range(self, grid, rou, vfield, sample_f):
         with pytest.raises(ValueError, match="out of range"):

@@ -245,27 +245,32 @@ def _mesh_min_image_radius(grid):
     return np.sqrt(acc)
 
 
-def _mode_mesh(grid):
+def _mode_mesh(grid, half=False):
+    # fftfreq on every axis, or on the half spectrum rfftfreq on the last
     n = grid.points_per_axis
     k = np.fft.fftfreq(n, d=1.0 / n)
-    return (k,) if grid.dim == 1 else tuple(np.meshgrid(k, k, indexing="ij"))
+    last = np.fft.rfftfreq(n, d=1.0 / n) if half else k
+    return (last,) if grid.dim == 1 else tuple(np.meshgrid(k, last, indexing="ij"))
 
 
-def _mesh_mode_magnitude(grid):
-    acc = np.zeros(grid.shape)
-    for m in _mode_mesh(grid):
-        acc += m * m
+def _mesh_mode_magnitude(grid, half=False):
+    acc = 0.0
+    for m in _mode_mesh(grid, half):
+        acc = acc + m * m
     return np.sqrt(acc)
 
 
 def _mesh_convolve(f, g):
-    # the (-1)^k origin phase taken from the integer mode meshes
+    # the (-1)^k origin phase taken from the integer mode meshes of the
+    # half spectrum
     grid = f.grid
-    phase = np.ones(grid.shape)
-    for k in _mode_mesh(grid):
+    axes = range(grid.dim)
+    phase = np.ones(grid.shape[:-1] + (grid.points_per_axis // 2 + 1,))
+    for k in _mode_mesh(grid, half=True):
         phase = phase * np.where(k.astype(np.int64) % 2 == 0, 1.0, -1.0)
-    spec = np.fft.fftn(f.values) * np.fft.fftn(g.values) * phase
-    return np.fft.ifftn(spec).real * grid.cell
+    spec = (np.fft.rfftn(f.values, axes=axes) * np.fft.rfftn(g.values, axes=axes)
+            * phase)
+    return np.fft.irfftn(spec, s=grid.shape, axes=axes) * grid.cell
 
 
 GRID_TABLE_CASES = [(dim, n, half_width) for dim in (1, 2)
@@ -285,6 +290,14 @@ class TestSeparableTables:
     def test_mode_magnitude(self, dim, n, half_width):
         g = Grid(dim, n, half_width)
         assert _bitwise_equal(g.mode_magnitude(), _mesh_mode_magnitude(g))
+
+    @pytest.mark.parametrize("dim,n,half_width", GRID_TABLE_CASES)
+    def test_half_mode_magnitude(self, dim, n, half_width):
+        # the half spectrum is the full lattice's columns 0..N/2
+        g = Grid(dim, n, half_width)
+        half = g._half_mode_magnitude()
+        assert _bitwise_equal(half, _mesh_mode_magnitude(g, half=True))
+        assert _bitwise_equal(half, g.mode_magnitude()[..., : n // 2 + 1])
 
     @pytest.mark.parametrize("dim,n", [(1, 64), (1, 1024), (2, 32), (2, 128)])
     def test_convolve_phase(self, dim, n):

@@ -44,12 +44,12 @@ class TestResolution:
         assert partition_of_unity(build_resolution(small_grid, 6)).status == "pass"
 
     def test_level_one_vanishes_low(self, small_grid, small_rou):
-        kmag = small_grid.mode_magnitude()
+        kmag = small_grid._half_mode_magnitude()
         low = kmag <= 0.5
         assert np.all(small_rou.multipliers[1][low] == 0.0)
 
     def test_annular_supports(self, small_grid, small_rou):
-        kmag = small_grid.mode_magnitude()
+        kmag = small_grid._half_mode_magnitude()
         for j in range(1, small_rou.levels):
             mult = small_rou.multipliers[j]
             outside = (kmag < 2.0 ** (j - 1)) | (kmag > 2.0 ** (j + 1))

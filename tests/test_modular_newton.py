@@ -490,16 +490,19 @@ def _line_sequence(scale=1.0):
 
 def _plane_blocks(scale=1.0):
     """Littlewood-Paley blocks of a 64^2 field as strided ``.real`` views of
-    ifftn outputs (``block_sequence`` returns contiguous copies of the same
-    values), so the evaluator is also fed non-contiguous levels."""
+    complex copies of the irfftn outputs (``block_sequence`` returns the same
+    values in contiguous arrays), so the evaluator is also fed
+    non-contiguous levels."""
     from varbesov.littlewood_paley import build_resolution
     from varbesov.random_fields import band_limited_field
 
     grid = Grid(2, 64, 8.0)
+    axes = (0, 1)
     f = band_limited_field(grid, 12, 3, envelope=False)
-    spec = np.fft.fftn(scale * f.values)
+    spec = np.fft.rfftn(scale * f.values, axes=axes)
     blocks = sequence_from_values(grid, [
-        np.fft.ifftn(mult * spec).real
+        np.fft.irfftn(mult * spec, s=grid.shape, axes=axes)
+        .astype(np.complex128).real
         for mult in build_resolution(grid, 4).multipliers])
     assert not blocks[1].values.flags["C_CONTIGUOUS"]
     return blocks

@@ -1,11 +1,13 @@
 """The spectral layer's work arrays change no value and free no less memory.
 
-Every transform writes into a complex work array that the call allocates
+Every spectral operator transforms real fields over the half spectrum
+(``rfftn``/``irfftn``), writing into work arrays that the call allocates
 once and reuses.  Each result here is pinned bitwise against a copy of the
 fresh-output formula (every product formed in a new array, every transform
 writing a new output), kept in this file as the reference, on a 1-D
-4096-node grid and on 64^2 and 256^2 grids.  The blocks are contiguous
-copies that later levels leave alone, and the peak traced allocation of
+4096-node grid and on 64^2 and 256^2 grids.  The input generators keep full
+complex transforms, pinned the same way.  The blocks are contiguous arrays
+that later levels leave alone, and the peak traced allocation of
 ``block_sequence`` and ``verify_mixed_eta`` is bounded.
 """
 
@@ -22,8 +24,10 @@ from varbesov.exponents import (constant_exponent, cos_bump_exponent,
 from varbesov.grid import (Field, Grid, convolve, eta_kernel, integrate,
                            spectral_derivative)
 from varbesov.lebesgue import luxemburg_norm
-from varbesov.littlewood_paley import (_blocks, besov_norm, block_sequence,
+from varbesov.littlewood_paley import (_blocks, _eta_convolutions,
+                                       besov_norm, block_sequence,
                                        build_resolution, lp_block,
+                                       smooth_step,
                                        verify_eta_convolution,
                                        verify_mixed_eta)
 from varbesov.mixed import FieldSequence, mixed_norm
@@ -63,43 +67,71 @@ def same_bits(a, b):
 
 
 # ---- the fresh-output formulas ----------------------------------------
+#
+# ``half`` selects the rfftn/irfftn half spectrum that the operators use (the
+# bitwise pins) or the full complex lattice (the agreement checks below).
 
 
-def ref_phase(grid):
-    parity = np.indices(grid.shape).sum(axis=0) % 2
+def forward(values, half=True):
+    if half:
+        return np.fft.rfftn(values, axes=range(values.ndim))
+    return np.fft.fftn(values)
+
+
+def inverse(spec, grid, half=True):
+    if half:
+        return np.fft.irfftn(spec, s=grid.shape, axes=range(grid.dim))
+    return np.fft.ifftn(spec).real
+
+
+def ref_modes(grid, axis, half=True):
+    """Mode indices along ``axis``: fftfreq, except rfftfreq along the last
+    axis of the half spectrum."""
+    n = grid.points_per_axis
+    if half and axis == grid.dim - 1:
+        return np.fft.rfftfreq(n, d=1.0 / n)
+    return np.fft.fftfreq(n, d=1.0 / n)
+
+
+def ref_phase(grid, half=True):
+    shape = grid.shape
+    if half:
+        shape = shape[:-1] + (grid.points_per_axis // 2 + 1,)
+    parity = np.indices(shape).sum(axis=0) % 2
     return np.where(parity == 0, 1.0, -1.0)
 
 
-def ref_blocks(f, rou):
-    spec = np.fft.fftn(f.values)
-    return [np.fft.ifftn(mult * spec).real for mult in rou.multipliers]
+def ref_blocks(f, mults, half=True):
+    spec = forward(f.values, half)
+    return [inverse(mult * spec, f.grid, half) for mult in mults]
 
 
-def ref_convolve(f, g):
-    spec = np.fft.fftn(f.values) * np.fft.fftn(g.values) * ref_phase(f.grid)
-    return np.fft.ifftn(spec).real * f.grid.cell
+def ref_convolve(f, g, half=True):
+    spec = (forward(f.values, half) * forward(g.values, half)
+            * ref_phase(f.grid, half))
+    return inverse(spec, f.grid, half) * f.grid.cell
 
 
-def ref_derivative(grid, spec, axis):
-    k = grid.axis_modes()
+def ref_derivative(grid, spec, axis, half=True):
+    k = ref_modes(grid, axis, half)
     k[np.abs(k) == grid.nyquist_index] = 0.0
     xi = (1j * np.pi * k / grid.half_width).reshape(
         (-1,) + (1,) * (grid.dim - 1 - axis))
-    return np.fft.ifftn(xi * spec).real
+    return inverse(xi * spec, grid, half)
 
 
-def ref_commutators(v, f, rou):
+def ref_commutators(v, f, mults, half=True):
     grid = f.grid
-    spec = np.fft.fftn(f.values)
-    inner = [np.fft.fftn(c.values * ref_derivative(grid, spec, k))
+    spec = forward(f.values, half)
+    inner = [forward(c.values * ref_derivative(grid, spec, k, half), half)
              for k, c in enumerate(v)]
     out = []
-    for mult in rou.multipliers:
-        block_spec = np.fft.fftn(np.fft.ifftn(mult * spec).real)
+    for mult in mults:
+        block_spec = forward(inverse(mult * spec, grid, half), half)
         acc = np.zeros(grid.shape)
         for k, c in enumerate(v):
-            acc += c.values * ref_derivative(grid, block_spec, k)
-            acc -= np.fft.ifftn(mult * inner[k]).real
+            acc += c.values * ref_derivative(grid, block_spec, k, half)
+            acc -= inverse(mult * inner[k], grid, half)
         out.append(acc)
     return out
 
@@ -145,7 +177,7 @@ def vector_field(c):
 
 def test_blocks_match_fresh_outputs(case):
     f, rou = case["f"], case["rou"]
-    want = ref_blocks(f, rou)
+    want = ref_blocks(f, rou.multipliers)
     got = block_sequence(f, rou)
     for j in range(rou.levels):
         assert same_bits(got[j].values, want[j])
@@ -157,7 +189,7 @@ def test_besov_norm_blocks_match_fresh_outputs(case):
     for s in (constant_exponent(f.grid, 1.0), cos_bump_exponent(f.grid, 0.3, 0.9)):
         weighted = FieldSequence(tuple(
             Field(f.grid, np.exp2(j * s.values) * b)
-            for j, b in enumerate(ref_blocks(f, rou))))
+            for j, b in enumerate(ref_blocks(f, rou.multipliers))))
         assert besov_norm(f, s, p, q, rou) == mixed_norm(weighted, p, q)
 
 
@@ -166,7 +198,7 @@ def test_convolve_and_derivatives_match_fresh_outputs(case):
     grid = f.grid
     kernel = eta_kernel(2, grid.dim + 2.0, grid)
     assert same_bits(convolve(kernel, f).values, ref_convolve(kernel, f))
-    spec = np.fft.fftn(f.values)
+    spec = forward(f.values)
     gradient = _gradient(f)
     for axis in range(grid.dim):
         want = ref_derivative(grid, spec, axis)
@@ -206,8 +238,9 @@ def test_random_fields_match_fresh_outputs(case):
 def test_commutator_sequence_matches_fresh_outputs(case):
     v = vector_field(case)
     got = commutator_sequence(v, case["f"], case["rou"])
-    for g, want in zip(got, ref_commutators(v, case["f"], case["rou"])):
-        assert same_bits(g.values, want)
+    want = ref_commutators(v, case["f"], case["rou"].multipliers)
+    for g, w in zip(got, want):
+        assert same_bits(g.values, w)
 
 
 def test_shaped_candidates_match_fresh_outputs(case):
@@ -226,6 +259,79 @@ def test_shaped_candidates_match_fresh_outputs(case):
         scale = f.max_abs()
         shape = (np.abs(f.values) + 1e-3 * (scale + 1e-30)) ** (p_vals - 1.0)
         assert same_bits(g.values, smooth * shape)
+
+
+# ---- agreement with the full complex transforms -------------------------
+#
+# The half spectrum drops only the conjugate modes, so every operator equals
+# its complex full-lattice formula up to rounding, inputs with Nyquist
+# content on 4- and 8-node grids included.
+
+
+def complex_multipliers(grid, top):
+    kmag = grid.mode_magnitude()
+    inner = smooth_step(kmag)
+    mults = [inner]
+    for j in range(1, top + 1):
+        outer = smooth_step(kmag / 2.0 ** j)
+        mults.append(outer - inner)
+        inner = outer
+    return mults
+
+
+def border_constant_field(grid, rng):
+    """Normal noise with its one-node boundary slab set to the corner
+    value, so it passes the periodization guard on a 4- or 8-node grid."""
+    v = rng.normal(size=grid.shape)
+    for axis in range(grid.dim):
+        np.moveaxis(v, axis, 0)[[0, -1]] = v.flat[0]
+    return Field(grid, v)
+
+
+@pytest.fixture(scope="module",
+                params=sorted(CASES) + [(1, 4), (1, 8), (2, 4), (2, 8)],
+                ids=lambda p: p if isinstance(p, str) else f"{p[0]}d-n{p[1]}")
+def agreement_case(request):
+    if request.param in CASES:
+        grid, top, band, envelope = CASES[request.param]
+        f = band_limited_field(grid, band, 3, envelope=envelope)
+        return grid, top, f, vector_field(
+            {"grid": grid, "band": band, "envelope": envelope})
+    dim, n = request.param
+    grid = Grid(dim, n, 2.0)
+    rng = np.random.default_rng([dim, n])
+    f = border_constant_field(grid, rng)
+    v = VectorField(tuple(border_constant_field(grid, rng) for _ in range(dim)))
+    # the top level J with 2^(J+1) at the Nyquist index N/2
+    return grid, n.bit_length() - 3, f, v
+
+
+def test_operators_match_complex_formulas(agreement_case):
+    grid, top, f, v = agreement_case
+    rou = build_resolution(grid, top)
+    mults = complex_multipliers(grid, top)
+    atol = 1e-13 * f.max_abs()
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= atol
+
+    blocks = block_sequence(f, rou)
+    for j, want in enumerate(ref_blocks(f, mults, half=False)):
+        close(blocks[j].values, want)
+        close(lp_block(f, rou, j).values, want)
+    spec = forward(f.values, half=False)
+    for axis in range(grid.dim):
+        close(spectral_derivative(f, axis).values,
+              ref_derivative(grid, spec, axis, half=False))
+    m = grid.dim + 2.0
+    kernel = eta_kernel(1, m, grid)
+    close(convolve(kernel, f).values, ref_convolve(kernel, f, half=False))
+    _, smoothed = _eta_convolutions(grid, m, [f] * (top + 1))
+    for j, g in enumerate(smoothed):
+        close(g.values, ref_convolve(eta_kernel(j, m, grid), f, half=False))
+    for got, want in zip(commutator_sequence(v, f, rou),
+                         ref_commutators(v, f, mults, half=False)):
+        close(got.values, want)
 
 
 # ---- layout and memory --------------------------------------------------
@@ -269,21 +375,24 @@ def plane128():
     }
 
 
-# One 128^2 float array is 128 KiB, a complex one 256 KiB.
+# One 128^2 float array is 128 KiB, a 128 x 65 half-spectrum complex one
+# 130 KiB.
 
 
 def test_block_sequence_peak_memory(plane128):
-    # six 128 KiB blocks and two complex work arrays make 1,280 KiB; fresh
-    # outputs took 2,308 KiB (every block a .real view pinning a complex
+    # six 128 KiB blocks, two half-spectrum work arrays and the half-spectrum
+    # array irfftn allocates for its leading-axis pass make 1,158 KiB
+    # (1,162 KiB measured); full complex work arrays took 1,299 KiB, and
+    # fresh outputs 2,308 KiB (every block a .real view pinning a complex
     # array, plus the product and transform temporaries)
     peak = peak_kib(lambda: block_sequence(plane128["f"], plane128["rou"]))
-    assert peak <= 1536
+    assert peak <= 1280
 
 
 def test_verify_mixed_eta_peak_memory(plane128):
     # with every kernel alive through both solves, and a new spectrum per
     # transform, the peak was 3,390 KiB; one kernel at a time and no work
-    # array during the solves keeps it to about 2,400 KiB
+    # array during the solves keeps it to 2,230 KiB, set by the solves
     c = plane128
     peak = peak_kib(lambda: verify_mixed_eta(c["fs"], c["p"], c["q"], 4.0))
-    assert peak <= 2816
+    assert peak <= 2450
