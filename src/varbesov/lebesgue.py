@@ -133,6 +133,9 @@ class Modular:
             with_q, no_q = rq > 0.0, rq == 0.0
             dep, ind = _node_class(fin & with_q), _node_class(fin & no_q)
             floor, cap = _node_class(~fin & with_q), _node_class(~fin & no_q)
+        # every node in the (finite p, finite q) class: each level's log rho
+        # is a plain log-sum-exp, affine terms in (log lam, log mu) only
+        self.plain = dep is _ALL
         self.p = _take(pv, dep)
         # q = 1 gives c = p * 1.0 = p
         self.c = self.p if rq is None else self.p * _take(rq, dep)
@@ -174,6 +177,21 @@ class Modular:
         self._base = np.empty_like(self.p)
         self._buf = np.empty_like(self.p)
         self._spare = np.empty_like(self.p)
+
+    def partials(self, j, log_lam, log_mu):
+        """(log rho_j, d log rho_j / d log lam, d log rho_j / d log mu) at
+        lam = exp(log_lam), mu = exp(log_mu), from one pass.
+
+        Only for a ``plain`` evaluator, and a level with a nonzero sample:
+        the closed-form node classes are not added.  The value is not raised
+        by its rounding bound, so it certifies nothing.
+        """
+        base = np.multiply(self.p, -log_mu, out=self._base)
+        base += self.rows[j]
+        with np.errstate(over="ignore"):
+            log_rho, d_lam, scale = _kernels.log_modular(
+                base, self.c, log_lam, self._buf)
+        return log_rho, d_lam, -float(np.dot(self.p, self._buf)) * scale
 
     def solve(self, j, log_mu=0.0, hint=1.0, rel_tol=NORM_REL_TOL):
         """(lam, d log lam / d log mu) for lam = inf{lam > 0 : rho_j(lam, mu)

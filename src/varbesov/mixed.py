@@ -8,15 +8,34 @@ solves (``_solve.solve_threshold``) on one ``lebesgue.Modular`` evaluator
 per (sequence, p, q), nested: an outer solve in mu around one lambda solve
 per level.
 
-Every log rho_j is a log-sum-exp of functions affine in (log lam, log mu),
-so both solves run Newton on convex maps.  Each inner evaluation also
-returns the partials of log rho_j, which give the implicit derivative
+Every log rho_j is a log-sum-exp of functions affine in (u, v) =
+(log lam, log mu), so it is convex in (u, v) jointly and decreasing in
+each.  The norm is found in two phases.
+
+Predictor (certifies nothing).  One pass at (u_j, v) gives log rho_j with
+its slopes in u and v.  The tangent plane lies below log rho_j, so where
+the plane is 0, log rho_j >= 0: its zero line u = r_j + s_j (v' - v)
+lies at or below log lam_j(v') for every v'.  Hence
+sum_j exp(r_j + s_j (v' - v)) <= sum_j lam_j(v'), and the crossing of the
+left side with 1, a scalar Newton solve in plain Python, is at most
+log(norm).  The next pass is taken at that crossing, on each level's line;
+such a point is on the level's infeasible side, so from the second pass on
+the predicted v rises monotonically.  Once its step is below a quarter of
+the inner solves' gap, the last lines seed the levels' tangents and the
+crossing seeds the outer hint.  The predictor runs only where every node
+has finite p and q (``Modular.plain``): q = inf mass, p = inf floors and
+p = q = inf caps are not affine in (u, v), and there the solve starts from
+the crude ``_norm_hint`` with no tangents.
+
+Certified solve (decides the value).  Each inner evaluation also returns
+the partials of log rho_j, which give the implicit derivative
 d log lam_j / d log mu = -(d log rho_j / d log mu) / (d log rho_j / d log lam)
 at the solution.  Averaged over levels with weights lam_j, it is the slope
 of the outer map, so the outer solve is Newton too; and since log lam_j is
-convex in log mu, the tangent prediction from the previous outer point starts
-each level solve on its infeasible side, a Newton step or two from the
-crossing.  Only the p = inf everywhere norm, evaluated by the essential
+convex in log mu, a tangent prediction starts each level solve on its
+infeasible side, a Newton step or two from the crossing.  From the
+predictor's seeds the outer solve closes in two evaluations of two passes
+per level.  Only the p = inf everywhere norm, evaluated by the essential
 supremum formula, has no derivative and is solved by the safeguard path.
 """
 
@@ -34,6 +53,12 @@ from .reports import CheckReport, graded_report
 
 NORM_REL_TOL = 1e-9
 INNER_REL_TOL = 1e-10
+# the predictor hands over once its step in log mu is below a quarter of the
+# inner solves' gap, or after _PREDICTOR_PASSES passes per level; each of its
+# scalar crossings stops at a rounding-level step or after _CROSSING_STEPS
+_PREDICTOR_STOP = 0.25 * math.log1p(INNER_REL_TOL)
+_PREDICTOR_PASSES = 12
+_CROSSING_STEPS = 60
 
 #: Asserted constant for the generalized Holder inequalities.  The scalar
 #: variable-exponent Holder constant is 2; two nested applications plus the
@@ -94,6 +119,11 @@ class _LevelSolver:
     log lam_j(mu_0) + s_j (log mu - log mu_0); log lam_j is convex in
     log mu, so the prediction sits on the infeasible side, where Newton is
     monotone.
+
+    ``norm`` runs in the two phases of the module docstring: on a plain
+    evaluator ``_predict`` seeds the tangents and the outer hint from lines
+    that lie below every log lam_j, then ``solve_threshold`` over ``scaled``
+    decides the value alone, as it does from the crude hint.
     """
 
     def __init__(self, fs, p, q):
@@ -139,8 +169,63 @@ class _LevelSolver:
         return total, slope / total
 
     def norm(self, hint, rel_tol=NORM_REL_TOL):
-        """The mixed norm, solved from ``hint`` (see ``_norm_hint``)."""
+        """The mixed norm, solved from ``hint`` (see ``_norm_hint``); on a
+        plain evaluator the solve starts from the predictor's crossing."""
+        if self.evaluator.plain:
+            log_hint = math.log(hint)
+            log_mu = self._predict(log_hint)
+            # the crude hint is feasible: a crossing above it helps nothing
+            if log_mu is not None and log_mu < log_hint:
+                hint = math.exp(log_mu)
         return solve_threshold(self.scaled, hint, rel_tol=rel_tol)
+
+    def _predict(self, log_mu):
+        """Joint-Newton lower estimate of log(norm), starting at log mu =
+        ``log_mu`` with every lam_j = 1; seeds the tangent of every level
+        with a nonzero sample.  Returns None, seeding nothing, when a pass
+        gives no usable plane."""
+        ev = self.evaluator
+        live = [j for j in range(self.levels) if ev._lam_dependent[j]]
+        if not live:
+            return None
+        log_lams = [0.0] * len(live)
+        for _ in range(_PREDICTOR_PASSES):
+            lines = []
+            for j, log_lam in zip(live, log_lams):
+                log_rho, d_lam, d_mu = ev.partials(j, log_lam, log_mu)
+                if not (d_lam < 0.0 and d_mu < 0.0 and math.isfinite(log_rho)):
+                    return None
+                # the tangent plane's zero line:
+                # log lam = r + s (log mu' - log mu)
+                lines.append((log_lam - log_rho / d_lam, -d_mu / d_lam))
+            step = _crossing(lines)
+            if not math.isfinite(step):
+                return None
+            log_mu += step
+            log_lams = [r + s * step for r, s in lines]
+            if abs(step) < _PREDICTOR_STOP:
+                break
+        for j, log_lam, (_, slope) in zip(live, log_lams, lines):
+            self._tangents[j] = (log_mu, log_lam, slope)
+        return log_mu
+
+
+def _crossing(lines):
+    """The root t of log sum_j exp(r_j + s_j t) = 0 for lines (r_j, s_j)
+    with every s_j < 0, by Newton: the map is convex and decreasing, so the
+    iterates are monotone after the first step."""
+    t = 0.0
+    for _ in range(_CROSSING_STEPS):
+        terms = [r + s * t for r, s in lines]
+        top = max(terms)
+        weights = [math.exp(x - top) for x in terms]
+        total = sum(weights)
+        slope = sum(w * s for w, (_, s) in zip(weights, lines)) / total
+        step = (top + math.log(total)) / slope
+        t -= step
+        if not abs(step) > 1e-15 * (1.0 + abs(t)):
+            break
+    return t
 
 
 def inner_lambda(f, p, q, hint=1.0, rel_tol=INNER_REL_TOL):

@@ -309,14 +309,8 @@ def test_tangent_hints_start_on_the_infeasible_side():
             assert predicted <= math.log(lam1) + 1e-9
 
 
-def test_mixed_norm_solves_take_at_most_five_evaluations(monkeypatch):
-    # desk scale: 4096 nodes, 9 levels, log-smooth p, cos-bump q
-    grid = default_grid(1)
-    fs = band_limited_sequence(grid, 9, 64, 3)
-    p = log_smooth_exponent(grid, 2.0, 1.5)
-    q = cos_bump_exponent(grid, 1.5, 1.0)
-    counts = []
-    solve = _solve.solve_threshold
+def _counting(solve, counts):
+    """``solve`` with the evaluations of each solve appended to ``counts``."""
 
     def counted(fn, hint, *args, **kwargs):
         calls = [0]
@@ -330,11 +324,101 @@ def test_mixed_norm_solves_take_at_most_five_evaluations(monkeypatch):
         finally:
             counts.append(calls[0])
 
-    monkeypatch.setattr(lebesgue, "solve_threshold", counted)
-    monkeypatch.setattr(mixed, "solve_threshold", counted)
+    return counted
+
+
+def _count_passes(monkeypatch):
+    """Count every ``_kernels.log_modular`` pass (``Modular`` reaches the
+    kernel through ``_kernels`` at call time)."""
+    passes = [0]
+    log_modular = _kernels.log_modular
+
+    def counted(*args, **kwargs):
+        passes[0] += 1
+        return log_modular(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "log_modular", counted)
+    return passes
+
+
+def test_mixed_norm_solves_take_at_most_five_evaluations(monkeypatch):
+    # desk scale: 4096 nodes, 9 levels, log-smooth p, cos-bump q
+    grid = default_grid(1)
+    fs = band_limited_sequence(grid, 9, 64, 3)
+    p = log_smooth_exponent(grid, 2.0, 1.5)
+    q = cos_bump_exponent(grid, 1.5, 1.0)
+    inner, outer = [], []
+    monkeypatch.setattr(lebesgue, "solve_threshold",
+                        _counting(_solve.solve_threshold, inner))
+    monkeypatch.setattr(mixed, "solve_threshold",
+                        _counting(_solve.solve_threshold, outer))
+    passes = _count_passes(monkeypatch)
     mixed_norm(fs, p, q)
-    assert len(counts) > fs.levels
-    assert statistics.median(counts) <= 5
+    assert len(inner) > fs.levels
+    assert statistics.median(inner + outer) <= 5
+    # from the predictor's seeds the outer solve closes in two evaluations,
+    # and the predictor's passes included, each level takes at most ten
+    assert outer == [2]
+    assert passes[0] <= 10 * fs.levels
+
+
+def _smooth_sequence(grid, log10_scale, seed, levels, zero_levels):
+    """Smooth bumps with zero tails, within two decades below
+    10**log10_scale; the levels in ``zero_levels`` are zero."""
+    rng = np.random.default_rng(seed)
+    mesh = grid.coordinate_mesh()
+    entries = []
+    for j in range(levels):
+        centre = rng.uniform(-2.0, 2.0, grid.dim)
+        r = np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, centre)))
+        bump = np.exp(-(r / rng.uniform(2.5, 4.0)) ** 2)
+        bump *= 1.0 + 0.3 * np.cos(rng.uniform(0.5, 2.0) * mesh[0])
+        bump[r > 6.0] = 0.0
+        scale = 10.0 ** (log10_scale - rng.uniform(0.0, 2.0))
+        entries.append(Field(grid, 0.0 * bump if j in zero_levels
+                             else scale / bump.max() * bump))
+    return FieldSequence(tuple(entries))
+
+
+# (family, parameters): constant and variable, down to p = 1.0001 and up to
+# q = 400
+_P_FAMILIES = [(constant_exponent, (1.0001,)), (constant_exponent, (2.0,)),
+               (log_smooth_exponent, (1.0001, 1.0))]
+_Q_FAMILIES = [(constant_exponent, (1.5,)), (constant_exponent, (400.0,)),
+               (cos_bump_exponent, (1.5, 1.0)), (cos_bump_exponent, (1.5, 398.5))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([GRID, GRID2]),
+       st.sampled_from([-300.0, 300.0]) | st.floats(-300.0, 300.0), seeds,
+       st.integers(1, 4), st.sets(st.integers(0, 3), max_size=2),
+       st.sampled_from(_P_FAMILIES), st.sampled_from(_Q_FAMILIES))
+def test_predictor_stays_below_the_certified_solve(grid, log10_scale, seed, levels,
+                                                   zero_levels, p_family, q_family):
+    zero_levels = zero_levels & set(range(levels - 1))  # the last is nonzero
+    fs = _smooth_sequence(grid, log10_scale, seed, levels, zero_levels)
+    p = p_family[0](grid, *p_family[1])
+    q = q_family[0](grid, *q_family[1])
+    solver = _LevelSolver(fs, p, q)
+    assert solver.evaluator.plain
+    log_mu = solver._predict(math.log(mixed._norm_hint(fs, fs.max_abs())))
+    assert log_mu is not None
+    assert log_mu <= math.log(mixed_norm(fs, p, q))
+    # each seeded line lies below the certified log lam_j, at the predicted
+    # mu and away from it (where a later solve, such as a duality beta,
+    # starts from it); a certified 0.0 means log lam_j is below the
+    # smallest normal float
+    ev = Modular(fs, p, q)
+    for j, tangent in enumerate(solver._tangents):
+        if j in zero_levels:
+            assert tangent is None
+            continue
+        at, log_lam, slope = tangent
+        assert at == log_mu
+        for step in (0.0, -0.5, 0.5):
+            lam = ev.solve(j, log_mu + step)[0]
+            certified = math.log(lam) if lam > 0.0 else _solve._LOG_TINY
+            assert log_lam + slope * step <= certified + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +594,14 @@ def _plane_blocks(scale=1.0):
 
 def _exponents(grid, kind):
     """(p, q) with every exponent finite, or with p = inf and/or q = inf
-    on parts of the box (p = q = inf where both parts meet)."""
+    on parts of the box; ``cap`` makes p = q = inf on the outer band."""
     p = log_smooth_exponent(grid, 2.0, 1.5)
     q = cos_bump_exponent(grid, 1.5, 1.0)
     r = grid.min_image_radius()
+    if kind == "cap":
+        band = r > 0.75 * grid.half_width
+        return (ExponentField(grid, np.where(band, math.inf, p.values)),
+                ExponentField(grid, np.where(band, math.inf, q.values)))
     if kind in ("p_inf", "both_inf"):
         p = ExponentField(grid, np.where(r > 0.75 * grid.half_width, math.inf, p.values))
     if kind in ("q_inf", "both_inf"):
@@ -608,3 +696,18 @@ def test_slope_is_taken_at_the_returned_point_after_an_infeasible_last_step(monk
                 assert math.isfinite(got[1])
                 checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("kind", ["q_inf", "p_inf", "cap"])
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+@pytest.mark.parametrize("make", [_line_sequence, _plane_blocks])
+def test_declined_inputs_start_from_the_crude_hint(make, scale, kind):
+    # q = inf mass, p = inf floors and p = q = inf caps are not affine in
+    # (log lam, log mu): the predictor declines and the solve is the
+    # threshold solve from the crude hint, bit for bit
+    fs = make(scale)
+    p, q = _exponents(fs.grid, kind)
+    assert not _LevelSolver(fs, p, q).evaluator.plain
+    want = _solve.solve_threshold(_LevelSolver(fs, p, q).scaled,
+                                  mixed._norm_hint(fs, fs.max_abs()))
+    assert _bits(mixed_norm(fs, p, q)) == _bits(want)
