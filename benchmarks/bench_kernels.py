@@ -27,9 +27,9 @@ scale (4096 nodes, 9 levels) and plane scale (256^2, 7 levels), with a
 log-smooth p and a cos-bump q as in the default configuration; the desk
 ``mixed_norm`` row is the end-to-end mixed norm on the CLI's default grid.
 Beside the ``mixed_norm`` time stands the number of ``_kernels.log_modular``
-passes per norm, the predictor's included: perfbench's
+passes per norm, the predictor's and the certificate's included: perfbench's
 ``solve.solve_threshold.evals_total`` counts only the evaluations of
-threshold solves, so it does not see the predictor's passes.
+threshold solves, and a certified mixed norm runs none, so it sees neither.
 """
 
 import resource

@@ -58,8 +58,9 @@ def extremal_witness(fs, p, q):
         raise ValueError("witness of the zero sequence is undefined")
 
     grid = fs.grid
-    # the beta_j are the level infima of the norm solve at mu = K: solve them
-    # on the same evaluator, warm-started from its last tangents
+    # the beta_j are the level infima at mu = K: solve them on the same
+    # evaluator, warm-started from its tangents (the predictor's, at its
+    # crossing just below K, unless the norm fell back to an outer solve)
     solver = _LevelSolver(fs, p, q)
     k_norm = solver.norm(_norm_hint(fs, m))
     log_k = math.log(k_norm)

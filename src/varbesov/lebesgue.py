@@ -178,20 +178,41 @@ class Modular:
         self._buf = np.empty_like(self.p)
         self._spare = np.empty_like(self.p)
 
+    def _plain_pass(self, j, log_lam, log_mu):
+        """One ``log_modular`` pass of level j at (log lam, log mu) through
+        ``_buf``; only for a ``plain`` evaluator and a live level: the
+        closed-form node classes are not added."""
+        base = np.multiply(self.p, -log_mu, out=self._base)
+        base += self.rows[j]
+        with np.errstate(over="ignore"):
+            return _kernels.log_modular(base, self.c, log_lam, self._buf)
+
     def partials(self, j, log_lam, log_mu):
         """(log rho_j, d log rho_j / d log lam, d log rho_j / d log mu) at
         lam = exp(log_lam), mu = exp(log_mu), from one pass.
 
-        Only for a ``plain`` evaluator, and a level with a nonzero sample:
-        the closed-form node classes are not added.  The value is not raised
-        by its rounding bound, so it certifies nothing.
+        Only for a ``plain`` evaluator, and a level with a nonzero sample.
+        The value is not raised by its rounding bound, so it certifies
+        nothing.
         """
-        base = np.multiply(self.p, -log_mu, out=self._base)
-        base += self.rows[j]
-        with np.errstate(over="ignore"):
-            log_rho, d_lam, scale = _kernels.log_modular(
-                base, self.c, log_lam, self._buf)
+        log_rho, d_lam, scale = self._plain_pass(j, log_lam, log_mu)
         return log_rho, d_lam, -float(np.dot(self.p, self._buf)) * scale
+
+    def raised_log_rho(self, j, log_lam, log_mu):
+        """log rho_j at (log lam, log mu) from one pass, raised by its
+        rounding bound (``raised``): <= 0 certifies the point feasible, as
+        in ``solve``.  Same scope as ``partials``."""
+        log_rho = self._plain_pass(j, log_lam, log_mu)[0]
+        return self.raised(j, log_rho, log_lam, log_mu)
+
+    def raised(self, j, log_rho, log_lam, log_mu):
+        """``log_rho``, the log modular of level j at (log lam, log mu),
+        raised by a bound on its rounding error.  Every term's exponent is a
+        sum of three products: the bound covers their rounding and the
+        summation's, so that a point where the raised value is <= 0 is
+        feasible for any evaluator accurate to a few ulps."""
+        slack = _ROUND * (self._row_size[j] + self._p_max * abs(log_mu) + self._sum_size)
+        return log_rho + slack + _ROUND * self._c_max * abs(log_lam)
 
     def solve(self, j, log_mu=0.0, hint=1.0, rel_tol=NORM_REL_TOL):
         """(lam, d log lam / d log mu) for lam = inf{lam > 0 : rho_j(lam, mu)
@@ -238,14 +259,9 @@ class Modular:
         # [scratch, terms at the last feasible point]: swapped on each
         # feasible evaluation
         bufs = [self._buf, self._spare]
-        # every term's exponent is a sum of three products: bound their
-        # rounding, and the summation's, so that a point reported feasible
-        # is feasible for any evaluator accurate to a few ulps
-        slack = _ROUND * (self._row_size[j] + self._p_max * abs(log_mu) + self._sum_size)
-        c_slack = _ROUND * self._c_max
         if floor > -math.inf:
             log_rho = _kernels.log_modular(base, c, floor, bufs[0], mass)[0]
-            if log_rho + slack + c_slack * abs(floor) <= 0.0:
+            if self.raised(j, log_rho, floor, log_mu) <= 0.0:
                 return _exp(floor), floor_slope
             hint = max(hint, _exp(floor))
 
@@ -255,7 +271,7 @@ class Modular:
             log_lam = math.log(lam)
             log_rho, d_lam, scale = _kernels.log_modular(
                 base, c, log_lam, bufs[0], mass)
-            v = _exp(log_rho + slack + c_slack * abs(log_lam))
+            v = _exp(self.raised(j, log_rho, log_lam, log_mu))
             if v <= 1.0:
                 feasible[:] = (lam, d_lam, log_rho, scale)
                 bufs.reverse()

@@ -3,10 +3,11 @@
 The modular of a sequence (f_j) is the sum over levels of the per-level
 infimum lam_j = inf{lam > 0 : rho_p(f_j / lam^{1/q(x)}) <= 1}, with the
 convention lam^{1/inf} = 1 (q = inf nodes are lambda-independent).  The norm
-is the gauge of that modular in the scale parameter mu.  Both are threshold
-solves (``_solve.solve_threshold``) on one ``lebesgue.Modular`` evaluator
-per (sequence, p, q), nested: an outer solve in mu around one lambda solve
-per level.
+is the gauge of that modular in the scale parameter mu.  Both work on one
+``lebesgue.Modular`` evaluator per (sequence, p, q): the modular is one
+threshold solve (``_solve.solve_threshold``) in lambda per level, and the
+norm is certified from one pass per level at each end of a bracket in mu,
+or solved by an outer threshold solve around the level solves.
 
 Every log rho_j is a log-sum-exp of functions affine in (u, v) =
 (log lam, log mu), so it is convex in (u, v) jointly and decreasing in
@@ -21,22 +22,36 @@ left side with 1, a scalar Newton solve in plain Python, is at most
 log(norm).  The next pass is taken at that crossing, on each level's line;
 such a point is on the level's infeasible side, so from the second pass on
 the predicted v rises monotonically.  Once its step is below a quarter of
-the inner solves' gap, the last lines seed the levels' tangents and the
-crossing seeds the outer hint.  The predictor runs only where every node
-has finite p and q (``Modular.plain``): q = inf mass, p = inf floors and
-p = q = inf caps are not affine in (u, v), and there the solve starts from
-the crude ``_norm_hint`` with no tangents.
+the inner solves' gap, the last lines seed the levels' tangents at the
+crossing.  The predictor runs only where every node has finite p and q
+(``Modular.plain``): q = inf mass, p = inf floors and p = q = inf caps are
+not affine in (u, v), and there the solve starts from the crude
+``_norm_hint`` with no tangents.
 
-Certified solve (decides the value).  Each inner evaluation also returns
-the partials of log rho_j, which give the implicit derivative
-d log lam_j / d log mu = -(d log rho_j / d log mu) / (d log rho_j / d log lam)
-at the solution.  Averaged over levels with weights lam_j, it is the slope
-of the outer map, so the outer solve is Newton too; and since log lam_j is
-convex in log mu, a tangent prediction starts each level solve on its
-infeasible side, a Newton step or two from the crossing.  From the
-predictor's seeds the outer solve closes in two evaluations of two passes
-per level.  Only the p = inf everywhere norm, evaluated by the essential
-supremum formula, has no derivative and is solved by the safeguard path.
+Certificate (decides the value).  A scale mu is feasible iff
+sum_j lam_j(mu) <= 1, and lam_j(mu) is at most any lam where
+rho_j(lam, mu) <= 1 (rho_j decreases in lam), and above any lam where
+rho_j(lam, mu) > 1.  So one point per level settles each end of a bracket:
+mu_hi is feasible when points lam'_j with rho_j(lam'_j, mu_hi) <= 1 sum to
+at most 1, and mu_lo is infeasible when points lam''_j with
+rho_j(lam''_j, mu_lo) > 1 sum to more than 1.  The ends sit a sixteenth of
+the gap log1p(rel_tol) either side of the predictor's crossing; each
+level's point is its line there, shifted by -1/2 log of the lines' sum, so
+the points sum to its square root: below 1 above the crossing, above 1
+below it.  rho_j is raised by its rounding bound, as in every threshold
+solve, and the returned value is mu_hi: two passes per level.  Where an end
+does not certify (an unconverged predictor, a non-finite value, a sum on
+the wrong side of 1), the norm falls back to a threshold solve over the
+per-level lam solves, from the predictor's crossing and tangents.  Each
+inner evaluation there returns the partials of log rho_j, which give the
+implicit derivative d log lam_j / d log mu = -(d log rho_j / d log mu) /
+(d log rho_j / d log lam) at the solution; averaged over levels with
+weights lam_j it is the slope of the outer map, so the outer solve is
+Newton too, and since log lam_j is convex in log mu, a tangent prediction
+starts each level solve on its infeasible side.  Evaluators the predictor
+declines solve the same way from the crude hint.  Only the p = inf
+everywhere norm, evaluated by the essential supremum formula, has no
+derivative and is solved by the safeguard path.
 """
 
 import math
@@ -46,9 +61,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._solve import solve_threshold
+from ._solve import _LOG_HUGE, _LOG_TINY, solve_threshold
 from .grid import Field, require_same_grid
-from .lebesgue import Modular, luxemburg_norm, _log_abs, _power_integral
+from .lebesgue import Modular, luxemburg_norm, _exp, _log_abs, _power_integral
 from .reports import CheckReport, graded_report
 
 NORM_REL_TOL = 1e-9
@@ -121,9 +136,11 @@ class _LevelSolver:
     monotone.
 
     ``norm`` runs in the two phases of the module docstring: on a plain
-    evaluator ``_predict`` seeds the tangents and the outer hint from lines
-    that lie below every log lam_j, then ``solve_threshold`` over ``scaled``
-    decides the value alone, as it does from the crude hint.
+    evaluator ``_predict`` seeds the tangents from lines that lie below
+    every log lam_j, and ``_certify`` brackets the norm from those lines
+    with one raised pass per live level at each end.  Where it declines,
+    or the predictor does, ``solve_threshold`` over ``scaled`` decides the
+    value, from the predictor's crossing or the crude hint.
     """
 
     def __init__(self, fs, p, q):
@@ -170,14 +187,54 @@ class _LevelSolver:
 
     def norm(self, hint, rel_tol=NORM_REL_TOL):
         """The mixed norm, solved from ``hint`` (see ``_norm_hint``); on a
-        plain evaluator the solve starts from the predictor's crossing."""
+        plain evaluator it is certified from the predictor's lines, or
+        solved from the predictor's crossing where that fails."""
         if self.evaluator.plain:
             log_hint = math.log(hint)
             log_mu = self._predict(log_hint)
-            # the crude hint is feasible: a crossing above it helps nothing
-            if log_mu is not None and log_mu < log_hint:
-                hint = math.exp(log_mu)
+            if log_mu is not None:
+                bracket = self._certify(log_mu, rel_tol)
+                if bracket is not None:
+                    return bracket[1][0]  # mu_hi
+                # the crude hint is feasible: a crossing above it helps nothing
+                if log_mu < log_hint:
+                    hint = math.exp(log_mu)
         return solve_threshold(self.scaled, hint, rel_tol=rel_tol)
+
+    def _certify(self, log_mu, rel_tol):
+        """The bracket ((mu_lo, points_lo), (mu_hi, points_hi)) of the norm
+        around the predictor's crossing ``log_mu``, from the lines it seeded
+        (the module docstring's certificate); None when an end does not
+        certify.  ``points`` lists (j, log lam_j) over the live levels: at
+        mu_hi each has raised log rho_j <= 0, at mu_lo > 0.
+        """
+        ev = self.evaluator
+        live = [j for j in range(self.levels) if ev._lam_dependent[j]]
+        offset = 0.0625 * math.log1p(rel_tol)
+        ends = []
+        for feasible, v in ((True, log_mu + offset), (False, log_mu - offset)):
+            if not _LOG_TINY < v < _LOG_HUGE:
+                return None
+            mu = math.exp(v)
+            v = math.log(mu)  # the point is the float mu
+            us = []
+            for j in live:
+                at, log_lam, slope = self._tangents[j]
+                us.append(log_lam + slope * (v - at))
+            total = sum(_exp(u) for u in us)
+            if not 0.0 < total < math.inf:
+                return None
+            shift = -0.5 * math.log(total)
+            us = [u + shift for u in us]
+            total = sum(_exp(u) for u in us)
+            if not (total <= 1.0 if feasible else total > 1.0):
+                return None
+            for j, u in zip(live, us):
+                raised = ev.raised_log_rho(j, u, v)
+                if not (raised <= 0.0 if feasible else raised > 0.0):
+                    return None
+            ends.append((mu, list(zip(live, us))))
+        return ends[1], ends[0]
 
     def _predict(self, log_mu):
         """Joint-Newton lower estimate of log(norm), starting at log mu =

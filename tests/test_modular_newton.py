@@ -7,7 +7,6 @@ natural-power evaluator ``_kernels.plain_modular``.
 """
 
 import math
-import statistics
 import sys
 
 import numpy as np
@@ -292,6 +291,11 @@ def test_outer_slope_matches_finite_difference():
     down = solver.scaled(mu * math.exp(-h))[0]
     assert slope == pytest.approx((math.log(up) - math.log(down)) / (2.0 * h), rel=1e-5)
     assert value <= 1.0
+    # the re-solved lam_j sum to at most 1 only within the inner tolerance;
+    # the certificate's level points, which bound them, do so by evaluation
+    _, (mu_hi, points) = _certify(fs, p, q)[2]
+    assert mu_hi == mu
+    assert sum(math.exp(u) for _, u in points) <= 1.0
 
 
 def test_tangent_hints_start_on_the_infeasible_side():
@@ -341,25 +345,27 @@ def _count_passes(monkeypatch):
     return passes
 
 
-def test_mixed_norm_solves_take_at_most_five_evaluations(monkeypatch):
-    # desk scale: 4096 nodes, 9 levels, log-smooth p, cos-bump q
-    grid = default_grid(1)
-    fs = band_limited_sequence(grid, 9, 64, 3)
+@pytest.mark.parametrize("grid, levels, band, per_level", [
+    (default_grid(1), 9, 64, 7), (Grid(2, 256, 16.0), 7, 20, 6)],
+    ids=["4096x9", "256^2x7"])
+def test_mixed_norms_certify_without_threshold_solves(grid, levels, band,
+                                                     per_level, monkeypatch):
+    # desk and plane scale, log-smooth p, cos-bump q: the certificate
+    # brackets the norm from the predictor's lines with one pass per level
+    # at each end, so no threshold solve runs, and the predictor's passes
+    # included, each level takes at most ``per_level`` passes
+    fs = band_limited_sequence(grid, levels, band, 3)
     p = log_smooth_exponent(grid, 2.0, 1.5)
     q = cos_bump_exponent(grid, 1.5, 1.0)
-    inner, outer = [], []
+    solves = []
     monkeypatch.setattr(lebesgue, "solve_threshold",
-                        _counting(_solve.solve_threshold, inner))
+                        _counting(_solve.solve_threshold, solves))
     monkeypatch.setattr(mixed, "solve_threshold",
-                        _counting(_solve.solve_threshold, outer))
+                        _counting(_solve.solve_threshold, solves))
     passes = _count_passes(monkeypatch)
     mixed_norm(fs, p, q)
-    assert len(inner) > fs.levels
-    assert statistics.median(inner + outer) <= 5
-    # from the predictor's seeds the outer solve closes in two evaluations,
-    # and the predictor's passes included, each level takes at most ten
-    assert outer == [2]
-    assert passes[0] <= 10 * fs.levels
+    assert solves == []
+    assert passes[0] <= per_level * fs.levels
 
 
 def _smooth_sequence(grid, log10_scale, seed, levels, zero_levels):
@@ -388,17 +394,44 @@ _Q_FAMILIES = [(constant_exponent, (1.5,)), (constant_exponent, (400.0,)),
                (cos_bump_exponent, (1.5, 1.0)), (cos_bump_exponent, (1.5, 398.5))]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([GRID, GRID2]),
-       st.sampled_from([-300.0, 300.0]) | st.floats(-300.0, 300.0), seeds,
-       st.integers(1, 4), st.sets(st.integers(0, 3), max_size=2),
-       st.sampled_from(_P_FAMILIES), st.sampled_from(_Q_FAMILIES))
-def test_predictor_stays_below_the_certified_solve(grid, log10_scale, seed, levels,
-                                                   zero_levels, p_family, q_family):
+_SEQUENCE_CASES = st.tuples(
+    st.sampled_from([GRID, GRID2]),
+    st.sampled_from([-300.0, 300.0]) | st.floats(-300.0, 300.0), seeds,
+    st.integers(1, 4), st.sets(st.integers(0, 3), max_size=2),
+    st.sampled_from(_P_FAMILIES), st.sampled_from(_Q_FAMILIES))
+
+
+def _sequence_case(grid, log10_scale, seed, levels, zero_levels, p_family,
+                   q_family):
+    """(fs, p, q, zero levels) for one draw of ``_SEQUENCE_CASES``: 1-D
+    and 2-D, p down to 1.0001, q up to 400, magnitudes 1e+-300, zero levels."""
     zero_levels = zero_levels & set(range(levels - 1))  # the last is nonzero
     fs = _smooth_sequence(grid, log10_scale, seed, levels, zero_levels)
-    p = p_family[0](grid, *p_family[1])
-    q = q_family[0](grid, *q_family[1])
+    return (fs, p_family[0](grid, *p_family[1]), q_family[0](grid, *q_family[1]),
+            zero_levels)
+
+
+def _certify(fs, p, q):
+    """(solver, crossing, bracket): the predictor and the certificate run as
+    ``mixed_norm`` runs them; the bracket is None where it declines."""
+    solver = _LevelSolver(fs, p, q)
+    log_hint = math.log(mixed._norm_hint(fs, fs.max_abs()))
+    crossing = solver._predict(log_hint)
+    assert crossing < log_hint
+    return solver, crossing, solver._certify(crossing, mixed.NORM_REL_TOL)
+
+
+def _assert_fallback(solver, crossing, fs, p, q):
+    """The norm is the threshold solve from the predictor's crossing and
+    seeds, bit for bit."""
+    want = _solve.solve_threshold(solver.scaled, math.exp(crossing))
+    assert _bits(mixed_norm(fs, p, q)) == _bits(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEQUENCE_CASES)
+def test_predictor_stays_below_the_certified_solve(case):
+    fs, p, q, zero_levels = _sequence_case(*case)
     solver = _LevelSolver(fs, p, q)
     assert solver.evaluator.plain
     log_mu = solver._predict(math.log(mixed._norm_hint(fs, fs.max_abs())))
@@ -419,6 +452,46 @@ def test_predictor_stays_below_the_certified_solve(grid, log10_scale, seed, leve
             lam = ev.solve(j, log_mu + step)[0]
             certified = math.log(lam) if lam > 0.0 else _solve._LOG_TINY
             assert log_lam + slope * step <= certified + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEQUENCE_CASES)
+def test_certificate_brackets_the_norm(case):
+    # every level point is checked with the natural-power evaluator: at
+    # mu_hi each is feasible, so lam_j(mu_hi) is at most it, and the points
+    # sum to at most 1; at mu_lo each is infeasible and they sum above 1
+    fs, p, q, zero_levels = _sequence_case(*case)
+    solver, crossing, bracket = _certify(fs, p, q)
+    if bracket is None:
+        # with q across 1.5..400, a level far below the others in lam can
+        # keep an unconverged line when the crossing has converged: its
+        # point at mu_hi is infeasible, and the norm takes the fallback
+        _assert_fallback(solver, crossing, fs, p, q)
+        return
+    (mu_lo, lo), (mu_hi, hi) = bracket
+    assert mu_hi / mu_lo - 1.0 <= mixed.NORM_REL_TOL
+    assert _bits(mixed_norm(fs, p, q)) == _bits(mu_hi)
+    live = [j for j in range(fs.levels) if j not in zero_levels]
+    assert [j for j, _ in lo] == [j for j, _ in hi] == live
+    assert sum(math.exp(u) for _, u in lo) > 1.0 >= sum(math.exp(u) for _, u in hi)
+    rq = 1.0 / q.values
+    for mu, points, feasible in ((mu_lo, lo, False), (mu_hi, hi, True)):
+        for j, u in points:
+            # |f_j| / (mu lam^{1/q}) in logs: 1e+-300 samples stay in range
+            t = np.exp(_log_abs(fs[j]) - math.log(mu) - u * rq)
+            assert (_plain(t, p.values, fs.grid.cell) <= 1.0) == feasible, (j, mu)
+
+
+def test_certificate_declines_after_an_unconverged_predictor(monkeypatch):
+    # one predictor pass leaves the crossing well below the norm: the
+    # feasible end does not certify, and the norm is the threshold solve
+    # from that crossing
+    monkeypatch.setattr(mixed, "_PREDICTOR_PASSES", 1)
+    fs = band_limited_sequence(default_grid(1), 9, 64, 3)
+    p, q = _exponents(fs.grid, "finite")
+    solver, crossing, bracket = _certify(fs, p, q)
+    assert bracket is None
+    _assert_fallback(solver, crossing, fs, p, q)
 
 
 # ---------------------------------------------------------------------------
