@@ -3,9 +3,9 @@
 ``log_modular`` is the pass behind every threshold solve (through
 ``lebesgue.Modular``) and behind ``scaled_modular``.  It returns log rho,
 its slope in log lam (the Newton slope of every evaluation) and the scale
-of the terms it leaves in its buffer; any other slope, such as the one in
-log mu, is a weighted sum of those terms that the caller takes only where
-it needs it.  ``scaled_modular``, ``plain_modular`` and ``esssup_modular``
+of the terms it leaves in its buffer; the slope in log mu, which only the
+mixed norm's predictor reads (``lebesgue.Modular.partials``), is a
+weighted sum of those terms that the caller takes from them.  ``scaled_modular``, ``plain_modular`` and ``esssup_modular``
 evaluate one modular on flat float64 arrays; the tests referee them against
 ``lebesgue.omega`` applied node by node.
 
@@ -55,8 +55,8 @@ def log_modular(base, c, log_lam, buf, mass=0.0):
     returns (log rho, d log rho / d log lam, scale).  On return ``buf``
     holds the terms w / exp(shift) and ``scale`` = exp(shift) / rho is the
     share of rho per unit of ``buf``, so any other weighted sum of the terms
-    over rho, such as the slope in log mu that ``lebesgue.Modular`` takes at
-    a solve's returned point, is sum(weight * buf) * scale.  When every term
+    over rho, such as the slope in log mu that ``lebesgue.Modular.partials``
+    takes, is sum(weight * buf) * scale.  When every term
     is zero, the slope is 0.0, ``scale`` is nan and ``buf`` holds no terms.
 
     ``buf`` is scratch of the nodes' length and is overwritten; only

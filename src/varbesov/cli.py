@@ -92,6 +92,12 @@ def _expect(cond, path, message):
         raise ConfigError(f"{path}: {message}")
 
 
+def _is_number(x):
+    """A JSON number that is not NaN (bool is not a number here)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and not math.isnan(x))
+
+
 def validate_config(raw):
     """Normalize and validate a configuration document."""
     _expect(isinstance(raw, dict), "config", "must be a JSON object")
@@ -108,7 +114,9 @@ def validate_config(raw):
     n = g["points_per_axis"]
     _expect(isinstance(n, int) and n >= 2 and (n & (n - 1)) == 0,
             "grid.points_per_axis", "must be a power of two")
-    _expect(g["half_width"] > 0, "grid.half_width", "must be positive")
+    hw = g["half_width"]
+    _expect(_is_number(hw) and math.isfinite(hw) and hw > 0, "grid.half_width",
+            "must be a finite positive number")
 
     for key in ("levels", "seed", "trials"):
         if key in raw:
@@ -142,19 +150,30 @@ def validate_config(raw):
             fam = spec.get("family", cfg["exponents"][role]["family"])
             _expect(fam in FAMILIES, f"exponents.{role}.family",
                     f"unknown family {fam!r} (known: {', '.join(sorted(FAMILIES))})")
-            cfg["exponents"][role] = {
-                "family": fam,
-                "params": dict(spec.get("params", cfg["exponents"][role]["params"])),
-            }
+            params = spec.get("params", cfg["exponents"][role]["params"])
+            _expect(isinstance(params, dict), f"exponents.{role}.params",
+                    "must be an object")
+            for k, v in params.items():
+                _expect(_is_number(v), f"exponents.{role}.params.{k}",
+                        "must be a number")
+            cfg["exponents"][role] = {"family": fam, "params": dict(params)}
     return cfg
 
 
 def _build_exponent(cfg, grid, role):
+    """The exponent field of ``role``; integrability exponents (every role
+    but the smoothness s) must take values in [1, inf], s finite values."""
     spec = cfg["exponents"][role]
     try:
-        return exponent_from_family(grid, spec["family"], spec["params"])
-    except KeyError as exc:
+        e = exponent_from_family(grid, spec["family"], spec["params"])
+    except (KeyError, ValueError) as exc:  # ValueError: NaN values
         raise ConfigError(f"exponents.{role}: {exc.args[0]}") from exc
+    if role == "s":
+        _expect(e.is_finite_valued(), "exponents.s", "must be finite")
+    else:
+        _expect(e.p_minus >= 1.0, f"exponents.{role}",
+                "must take values in [1, inf]")
+    return e
 
 
 def _tol(cfg, name, default):
@@ -360,9 +379,11 @@ _COMMUTATOR_SWEEPS = (
 
 
 def _suite_commutator(cfg, grid, records, curves):
-    base = {role: (cfg["exponents"][role]["family"],
-                   cfg["exponents"][role]["params"])
-            for role in ("p1", "p2", "q", "s")}
+    base = {}
+    for role in ("p1", "p2", "q", "s"):
+        _build_exponent(cfg, grid, role)  # the sweep rebuilds it per trial
+        base[role] = (cfg["exponents"][role]["family"],
+                      cfg["exponents"][role]["params"])
     band = _suite_band(cfg, grid)
     for theorem, roles, offset in _COMMUTATOR_SWEEPS:
         sweep = SweepConfig(dim=grid.dim, points_per_axis=grid.points_per_axis,

@@ -27,7 +27,6 @@ from .reports import CheckReport
 logger = logging.getLogger(__name__)
 
 BETA_FLOOR = 1e-10
-BETA_REL_TOL = 1e-10
 
 
 def pairing(fs, gs):
@@ -59,8 +58,8 @@ def extremal_witness(fs, p, q):
 
     grid = fs.grid
     # the beta_j are the level infima at mu = K: solve them on the same
-    # evaluator, warm-started from its tangents (the predictor's, at its
-    # crossing just below K, unless the norm fell back to an outer solve)
+    # evaluator, each from its level's line, which the predictor left at its
+    # crossing just below K (from 1 where the predictor declined)
     solver = _LevelSolver(fs, p, q)
     k_norm = solver.norm(_norm_hint(fs, m))
     log_k = math.log(k_norm)
@@ -73,7 +72,7 @@ def extremal_witness(fs, p, q):
             betas.append(0.0)
             hs.append(Field(grid, np.zeros(grid.shape)))
             continue
-        beta = solver.inner(j, log_k, rel_tol=BETA_REL_TOL)[0]
+        beta = solver.inner(j, log_k)
         if not beta > BETA_FLOOR:
             logger.warning("dropping level %d: beta=%.3e below floor", j, beta)
             betas.append(0.0)

@@ -101,14 +101,10 @@ class Modular:
     precomputes a (one row per level, built in place from log|f_j|) and c;
     a node class is gathered only when it holds some but not all nodes, so
     the common all-finite case gathers nothing.  ``solve`` then inverts in
-    lam, where each evaluation is one pass over a preallocated buffer
-    returning log rho and its slope in log lam.
-
-    Two term buffers take turns: each evaluation on the feasible side
-    keeps its terms and hands the other buffer to the next evaluation, so
-    when the solve returns, the terms at the returned lam are still there.
-    The slope in log mu, which only the returned lam needs, is taken from
-    them once.
+    lam by Newton in log lam, where each evaluation is one pass over a
+    preallocated buffer returning log rho and its slope in log lam.  The
+    slope in log mu is taken only by ``partials``, for the mixed norm's
+    predictor.
 
     The other nodes enter in closed form: q = inf nodes with finite p carry
     a lam-independent mass; p = inf nodes put a floor on log lam at
@@ -176,7 +172,6 @@ class Modular:
         self._sum_size = math.log2(max(self.p.size, 1))
         self._base = np.empty_like(self.p)
         self._buf = np.empty_like(self.p)
-        self._spare = np.empty_like(self.p)
 
     def _plain_pass(self, j, log_lam, log_mu):
         """One ``log_modular`` pass of level j at (log lam, log mu) through
@@ -215,29 +210,26 @@ class Modular:
         return log_rho + slack + _ROUND * self._c_max * abs(log_lam)
 
     def solve(self, j, log_mu=0.0, hint=1.0, rel_tol=NORM_REL_TOL):
-        """(lam, d log lam / d log mu) for lam = inf{lam > 0 : rho_j(lam, mu)
-        <= 1} at mu = exp(log_mu).
+        """lam = inf{lam > 0 : rho_j(lam, mu) <= 1} at mu = exp(log_mu).
 
         lam is 0 for a zero level and inf when the lam-independent part
-        alone exceeds the unit ball; the derivative is nan where it is
-        undefined.  A finite lam is a point evaluated on the feasible side,
-        within rel_tol of one evaluated on the infeasible side.
+        alone exceeds the unit ball.  A finite lam is a point evaluated on
+        the feasible side, within rel_tol of one evaluated on the infeasible
+        side.
         """
         if self._cap_log[j] > log_mu:
-            return math.inf, math.nan
+            return math.inf
         with np.errstate(over="ignore"):
             return self._solve(j, log_mu, hint, rel_tol)
 
     def _solve(self, j, log_mu, hint, rel_tol):
-        mass = pmass = 0.0
+        mass = 0.0
         if self._p_ind.size:
-            w = np.exp(self._rows_ind[j] - self._p_ind * log_mu)
-            mass = float(w.sum())
-            pmass = float(np.dot(self._p_ind, w))
+            mass = float(np.exp(self._rows_ind[j] - self._p_ind * log_mu).sum())
         if mass > 1.0 or (mass == 1.0 and self._lam_dependent[j]):
-            return math.inf, math.nan
+            return math.inf
 
-        floor, floor_slope = -math.inf, 0.0
+        floor = -math.inf
         floor_log = self._floor_log[j]
         if floor_log.size:
             lf = (floor_log - log_mu) * self._floor_q
@@ -247,44 +239,26 @@ class Modular:
                 # a few ulps up, so that |f| <= mu lam^{1/q} holds as computed
                 floor = float(lf[k]) + 4.0 * _ROUND * qk * (
                     1.0 + abs(float(floor_log[k])) + abs(log_mu))
-                floor_slope = -qk
         if not self._lam_dependent[j]:
-            return (_exp(floor), floor_slope) if floor > -math.inf else (0.0, 0.0)
+            return _exp(floor) if floor > -math.inf else 0.0
 
         base = self.rows[j]
         if log_mu != 0.0:
             base = np.multiply(self.p, -log_mu, out=self._base)
             base += self.rows[j]
-        c = self.c
-        # [scratch, terms at the last feasible point]: swapped on each
-        # feasible evaluation
-        bufs = [self._buf, self._spare]
+        c, buf = self.c, self._buf
         if floor > -math.inf:
-            log_rho = _kernels.log_modular(base, c, floor, bufs[0], mass)[0]
+            log_rho = _kernels.log_modular(base, c, floor, buf, mass)[0]
             if self.raised(j, log_rho, floor, log_mu) <= 0.0:
-                return _exp(floor), floor_slope
+                return _exp(floor)
             hint = max(hint, _exp(floor))
-
-        feasible = [math.nan] * 4  # lam, d log rho / d log lam, log rho, scale
 
         def fn(lam):
             log_lam = math.log(lam)
-            log_rho, d_lam, scale = _kernels.log_modular(
-                base, c, log_lam, bufs[0], mass)
-            v = _exp(self.raised(j, log_rho, log_lam, log_mu))
-            if v <= 1.0:
-                feasible[:] = (lam, d_lam, log_rho, scale)
-                bufs.reverse()
-            return v, d_lam
+            log_rho, d_lam, _ = _kernels.log_modular(base, c, log_lam, buf, mass)
+            return _exp(self.raised(j, log_rho, log_lam, log_mu)), d_lam
 
-        lam = solve_threshold(fn, hint, rel_tol=rel_tol)
-        if lam == feasible[0] and feasible[1] < 0.0:
-            _, d_lam, log_rho, scale = feasible
-            d_mu = -float(np.dot(self.p, bufs[1])) * scale
-            if pmass > 0.0:
-                d_mu -= math.exp(math.log(pmass) - log_rho)
-            return lam, -d_mu / d_lam
-        return lam, math.nan
+        return solve_threshold(fn, hint, rel_tol=rel_tol)
 
 
 def luxemburg_norm(f, p, rel_tol=NORM_REL_TOL):
@@ -301,7 +275,7 @@ def luxemburg_norm(f, p, rel_tol=NORM_REL_TOL):
     # an overflowing hint would restart the solve at 1.0, out of reach of
     # norms near the top of the float range
     hint = min(m * max(1.0, f.grid.box_measure), sys.float_info.max)
-    return Modular((f,), p).solve(0, hint=hint, rel_tol=rel_tol)[0]
+    return Modular((f,), p).solve(0, hint=hint, rel_tol=rel_tol)
 
 
 def _power_integral(f, p0):

@@ -41,17 +41,15 @@ the points sum to its square root: below 1 above the crossing, above 1
 below it.  rho_j is raised by its rounding bound, as in every threshold
 solve, and the returned value is mu_hi: two passes per level.  Where an end
 does not certify (an unconverged predictor, a non-finite value, a sum on
-the wrong side of 1), the norm falls back to a threshold solve over the
-per-level lam solves, from the predictor's crossing and tangents.  Each
-inner evaluation there returns the partials of log rho_j, which give the
-implicit derivative d log lam_j / d log mu = -(d log rho_j / d log mu) /
-(d log rho_j / d log lam) at the solution; averaged over levels with
-weights lam_j it is the slope of the outer map, so the outer solve is
-Newton too, and since log lam_j is convex in log mu, a tangent prediction
-starts each level solve on its infeasible side.  Evaluators the predictor
-declines solve the same way from the crude hint.  Only the p = inf
-everywhere norm, evaluated by the essential supremum formula, has no
-derivative and is solved by the safeguard path.
+the wrong side of 1), the norm falls back to a plain nested solve: a
+threshold solve in mu over the level sum ``_LevelSolver.modular``, whose
+level solves start from the predictor's lines (log lam_j is convex in
+log mu, so a line sits on the level's infeasible side, where Newton is
+monotone), started from the predictor's crossing.  The level sum carries
+no slope, so the outer solve takes the safeguard path.  Evaluators the
+predictor declines solve the same way from the crude hint, each level
+solve from lam = 1.  The p = inf everywhere norm, evaluated by the
+essential supremum formula, is a safeguard solve from the crude hint too.
 """
 
 import math
@@ -126,21 +124,16 @@ def sequence_from_values(grid, arrays):
 
 
 class _LevelSolver:
-    """Per-level lambda solves on one Modular, warm-started along tangents.
-
-    Solving level j at log mu_0 also gives s_j = d log lam_j / d log mu
-    (implicitly, from the partials of log rho_j at the solution).  A later
-    solve at log mu starts from the tangent prediction
-    log lam_j(mu_0) + s_j (log mu - log mu_0); log lam_j is convex in
-    log mu, so the prediction sits on the infeasible side, where Newton is
-    monotone.
+    """Per-level lambda solves on one Modular, and the mixed norm over them.
 
     ``norm`` runs in the two phases of the module docstring: on a plain
-    evaluator ``_predict`` seeds the tangents from lines that lie below
-    every log lam_j, and ``_certify`` brackets the norm from those lines
-    with one raised pass per live level at each end.  Where it declines,
-    or the predictor does, ``solve_threshold`` over ``scaled`` decides the
-    value, from the predictor's crossing or the crude hint.
+    evaluator ``_predict`` seeds one line per live level, below its
+    log lam_j, and ``_certify`` brackets the norm from those lines with one
+    raised pass per live level at each end.  Where it declines, or the
+    predictor does, ``solve_threshold`` over ``modular`` decides the value,
+    from the predictor's crossing or the crude hint.  The predictor's lines
+    are the only tangents: ``_predict`` alone writes them, and a level solve
+    starts from its level's line where there is one.
     """
 
     def __init__(self, fs, p, q):
@@ -148,42 +141,24 @@ class _LevelSolver:
         self.levels = fs.levels
         self._tangents = [None] * fs.levels  # (log mu, log lam, slope)
 
-    def inner(self, j, log_mu=0.0, rel_tol=INNER_REL_TOL):
-        """(lam_j, d log lam_j / d log mu) at mu = exp(log_mu)."""
+    def inner(self, j, log_mu):
+        """lam_j at mu = exp(log_mu), solved from its level's line or from 1."""
         tangent = self._tangents[j]
         hint = 1.0
         if tangent is not None:
             mu0, lam0, slope = tangent
             hint = math.exp(min(max(lam0 + slope * (log_mu - mu0), -700.0), 700.0))
-        lam, slope = self.evaluator.solve(j, log_mu, hint, rel_tol)
-        if 0.0 < lam < math.inf and math.isfinite(slope):
-            self._tangents[j] = (log_mu, math.log(lam), slope)
-        return lam, slope
+        return self.evaluator.solve(j, log_mu, hint, INNER_REL_TOL)
 
     def modular(self, log_mu=0.0):
-        """Sum over levels of lam_j at mu = exp(log_mu)."""
+        """Sum over levels of lam_j at mu = exp(log_mu): the norm's
+        threshold map, in log mu."""
         total = 0.0
         for j in range(self.levels):
-            total += self.inner(j, log_mu)[0]
+            total += self.inner(j, log_mu)
             if math.isinf(total):
                 return math.inf
         return total
-
-    def scaled(self, mu):
-        """The norm's threshold map: (sum_j lam_j, d log sum / d log mu) at
-        mu, or inf (without a derivative) once a level is infeasible."""
-        log_mu = math.log(mu)
-        total = slope = 0.0
-        for j in range(self.levels):
-            lam, s = self.inner(j, log_mu)
-            if math.isinf(lam):
-                return math.inf
-            if lam > 0.0:
-                total += lam
-                slope += lam * s
-        if not 0.0 < total < math.inf:
-            return total
-        return total, slope / total
 
     def norm(self, hint, rel_tol=NORM_REL_TOL):
         """The mixed norm, solved from ``hint`` (see ``_norm_hint``); on a
@@ -199,7 +174,8 @@ class _LevelSolver:
                 # the crude hint is feasible: a crossing above it helps nothing
                 if log_mu < log_hint:
                     hint = math.exp(log_mu)
-        return solve_threshold(self.scaled, hint, rel_tol=rel_tol)
+        return solve_threshold(lambda mu: self.modular(math.log(mu)), hint,
+                               rel_tol=rel_tol)
 
     def _certify(self, log_mu, rel_tol):
         """The bracket ((mu_lo, points_lo), (mu_hi, points_hi)) of the norm
@@ -285,13 +261,13 @@ def _crossing(lines):
     return t
 
 
-def inner_lambda(f, p, q, hint=1.0, rel_tol=INNER_REL_TOL):
+def inner_lambda(f, p, q):
     """Per-term infimum inf{lam > 0 : rho_p(f / lam^{1/q(x)}) <= 1}.
 
     Returns 0 for f = 0 and inf when no lambda satisfies the constraint
     (possible only through lambda-independent q = inf mass).
     """
-    return Modular((f,), p, q).solve(0, 0.0, hint, rel_tol)[0]
+    return Modular((f,), p, q).solve(0, rel_tol=INNER_REL_TOL)
 
 
 def _esssup_levels(fs, q):

@@ -279,6 +279,39 @@ class TestMain:
         assert code == 2
         assert "suites.bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, field", [
+        ({"grid": {"half_width": "a"}}, "grid.half_width"),
+        ({"grid": {"half_width": True}}, "grid.half_width"),
+        ({"grid": {"half_width": float("inf")}}, "grid.half_width"),
+        ({"exponents": {"p": {"family": "constant", "params": {"value": "abc"}}}},
+         "exponents.p.params.value"),
+        ({"exponents": {"q": {"family": "cos_bump",
+                              "params": {"a": 1.5, "b": float("nan")}}}},
+         "exponents.q.params.b"),
+        ({"exponents": {"p": {"family": "constant", "params": {"value": 0.5}}},
+          "suites": ["lebesgue", "mixed"]}, "exponents.p"),
+        ({"exponents": {"q": {"family": "two_level", "params": {
+            "inner": 2.0, "outer": 0.9, "radius": 4.0}}},
+          "suites": ["mixed"]}, "exponents.q"),
+        ({"exponents": {"p1": {"family": "constant", "params": {"value": 0.5}}},
+          "suites": ["commutator"]}, "exponents.p1"),
+        ({"exponents": {"p2": {"family": "constant", "params": {"value": 0.0}}},
+          "suites": ["commutator"]}, "exponents.p2"),
+        ({"exponents": {"s": {"family": "constant",
+                              "params": {"value": float("inf")}}},
+          "suites": ["littlewood_paley"]}, "exponents.s"),
+    ], ids=["half_width_str", "half_width_bool", "half_width_inf", "param_str",
+            "param_nan", "p_below_one", "q_below_one", "p1_below_one",
+            "p2_zero", "s_infinite"])
+    def test_exit_two_on_malformed_values(self, tmp_path, capsys, config, field):
+        # malformed values are configuration errors (exit 2), not failed
+        # checks (exit 1); the message names the field
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL, **config}))
+        assert main(["--config", str(cfg_path), "--out",
+                     str(tmp_path / "r.json")]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+
     def test_exit_two_on_unparsable_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")

@@ -199,6 +199,97 @@ class TestIndependentOracle:
         got = mixed_norm(fs, ExponentField(g, p_vals), ExponentField(g, q_vals))
         assert got == pytest.approx(oracle, rel=1e-7)
 
+    @pytest.mark.parametrize("case", ["q_inf_band", "p_inf_band", "wide_q"])
+    def test_fallback_against_brentq_nesting(self, case):
+        # inputs where the norm is not certified: q = inf and p = inf bands
+        # are not affine in (log lam, log mu), so the predictor declines, and
+        # on this draw with q across 1.5..400 the certificate declines; each
+        # norm is the plain nested threshold solve
+        from varbesov.exponents import ExponentField
+
+        g = Grid(1, 256, 8.0)
+        r = g.min_image_radius()
+        p = log_smooth_exponent(g, 2.0, 1.0)
+        q = cos_bump_exponent(g, 1.5, 1.0)
+        fs = band_limited_sequence(g, 3, 40, 1313)
+        if case == "q_inf_band":
+            q = ExponentField(g, np.where(r < 0.4 * g.half_width, np.inf, q.values))
+        elif case == "p_inf_band":
+            band = r > 0.75 * g.half_width
+            p = ExponentField(g, np.where(band, np.inf, p.values))
+            # a plateau on the band, whose floor sets lam_0 at the norm
+            fs = FieldSequence((Field(g, fs[0].values + 0.9 * band),) + fs.entries[1:])
+        else:
+            fs = band_limited_sequence(g, 2, 40, 0)
+            q = cos_bump_exponent(g, 1.5, 398.5)
+        solver = mixed._LevelSolver(fs, p, q)
+        if case == "wide_q":
+            crossing = solver._predict(math.log(mixed._norm_hint(fs, fs.max_abs())))
+            assert solver._certify(crossing, mixed.NORM_REL_TOL) is None
+        else:
+            assert not solver.evaluator.plain
+        got = mixed_norm(fs, p, q)
+        assert math.log(got) == pytest.approx(
+            _brentq_log_mixed_norm(fs, p.values, q.values), abs=1e-8)
+
+
+def _log_sum_exp(x):
+    top = np.max(x)
+    if top == -np.inf:
+        return -np.inf
+    return float(top + np.log(np.sum(np.exp(x - top))))
+
+
+def _bracketed_root(h, lo=-1.0, hi=1.0):
+    """The root of a decreasing h by brentq, after doubling [lo, hi] until
+    it brackets a sign change."""
+    from scipy.optimize import brentq
+
+    while h(lo) < 0.0:
+        lo *= 2.0
+    while h(hi) > 0.0:
+        hi *= 2.0
+    return brentq(h, lo, hi, xtol=1e-13, rtol=1e-15)
+
+
+def _brentq_log_mixed_norm(fs, pv, qv):
+    """log of the mixed norm by scipy brentq nesting on plain numpy
+    modulars, in (log lam, log mu): no code shared with the package solver.
+
+    Level j at u = log mu: q = inf nodes (finite p) carry the lam-free mass
+    sum (|f_j| e^-u)^p h^n, and p = inf nodes (finite q) the floor
+    log lam_j >= q (log|f_j| - u) in closed form; the finite nodes solve
+    log sum (|f_j| e^-u lam^{-1/q})^p h^n = log(1 - mass) in log lam.
+    """
+    pinf, qinf = np.isinf(pv), np.isinf(qv)
+    assert not np.any(pinf & qinf)
+    dep, ind = ~pinf & ~qinf, ~pinf & qinf
+    log_cell = math.log(fs.grid.cell)
+    with np.errstate(divide="ignore"):
+        logs = [np.log(np.abs(f.values)) for f in fs]
+
+    def log_lam(la, u):
+        mass = 0.0
+        if ind.any():
+            mass = math.exp(_log_sum_exp(pv[ind] * (la[ind] - u) + log_cell))
+        if mass >= 1.0:
+            return math.inf
+        floor = float(np.max(qv[pinf] * (la[pinf] - u), initial=-np.inf))
+        x = pv[dep] * (la[dep] - u) + log_cell
+        if not np.any(x > -np.inf):
+            return floor
+        c = pv[dep] / qv[dep]
+        v = _bracketed_root(lambda v: _log_sum_exp(x - c * v) - math.log1p(-mass))
+        return max(v, floor)
+
+    def log_modular(u):
+        log_lams = np.array([log_lam(la, u) for la in logs])
+        # an infeasible level reads as a large finite value: brentq keeps a
+        # sign-change bracket all the same
+        return 1e3 if np.any(log_lams == np.inf) else _log_sum_exp(log_lams)
+
+    return _bracketed_root(log_modular)
+
 
 class TestMonotoneLimit:
     def test_full_masks_trivially_equal(self, grid, seq):

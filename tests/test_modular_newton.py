@@ -260,57 +260,16 @@ def test_p_infinity_floor_nodes(seed, log_sup, p0, q0):
         _assert_bracket(lambda x: _plain(np.abs(vals) / x, pv), nrm)
 
 
-@settings(max_examples=15, deadline=None)
-@given(seeds, st.floats(-1.0, 1.0))
-def test_implicit_level_slope_matches_finite_difference(seed, log_mu):
-    grid = Grid(1, 512, 16.0)
-    fs = band_limited_sequence(grid, 3, 40, seed)
-    p = log_smooth_exponent(grid, 1.5, 1.5)
-    q = cos_bump_exponent(grid, 1.5, 1.0)
-    ev = Modular(fs, p, q)
-    h = 1e-4
-    for j in range(fs.levels):
-        lam, slope = ev.solve(j, log_mu, rel_tol=1e-12)
-        up = ev.solve(j, log_mu + h, hint=lam, rel_tol=1e-12)[0]
-        down = ev.solve(j, log_mu - h, hint=lam, rel_tol=1e-12)[0]
-        fd = (math.log(up) - math.log(down)) / (2.0 * h)
-        assert slope == pytest.approx(fd, rel=1e-5)
-        assert slope < 0.0
-
-
-def test_outer_slope_matches_finite_difference():
+def test_certified_norm_is_the_feasible_end():
+    # the certificate's level points at mu_hi bound the lam_j there and sum
+    # to at most 1 by evaluation, and mu_hi is the returned norm
     grid = Grid(1, 512, 16.0)
     fs = band_limited_sequence(grid, 4, 40, 5)
     p = log_smooth_exponent(grid, 2.0, 1.0)
     q = cos_bump_exponent(grid, 1.5, 1.0)
-    solver = _LevelSolver(fs, p, q)
-    mu = mixed_norm(fs, p, q)
-    value, slope = solver.scaled(mu)
-    h = 1e-4
-    up = solver.scaled(mu * math.exp(h))[0]
-    down = solver.scaled(mu * math.exp(-h))[0]
-    assert slope == pytest.approx((math.log(up) - math.log(down)) / (2.0 * h), rel=1e-5)
-    assert value <= 1.0
-    # the re-solved lam_j sum to at most 1 only within the inner tolerance;
-    # the certificate's level points, which bound them, do so by evaluation
     _, (mu_hi, points) = _certify(fs, p, q)[2]
-    assert mu_hi == mu
+    assert mu_hi == mixed_norm(fs, p, q)
     assert sum(math.exp(u) for _, u in points) <= 1.0
-
-
-def test_tangent_hints_start_on_the_infeasible_side():
-    # log lam_j is convex in log mu, so the tangent prediction undershoots
-    grid = Grid(1, 512, 16.0)
-    fs = band_limited_sequence(grid, 4, 40, 9)
-    p = log_smooth_exponent(grid, 2.0, 1.0)
-    q = cos_bump_exponent(grid, 1.5, 1.0)
-    solver = _LevelSolver(fs, p, q)
-    for j in range(fs.levels):
-        lam0, slope = solver.inner(j, 0.0)
-        for step in (-0.5, -0.05, 0.05, 0.5):
-            lam1 = solver.evaluator.solve(j, step, hint=1.0)[0]
-            predicted = math.log(lam0) + slope * step
-            assert predicted <= math.log(lam1) + 1e-9
 
 
 def _counting(solve, counts):
@@ -424,7 +383,8 @@ def _certify(fs, p, q):
 def _assert_fallback(solver, crossing, fs, p, q):
     """The norm is the threshold solve from the predictor's crossing and
     seeds, bit for bit."""
-    want = _solve.solve_threshold(solver.scaled, math.exp(crossing))
+    want = _solve.solve_threshold(lambda mu: solver.modular(math.log(mu)),
+                                  math.exp(crossing))
     assert _bits(mixed_norm(fs, p, q)) == _bits(want)
 
 
@@ -449,7 +409,7 @@ def test_predictor_stays_below_the_certified_solve(case):
         at, log_lam, slope = tangent
         assert at == log_mu
         for step in (0.0, -0.5, 0.5):
-            lam = ev.solve(j, log_mu + step)[0]
+            lam = ev.solve(j, log_mu + step)
             certified = math.log(lam) if lam > 0.0 else _solve._LOG_TINY
             assert log_lam + slope * step <= certified + 1e-9
 
@@ -495,12 +455,11 @@ def test_certificate_declines_after_an_unconverged_predictor(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the evaluator against a reference copy of its masked, three-output form
+# the evaluator against a reference copy of its masked form
 # ---------------------------------------------------------------------------
 
-def _reference_log_modular(base, c, log_lam, buf, p=None, mass=0.0, pmass=0.0):
-    """The evaluator pass that takes the slope in log mu at every point:
-    (log rho, d log rho / d log lam, d log rho / d log mu)."""
+def _reference_log_modular(base, c, log_lam, buf, mass=0.0):
+    """The evaluator pass: (log rho, d log rho / d log lam)."""
     np.multiply(c, -log_lam, out=buf)
     buf += base
     np.exp(buf, out=buf)
@@ -511,8 +470,7 @@ def _reference_log_modular(base, c, log_lam, buf, p=None, mass=0.0, pmass=0.0):
         buf += base
         shift = float(buf.max()) if buf.size else -math.inf
         if shift == -math.inf:
-            log_rho = math.log(mass) if mass > 0.0 else -math.inf
-            return log_rho, 0.0, (-pmass / mass if mass > 0.0 else math.nan)
+            return (math.log(mass) if mass > 0.0 else -math.inf), 0.0
         buf -= shift
         np.exp(buf, out=buf)
         s = float(buf.sum())
@@ -520,18 +478,12 @@ def _reference_log_modular(base, c, log_lam, buf, p=None, mass=0.0, pmass=0.0):
     if mass > 0.0:
         log_rho = float(np.logaddexp(math.log(mass), log_rho))
     scale = math.exp(shift - log_rho)
-    d_lam = -float(np.dot(c, buf)) * scale
-    if p is None:
-        return log_rho, d_lam, math.nan
-    d_mu = -float(np.dot(p, buf)) * scale
-    if pmass > 0.0:
-        d_mu -= math.exp(math.log(pmass) - log_rho)
-    return log_rho, d_lam, d_mu
+    return log_rho, -float(np.dot(c, buf)) * scale
 
 
 class _ReferenceModular(Modular):
     """``Modular`` built through a boolean gather of every node class and
-    solved with the three-output pass at every evaluation."""
+    solved with its own copy of the evaluator pass."""
 
     def __init__(self, levels, p, q=None):
         pv = p.values.ravel()
@@ -570,14 +522,12 @@ class _ReferenceModular(Modular):
         self._buf = np.empty_like(self.p)
 
     def _solve(self, j, log_mu, hint, rel_tol):
-        mass = pmass = 0.0
+        mass = 0.0
         if self._p_ind.size:
-            w = np.exp(self._rows_ind[j] - self._p_ind * log_mu)
-            mass = float(w.sum())
-            pmass = float(np.dot(self._p_ind, w))
+            mass = float(np.exp(self._rows_ind[j] - self._p_ind * log_mu).sum())
         if mass > 1.0 or (mass == 1.0 and self._lam_dependent[j]):
-            return math.inf, math.nan
-        floor, floor_slope = -math.inf, 0.0
+            return math.inf
+        floor = -math.inf
         floor_log = self._floor_log[j]
         if floor_log.size:
             lf = (floor_log - log_mu) * self._floor_q
@@ -586,37 +536,28 @@ class _ReferenceModular(Modular):
                 qk = float(self._floor_q[k])
                 floor = float(lf[k]) + 4.0 * lebesgue._ROUND * qk * (
                     1.0 + abs(float(floor_log[k])) + abs(log_mu))
-                floor_slope = -qk
         if not self._lam_dependent[j]:
-            return (lebesgue._exp(floor), floor_slope) if floor > -math.inf else (0.0, 0.0)
+            return lebesgue._exp(floor) if floor > -math.inf else 0.0
         base = self.rows[j]
         if log_mu != 0.0:
             base = np.multiply(self.p, -log_mu, out=self._base)
             base += self.rows[j]
-        p, c, buf = self.p, self.c, self._buf
+        c, buf = self.c, self._buf
         slack = lebesgue._ROUND * (
             self._row_size[j] + self._p_max * abs(log_mu) + self._sum_size)
         c_slack = lebesgue._ROUND * self._c_max
         if floor > -math.inf:
-            log_rho = _reference_log_modular(base, c, floor, buf, None, mass)[0]
+            log_rho = _reference_log_modular(base, c, floor, buf, mass)[0]
             if log_rho + slack + c_slack * abs(floor) <= 0.0:
-                return lebesgue._exp(floor), floor_slope
+                return lebesgue._exp(floor)
             hint = max(hint, lebesgue._exp(floor))
-        feasible = [math.nan, math.nan, math.nan]
 
         def fn(lam):
             log_lam = math.log(lam)
-            log_rho, d_lam, d_mu = _reference_log_modular(
-                base, c, log_lam, buf, p, mass, pmass)
-            v = lebesgue._exp(log_rho + slack + c_slack * abs(log_lam))
-            if v <= 1.0:
-                feasible[:] = (lam, d_lam, d_mu)
-            return v, d_lam
+            log_rho, d_lam = _reference_log_modular(base, c, log_lam, buf, mass)
+            return lebesgue._exp(log_rho + slack + c_slack * abs(log_lam)), d_lam
 
-        lam = _solve.solve_threshold(fn, hint, rel_tol=rel_tol)
-        if lam == feasible[0] and feasible[1] < 0.0:
-            return lam, -feasible[2] / feasible[1]
-        return lam, math.nan
+        return _solve.solve_threshold(fn, hint, rel_tol=rel_tol)
 
 
 def _bits(x):
@@ -691,9 +632,9 @@ def _solve_all(ev, ref, levels, log_mus, hints):
                 got = ev.solve(j, log_mu, hint)
                 want = ref.solve(j, log_mu, hint)
                 assert _bits(got) == _bits(want), (j, log_mu, hint, got, want)
-                if 0.0 < got[0] < math.inf:
-                    again = ev.solve(j, log_mu, got[0])
-                    assert _bits(again) == _bits(ref.solve(j, log_mu, got[0]))
+                if 0.0 < got < math.inf:
+                    again = ev.solve(j, log_mu, got)
+                    assert _bits(again) == _bits(ref.solve(j, log_mu, got))
 
 
 def _record_last_evaluations(monkeypatch):
@@ -749,28 +690,6 @@ def test_luxemburg_modular_matches_masked_reference_bitwise(kind, monkeypatch):
     _solve_all(ev, ref, 1, [0.0, -0.7, 1.3], [1.0, 1e-3, 1e6])
 
 
-def test_slope_is_taken_at_the_returned_point_after_an_infeasible_last_step(monkeypatch):
-    # from a hint at the returned lam, the first evaluation is feasible and
-    # the closing probe a tenth of the gap below it is not: the solve returns
-    # the earlier, feasible point, whose terms the evaluator must still hold
-    fs = _line_sequence()
-    p, q = _exponents(fs.grid, "finite")
-    ev, ref = Modular(fs, p, q), _ReferenceModular(fs, p, q)
-    last = _record_last_evaluations(monkeypatch)
-    checked = 0
-    for j in range(fs.levels):
-        for log_mu in (0.0, -0.7, 1.3):
-            lam = ev.solve(j, log_mu)[0]
-            if not 0.0 < lam < math.inf:
-                continue
-            got = ev.solve(j, log_mu, lam)
-            assert _bits(got) == _bits(ref.solve(j, log_mu, lam))
-            if last[-1] is False:
-                assert math.isfinite(got[1])
-                checked += 1
-    assert checked >= 10
-
-
 @pytest.mark.parametrize("kind", ["q_inf", "p_inf", "cap"])
 @pytest.mark.parametrize("scale", [1.0, 1e300])
 @pytest.mark.parametrize("make", [_line_sequence, _plane_blocks])
@@ -780,7 +699,8 @@ def test_declined_inputs_start_from_the_crude_hint(make, scale, kind):
     # threshold solve from the crude hint, bit for bit
     fs = make(scale)
     p, q = _exponents(fs.grid, kind)
-    assert not _LevelSolver(fs, p, q).evaluator.plain
-    want = _solve.solve_threshold(_LevelSolver(fs, p, q).scaled,
+    solver = _LevelSolver(fs, p, q)
+    assert not solver.evaluator.plain
+    want = _solve.solve_threshold(lambda mu: solver.modular(math.log(mu)),
                                   mixed._norm_hint(fs, fs.max_abs()))
     assert _bits(mixed_norm(fs, p, q)) == _bits(want)
