@@ -5,9 +5,12 @@
 its slope in log lam (the Newton slope of every evaluation) and the scale
 of the terms it leaves in its buffer; the slope in log mu, which only the
 mixed norm's predictor reads (``lebesgue.Modular.partials``), is a
-weighted sum of those terms that the caller takes from them.  ``scaled_modular``, ``plain_modular`` and ``esssup_modular``
-evaluate one modular on flat float64 arrays; the tests referee them against
-``lebesgue.omega`` applied node by node.
+weighted sum of those terms that the caller takes from them.
+``scaled_modular``, ``plain_modular`` and ``esssup_modular`` (the p = inf
+modular sup t^{q(x)}) evaluate one modular on flat float64 arrays, checked
+by the tests against ``lebesgue.omega`` node by node.  Only
+``plain_modular`` runs in the package (``lebesgue.modular``); the other two
+are the tests' referees.  ``perfbench/spans.py`` traces all three by name.
 
 The anchored-pair kernels ``log_holder_max`` and ``eta_shift_curve`` work
 on per-offset tables.  On a ``Grid`` the min-image distance between two

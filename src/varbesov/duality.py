@@ -17,12 +17,11 @@ import math
 
 import numpy as np
 
-from . import _kernels
 from .grid import Field, integrate, require_same_grid
-from .exponents import conjugate
-from .lebesgue import luxemburg_norm, _log_abs
+from .exponents import conjugate, constant_exponent
+from .lebesgue import luxemburg_norm
 from .mixed import FieldSequence, _LevelSolver, _norm_hint, mixed_norm
-from .reports import CheckReport
+from .reports import CheckReport, graded_report
 
 logger = logging.getLogger(__name__)
 
@@ -57,33 +56,33 @@ def extremal_witness(fs, p, q):
         raise ValueError("witness of the zero sequence is undefined")
 
     grid = fs.grid
-    # the beta_j are the level infima at mu = K: solve them on the same
-    # evaluator, each from its level's line, which the predictor left at its
-    # crossing just below K (from 1 where the predictor declined)
-    solver = _LevelSolver(fs, p, q)
-    k_norm = solver.norm(_norm_hint(fs, m))
-    log_k = math.log(k_norm)
+    k_norm, betas = _level_weights(fs, p, q, m)
     rq = 1.0 / q.values
-
-    betas = []
     hs = []
     for j, f in enumerate(fs):
-        if f.max_abs() == 0.0:
-            betas.append(0.0)
+        if f.max_abs() > 0.0 and not betas[j] > BETA_FLOOR:
+            logger.warning("dropping level %d: beta=%.3e below floor", j, betas[j])
+            betas[j] = 0.0
+        beta = betas[j]
+        if beta == 0.0:
             hs.append(Field(grid, np.zeros(grid.shape)))
             continue
-        beta = solver.inner(j, log_k)
-        if not beta > BETA_FLOOR:
-            logger.warning("dropping level %d: beta=%.3e below floor", j, beta)
-            betas.append(0.0)
-            hs.append(Field(grid, np.zeros(grid.shape)))
-            continue
-        betas.append(beta)
         af = np.abs(f.values)
         base = af / (k_norm * beta ** rq)
         h = beta ** (1.0 - rq) * base ** (p.values - 1.0)
         hs.append(Field(grid, h))
     return FieldSequence(tuple(hs)), k_norm, betas
+
+
+def _level_weights(fs, p, q, max_abs):
+    """(K, betas): the mixed norm K of ``fs`` (largest |f_j| ``max_abs`` > 0)
+    and beta_j = lam_j at mu = K, 0.0 on a zero level, from one
+    ``_LevelSolver``: each beta_j starts from its level's predictor line
+    (from 1 where the predictor declined)."""
+    solver = _LevelSolver(fs, p, q)
+    k_norm = solver.norm(_norm_hint(fs, max_abs))
+    log_k = math.log(k_norm)
+    return k_norm, [solver.inner(j, log_k) for j in range(fs.levels)]
 
 
 def infinity_witness(fs, q, eps):
@@ -100,22 +99,14 @@ def infinity_witness(fs, q, eps):
     require_same_grid(*fs.entries, q)
     grid = fs.grid
     zeros = Field(grid, np.zeros(grid.shape))
-    if fs.max_abs() == 0.0:
+    m = fs.max_abs()
+    if m == 0.0:
         return FieldSequence(tuple(zeros for _ in fs))
-
-    from .exponents import constant_exponent
-
     p_inf = constant_exponent(grid, math.inf)
-    k_norm = mixed_norm(fs, p_inf, q)
-    q_flat = q.values.ravel()
+    k_norm, betas = _level_weights(fs, p_inf, q, m)
     rq = 1.0 / q.values
     hs = []
-    for j, f in enumerate(fs):
-        if f.max_abs() == 0.0:
-            hs.append(zeros)
-            continue
-        log_af = _log_abs(f.values).ravel()
-        beta = _kernels.esssup_modular(log_af, q_flat, math.log(k_norm))
+    for j, (f, beta) in enumerate(zip(fs, betas)):
         if beta <= 0.0:
             hs.append(zeros)
             continue
@@ -179,6 +170,30 @@ def random_dual_search(fs, p, q, trials, seed, witness=None):
         gs_unit = gs.scaled(1.0 / norm)
         best = max(best, pairing(fs, gs_unit))
     return best
+
+
+def witness_measures(fs, p, q, seed):
+    """(|sum_j beta_j - 1|, conjugate mixed norm, pairing / K) of the
+    closed-form witness of ``fs``, and the best pairing / K of a randomized
+    search over two candidates from ``seed`` and the witness."""
+    hs, k_norm, betas = extremal_witness(fs, p, q)
+    witness_norm = mixed_norm(hs, conjugate(p), conjugate(q))
+    pairing_ratio = pairing(fs, hs) / k_norm
+    best = random_dual_search(fs, p, q, trials=2, seed=seed, witness=hs)
+    return abs(sum(betas) - 1.0), witness_norm, pairing_ratio, best / k_norm
+
+
+def grade_witnesses(instances):
+    """The four duality records, each grading the worst of ``instances``
+    (tuples from ``witness_measures``), so each passes exactly when every
+    instance does: the betas sum to 1, the witness lies in the conjugate
+    unit ball and pairs to at least 0.999 K, and no candidate pairs above
+    8 K.  A NaN measure carries through np.max / np.min and fails."""
+    top, low = np.max(instances, axis=0), np.min(instances, axis=0)
+    return [graded_report("duality.beta_sum", float(top[0]), 0.0, 1e-5),
+            graded_report("duality.witness_feasible", float(top[1]), 1.0, 1e-4),
+            graded_report("duality.witness_pairing", 0.999 - float(low[2]), 0.0, 0.0),
+            graded_report("duality.upper_bound", float(top[3]), 8.0, 1e-9)]
 
 
 def verify_norm_conjugate(f, p, trials, seed):

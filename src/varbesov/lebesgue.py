@@ -52,6 +52,12 @@ _ROUND = 8.0 * sys.float_info.epsilon  # rounding per unit of exponent size
 _LOG_MAX = math.log(sys.float_info.max)
 
 
+def _floor_slack(q, log_f, log_mu):
+    """A few ulps, to raise a p = inf floor q (log|f| - log mu) of log lam by,
+    so that |f| <= mu lam^{1/q} holds as computed."""
+    return 4.0 * _ROUND * q * (1.0 + abs(log_f) + abs(log_mu))
+
+
 def _exp(x):
     """exp that saturates to inf instead of raising."""
     return math.exp(x) if x < _LOG_MAX else math.inf
@@ -235,10 +241,8 @@ class Modular:
             lf = (floor_log - log_mu) * self._floor_q
             k = int(np.argmax(lf))
             if lf[k] > -math.inf:
-                qk = float(self._floor_q[k])
-                # a few ulps up, so that |f| <= mu lam^{1/q} holds as computed
-                floor = float(lf[k]) + 4.0 * _ROUND * qk * (
-                    1.0 + abs(float(floor_log[k])) + abs(log_mu))
+                floor = float(lf[k]) + _floor_slack(
+                    float(self._floor_q[k]), float(floor_log[k]), log_mu)
         if not self._lam_dependent[j]:
             return _exp(floor) if floor > -math.inf else 0.0
 

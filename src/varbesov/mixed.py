@@ -48,20 +48,20 @@ log mu, so a line sits on the level's infeasible side, where Newton is
 monotone), started from the predictor's crossing.  The level sum carries
 no slope, so the outer solve takes the safeguard path.  Evaluators the
 predictor declines solve the same way from the crude hint, each level
-solve from lam = 1.  The p = inf everywhere norm, evaluated by the
-essential supremum formula, is a safeguard solve from the crude hint too.
+solve from lam = 1.  A p = inf evaluator is one of them: its level infima
+come in closed form from ``Modular``'s floor and cap classes, so the norm
+of a p = inf sequence is a safeguard solve from the crude hint over those.
 """
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from ._solve import _LOG_HUGE, _LOG_TINY, solve_threshold
 from .grid import Field, require_same_grid
-from .lebesgue import Modular, luxemburg_norm, _exp, _log_abs, _power_integral
+from .lebesgue import Modular, luxemburg_norm, _exp, _power_integral
 from .reports import CheckReport, graded_report
 
 NORM_REL_TOL = 1e-9
@@ -270,29 +270,15 @@ def inner_lambda(f, p, q):
     return Modular((f,), p, q).solve(0, rel_tol=INNER_REL_TOL)
 
 
-def _esssup_levels(fs, q):
-    log_afs = [_log_abs(f.values).ravel() for f in fs]
-    q_flat = q.values.ravel()
-
-    def fn(log_mu, early=False):
-        total = 0.0
-        for la in log_afs:
-            total += _kernels.esssup_modular(la, q_flat, log_mu)
-            if math.isinf(total):
-                return math.inf
-            if early and total > 1.0:
-                return total
-        return total
-
-    return fn
-
-
 def mixed_modular(fs, p, q):
-    """Modular of the sequence; when p = inf everywhere it is evaluated by
-    the equivalent essential-supremum formula sum_j sup_x |f_j(x)|^{q(x)}."""
+    """Modular of the sequence: the sum over levels of lam_j at mu = 1.
+
+    A p = inf evaluator is one the predictor declines; ``Modular`` takes
+    its level infima in closed form from the floor and cap classes, so
+    where p = inf everywhere lam_j is sup_x |f_j(x)|^{q(x)} (with the
+    t^inf step convention), raised by a few ulps to its feasible side.
+    """
     require_same_grid(*fs.entries, p, q)
-    if np.all(np.isinf(p.values)):
-        return _esssup_levels(fs, q)(0.0)
     return _LevelSolver(fs, p, q).modular()
 
 
@@ -308,7 +294,8 @@ def mixed_norm(fs, p, q, rel_tol=NORM_REL_TOL):
     """Norm of the mixed space: inf{mu > 0 : modular((f_j)/mu) <= 1}.
 
     For q = inf everywhere this is exactly sup_j of the per-level Luxemburg
-    norms and is returned through that formula.
+    norms and is returned through that formula; every other norm is
+    ``_LevelSolver.norm`` from the crude hint ``_norm_hint``.
     """
     require_same_grid(*fs.entries, p, q)
     if np.all(np.isinf(q.values)):
@@ -316,16 +303,7 @@ def mixed_norm(fs, p, q, rel_tol=NORM_REL_TOL):
     m = fs.max_abs()
     if m == 0.0:
         return 0.0
-    hint = _norm_hint(fs, m)
-    if np.all(np.isinf(p.values)):
-        level_fn = _esssup_levels(fs, q)
-
-        def fn(mu):
-            return level_fn(math.log(mu), early=True)
-
-        return solve_threshold(fn, hint, rel_tol=rel_tol)
-
-    return _LevelSolver(fs, p, q).norm(hint, rel_tol=rel_tol)
+    return _LevelSolver(fs, p, q).norm(_norm_hint(fs, m), rel_tol=rel_tol)
 
 
 def classical_mixed_norm(fs, p0, q0):

@@ -10,8 +10,8 @@ from scipy.optimize import brentq
 from varbesov.cli import emit, run
 from varbesov.commutator import (SweepConfig, VectorField, commutator,
                                  constant_sweep)
-from varbesov.duality import (extremal_witness, pairing, random_dual_search)
-from varbesov.exponents import (ExponentField, conjugate, constant_exponent,
+from varbesov.duality import grade_witnesses, witness_measures
+from varbesov.exponents import (ExponentField, constant_exponent,
                                 cos_bump_exponent, local_log_holder,
                                 log_smooth_exponent)
 from varbesov.grid import Field, default_grid, field_from_function
@@ -133,15 +133,15 @@ def test_criterion_4_duality():
             (cos_bump_exponent(GRID, 1.5, 2.0), constant_exponent(GRID, 1.0)),
             (log_smooth_exponent(GRID, 1.2, 2.0), log_smooth_exponent(GRID, 1.5, 1.0)),
         ]
+        instances = []
         for t in range(20):
             p, q = exponent_pool[t % len(exponent_pool)]
             fs = band_limited_sequence(GRID, LEVELS + 1, BAND, [1005, t])
-            hs, k_norm, betas = extremal_witness(fs, p, q)
-            assert abs(sum(betas) - 1.0) <= 1e-5, t
-            assert mixed_norm(hs, conjugate(p), conjugate(q)) <= 1.0 + 1e-4, t
-            assert pairing(fs, hs) >= 0.999 * k_norm, t
-            best = random_dual_search(fs, p, q, trials=2, seed=1006 + t)
-            assert best <= 8.0 * k_norm, t
+            instances.append(witness_measures(fs, p, q, seed=1006 + t))
+            # no candidate pairs above 8 K, without the record's tolerance
+            assert instances[-1][3] <= 8.0, t
+        for rep in grade_witnesses(instances):
+            assert rep.status == "pass", rep
 
 
 def test_criterion_5_hardy():

@@ -300,9 +300,22 @@ class TestMain:
         ({"exponents": {"s": {"family": "constant",
                               "params": {"value": float("inf")}}},
           "suites": ["littlewood_paley"]}, "exponents.s"),
+        # 1/p1 + 1/p2 = 2: the product's exponent would be 1/2
+        ({"exponents": {"p1": {"family": "constant", "params": {"value": 1.0}},
+                        "p2": {"family": "constant", "params": {"value": 1.0}}},
+          "suites": ["commutator"]}, "exponents.p1, exponents.p2"),
+        # JSON booleans are not integers, nor numbers
+        ({"levels": False}, "levels"),
+        ({"seed": True}, "seed"),
+        ({"trials": True}, "trials"),
+        ({"grid": {"dim": True}}, "grid.dim"),
+        ({"grid": {"points_per_axis": True}}, "grid.points_per_axis"),
+        ({"tolerances": {"mixed": True}}, "tolerances.mixed"),
     ], ids=["half_width_str", "half_width_bool", "half_width_inf", "param_str",
             "param_nan", "p_below_one", "q_below_one", "p1_below_one",
-            "p2_zero", "s_infinite"])
+            "p2_zero", "s_infinite", "p1_p2_harmonic_below_one", "levels_bool",
+            "seed_bool", "trials_bool", "dim_bool", "points_bool",
+            "tolerance_bool"])
     def test_exit_two_on_malformed_values(self, tmp_path, capsys, config, field):
         # malformed values are configuration errors (exit 2), not failed
         # checks (exit 1); the message names the field

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from varbesov.duality import (extremal_witness, infinity_witness, pairing,
-                              random_dual_search, verify_norm_conjugate)
+from varbesov.duality import (extremal_witness, grade_witnesses,
+                              infinity_witness, pairing, random_dual_search,
+                              verify_norm_conjugate)
 from varbesov.exponents import (ExponentField, conjugate, constant_exponent,
                                 cos_bump_exponent, log_smooth_exponent)
 from varbesov.grid import Field, Grid, integrate
@@ -191,6 +192,30 @@ class TestRandomDualSearch:
         p = constant_exponent(grid, 2.0)
         with pytest.raises(ValueError, match="trials"):
             random_dual_search(fs, p, p, trials=0, seed=1)
+
+
+class TestGradeWitnesses:
+    # (|sum beta - 1|, witness norm, pairing / K, search / K) of one instance
+    GOOD = (1e-8, 0.99, 1.0, 1.5)
+    BAD = (1e-3, 1.1, 0.5, 9.0)
+
+    def test_all_good_instances_pass(self):
+        reps = grade_witnesses([self.GOOD] * 3)
+        assert [r.check_id for r in reps] == [
+            "duality.beta_sum", "duality.witness_feasible",
+            "duality.witness_pairing", "duality.upper_bound"]
+        assert all(r.status == "pass" for r in reps)
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_one_bad_later_instance_fails_its_record(self, k, nan):
+        # a failing or NaN measure in a non-first instance fails that record
+        # alone
+        worst = list(self.GOOD)
+        worst[k] = math.nan if nan else self.BAD[k]
+        reps = grade_witnesses([self.GOOD, tuple(worst), self.GOOD])
+        assert [r.status for r in reps] == [
+            "fail" if i == k else "pass" for i in range(4)]
 
 
 class TestNormConjugate:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from varbesov import mixed
+from varbesov import _kernels, lebesgue, mixed
+from varbesov.duality import _level_weights
 from varbesov.exponents import (conjugate, constant_exponent, cos_bump_exponent,
-                                log_smooth_exponent)
+                                log_smooth_exponent, two_level_exponent)
 from varbesov.grid import Field, Grid
-from varbesov.lebesgue import luxemburg_norm
+from varbesov.lebesgue import _log_abs, luxemburg_norm
 from varbesov.mixed import (FieldSequence, check_holder, check_monotone_limit,
                             classical_mixed_norm, inner_lambda, mixed_modular,
                             mixed_norm)
@@ -71,18 +74,6 @@ class TestMixedModular:
                             constant_exponent(grid, math.inf),
                             constant_exponent(grid, 2.0))
         assert val == pytest.approx(0.25, rel=1e-12)
-
-    def test_p_infinity_routes_agree(self, grid):
-        # esssup formula vs generic nested-infimum route
-        from varbesov.mixed import _LevelSolver
-
-        qv = cos_bump_exponent(grid, 1.5, 1.0)
-        pi = constant_exponent(grid, math.inf)
-        fs = band_limited_sequence(grid, 4, 40, 31)
-        scaled = fs.scaled(0.4 / fs.max_abs())
-        direct = mixed_modular(scaled, pi, qv)
-        generic = _LevelSolver(scaled, pi, qv).modular()
-        assert generic == pytest.approx(direct, rel=1e-8, abs=1e-10)
 
 
 class TestMixedNorm:
@@ -161,6 +152,80 @@ class TestMixedNorm:
         coarse = max_jump(1.04, 8)
         fine = max_jump(1.02, 16)
         assert fine <= 0.75 * coarse + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# p = inf everywhere against the essential-supremum referee
+# ---------------------------------------------------------------------------
+
+_INF_GRIDS = (Grid(1, 256, 8.0), Grid(2, 32, 4.0))
+_INF_LEVELS = 3
+
+
+def _esssup_sum(fs, q, log_mu):
+    """sum_j sup_x (|f_j(x)| / mu)^{q(x)}, with the t^inf step convention:
+    the p = inf modular by ``_kernels.esssup_modular``, which no package
+    code calls."""
+    return sum(_kernels.esssup_modular(_log_abs(f.values), q.values, log_mu)
+               for f in fs)
+
+
+def _floor_gap(fs, q, log_mu):
+    """Relative gap allowed between ``Modular``'s p = inf level infimum and
+    the referee's sup: 1e-12, plus the largest raise of its floor in log lam
+    (``lebesgue._floor_slack``), which keeps the floor on its feasible side
+    and reaches 1e-11 at magnitudes near 1e+-300."""
+    logs = np.concatenate([_log_abs(f.values).ravel() for f in fs])
+    size = float(np.max(np.abs(logs[np.isfinite(logs)])))
+    q_top = float(np.max(q.values[np.isfinite(q.values)], initial=1.0))
+    return 1e-12 + lebesgue._floor_slack(q_top, size, log_mu)
+
+
+def _close_above(got, want, gap):
+    """want <= got <= want (1 + gap), up to one subnormal step per level."""
+    if math.isinf(want):
+        return got == want
+    return want <= got <= want * (1.0 + gap) + _INF_LEVELS * math.ulp(0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_INF_GRIDS), st.integers(0, 10_000),
+       st.sampled_from([-300.0, 0.0, 300.0]) | st.floats(-300.0, 300.0),
+       st.sampled_from(["two_level", "cos_bump", "one"]),
+       st.integers(0, _INF_LEVELS))
+def test_p_infinity_route_against_the_esssup_referee(g, seed, log10_scale,
+                                                     q_kind, zero_level):
+    # |f_j| = 10^scale * u with u uniform in [0, 1) and a quarter of the
+    # nodes zero; level ``zero_level`` (when < levels) is zero throughout
+    rng = np.random.default_rng(seed)
+    values = []
+    for j in range(_INF_LEVELS):
+        u = rng.uniform(0.0, 1.0, g.shape)
+        u[rng.uniform(size=g.shape) < 0.25] = 0.0
+        values.append(np.zeros(g.shape) if j == zero_level else 10.0 ** log10_scale * u)
+    fs = FieldSequence(tuple(Field(g, v) for v in values))
+    q = {"two_level": two_level_exponent(g, 2.0, math.inf, 0.4 * g.half_width),
+         "cos_bump": cos_bump_exponent(g, 1.5, 1.0),
+         "one": constant_exponent(g, 1.0)}[q_kind]
+    pi = constant_exponent(g, math.inf)
+
+    # the modular at mu = 1 is at or above the referee's, within the gap
+    assert _close_above(mixed_modular(fs, pi, q), _esssup_sum(fs, q, 0.0),
+                        _floor_gap(fs, q, 0.0))
+
+    # the norm is feasible for the referee, and 2e-9 below it is not
+    nrm = mixed_norm(fs, pi, q)
+    assert _esssup_sum(fs, q, math.log(nrm)) <= 1.0
+    assert _esssup_sum(fs, q, math.log(nrm * (1.0 - 2e-9))) > 1.0
+
+    # the level weights beta_j of ``infinity_witness`` are the referee's
+    # sups at mu = K, and K is the norm
+    k_norm, betas = _level_weights(fs, pi, q, fs.max_abs())
+    assert k_norm == nrm
+    log_k = math.log(k_norm)
+    gap = _floor_gap(fs, q, log_k)
+    for f, beta in zip(fs, betas):
+        assert _close_above(beta, _esssup_sum((f,), q, log_k), gap)
 
 
 class TestIndependentOracle:
