@@ -27,6 +27,7 @@ from .lebesgue import luxemburg_norm
 from .littlewood_paley import (besov_norm, block_sequence, build_resolution,
                                weighted_norm)
 from .mixed import FieldSequence
+from .random_fields import _key, band_limited_field, band_limited_vector_field
 from .reports import make_estimate_report
 
 DECAY_GUARD = 1e-10
@@ -143,7 +144,7 @@ def _shift_smoothness(s, delta):
                          else s.value_at_infinity + delta)
 
 
-def theorem1_report(v, f, s, p1, p2, q, rou, config=None):
+def theorem1_report(v, f, s, p1, p2, q, rou):
     """First estimate family: positive smoothness, three right-hand sides.
 
     Returns one report per variant: gradient-of-V, gradient-of-f, and the
@@ -153,7 +154,6 @@ def theorem1_report(v, f, s, p1, p2, q, rou, config=None):
         raise ValueError(f"needs positive smoothness, got min {s.p_minus}")
     _check_field_decay(f, "f")
     p = harmonic_sum(p1, p2)
-    config = dict(config or {})
 
     lhs = commutator_lhs_norm(v, f, s, p, q, rou)
     grad_f = _gradient(f)
@@ -178,31 +178,27 @@ def theorem1_report(v, f, s, p1, p2, q, rou, config=None):
             lhs,
             {"grad_f_p1 * V_besov": grad_f_p1 * v_besov,
              "grad_V_p1 * f_besov": grad_v_p1 * f_besov},
-            config | {"variant": "grad_v"},
         ),
         "grad_f": make_estimate_report(
             lhs,
             {"grad_f_p1 * V_besov": grad_f_p1 * v_besov,
              "V_p1 * grad_f_besov": v_p1 * grad_f_besov},
-            config | {"variant": "grad_f"},
         ),
         "divergence": make_estimate_report(
             lhs,
             {"f_div_besov": f_div_besov,
              "grad_V_p1 * f_besov": grad_v_p1 * f_besov,
              "f_p1 * V_besov_up": f_p1 * v_besov_up},
-            config | {"variant": "divergence"},
         ),
     }
     return reports
 
 
-def theorem2_report(v, f, s, p1, p2, q, rou, config=None):
+def theorem2_report(v, f, s, p1, p2, q, rou):
     """Reduced estimate: single term for 0 < s < 1, two-term divergence form
     for -1 < s < 0."""
     _check_field_decay(f, "f")
     p = harmonic_sum(p1, p2)
-    config = dict(config or {})
     lhs = commutator_lhs_norm(v, f, s, p, q, rou)
 
     if 0.0 < s.p_minus and s.p_plus < 1.0:
@@ -211,7 +207,6 @@ def theorem2_report(v, f, s, p1, p2, q, rou, config=None):
         return {
             "positive": make_estimate_report(
                 lhs, {"grad_f_p1 * V_besov": grad_f_p1 * v_besov},
-                config | {"variant": "positive"},
             )
         }
     if -1.0 < s.p_minus and s.p_plus < 0.0:
@@ -224,7 +219,6 @@ def theorem2_report(v, f, s, p1, p2, q, rou, config=None):
             "negative": make_estimate_report(
                 lhs,
                 {"f_div_besov": f_div_besov, "f_p1 * V_besov_up": f_p1 * v_besov_up},
-                config | {"variant": "negative"},
             )
         }
     raise ValueError(
@@ -233,7 +227,7 @@ def theorem2_report(v, f, s, p1, p2, q, rou, config=None):
     )
 
 
-def theorem3_report(v, f, s1, s2, p1, p2, q1, q2, rou, config=None):
+def theorem3_report(v, f, s1, s2, p1, p2, q1, q2, rou):
     """Split-index estimate: s = s1 + s2 with s > 0 and s2 < 1; both the
     integrability and the sequence indices split harmonically."""
     _check_field_decay(f, "f")
@@ -244,7 +238,6 @@ def theorem3_report(v, f, s1, s2, p1, p2, q1, q2, rou, config=None):
         raise ValueError(f"needs s2 < 1, got max {s2.p_plus}")
     p = harmonic_sum(p1, p2)
     q = harmonic_sum(q1, q2)
-    config = dict(config or {})
 
     lhs = commutator_lhs_norm(v, f, s, p, q, rou)
     grad_f = _gradient(f)
@@ -259,7 +252,6 @@ def theorem3_report(v, f, s1, s2, p1, p2, q1, q2, rou, config=None):
             lhs,
             {"grad_f_p1 * V_besov": grad_f_p1 * v_besov,
              "grad_f_besov_s1 * V_besov_s2": grad_f_besov_s1 * v_besov_s2},
-            config | {"variant": "split"},
         )
     }
 
@@ -269,7 +261,8 @@ class SweepConfig:
     """Generator family for randomized estimate sweeps.
 
     Exponent roles map to (family_name, params) descriptors so the same
-    family can be re-sampled on the refined grid.  kmax defaults to 2^J / 4,
+    family can be re-sampled on the refined grid; each theorem reads the
+    roles ``_THEOREMS`` lists for it.  kmax defaults to 2^J / 4,
     the dealiasing margin for physical-space products.  constant_v swaps the
     random vector fields for constants, the degenerate family whose ratios
     must vanish.
@@ -298,13 +291,20 @@ class SweepConfig:
         return exponent_from_family(grid, family, params)
 
 
-_THEOREMS = ("theorem1", "theorem2", "theorem3")
+# each estimate's report function and the exponent roles it takes, in order
+_THEOREMS = {
+    "theorem1": (theorem1_report, ("s", "p1", "p2", "q")),
+    "theorem2": (theorem2_report, ("s", "p1", "p2", "q")),
+    "theorem3": (theorem3_report, ("s1", "s2", "p1", "p2", "q1", "q2")),
+}
 
 
-def _instance_reports(theorem, config, grid, top_level, seed):
-    from .random_fields import _key, band_limited_field, band_limited_vector_field
-
-    rou = build_resolution(grid, top_level)
+def _instance_reports(theorem, config, refine, seed):
+    """The reports of one random (V, f) instance, on the base or the refined
+    grid and levels of ``config``."""
+    report, roles = _THEOREMS[theorem]
+    grid = config.grid(refine)
+    rou = build_resolution(grid, config.top_level(refine))
     if config.constant_v:
         v = VectorField(tuple(
             Field(grid, np.full(grid.shape, 1.0 + axis))
@@ -313,63 +313,39 @@ def _instance_reports(theorem, config, grid, top_level, seed):
     else:
         v = VectorField(tuple(band_limited_vector_field(grid, config.band(), seed)))
     f = band_limited_field(grid, config.band(), _key(seed, 7919))
-    meta = {"seed": _key(seed), "points": grid.points_per_axis,
-            "levels": top_level,
-            "exponents": {k: list(v) for k, v in config.exponents.items()}}
-    if theorem == "theorem1":
-        return theorem1_report(
-            v, f, config.exponent(grid, "s"), config.exponent(grid, "p1"),
-            config.exponent(grid, "p2"), config.exponent(grid, "q"), rou, meta,
-        )
-    if theorem == "theorem2":
-        return theorem2_report(
-            v, f, config.exponent(grid, "s"), config.exponent(grid, "p1"),
-            config.exponent(grid, "p2"), config.exponent(grid, "q"), rou, meta,
-        )
-    if theorem == "theorem3":
-        return theorem3_report(
-            v, f, config.exponent(grid, "s1"), config.exponent(grid, "s2"),
-            config.exponent(grid, "p1"), config.exponent(grid, "p2"),
-            config.exponent(grid, "q1"), config.exponent(grid, "q2"), rou, meta,
-        )
-    raise ValueError(f"theorem must be one of {_THEOREMS}, got {theorem!r}")
+    return report(v, f, *(config.exponent(grid, r) for r in roles), rou)
 
 
 def constant_sweep(config, theorem, trials, seed, refine=True):
     """Randomized (V, f) sweep for one estimate family.
 
-    Returns a summary dict with per-instance ratios per variant, their max
-    and median, and (when refine is set) the per-instance factor by which
-    each ratio moves when the grid and level count are refined to
-    (2N, J+1); stability demands that factor stay within [1/2, 2].
+    Returns {"ratios": per-variant lists of the per-instance ratios,
+    "max_ratio": their per-variant max}; when refine is set, also
+    "refine_factors", the per-instance factor by which each ratio moves when
+    the grid and level count are refined to (2N, J+1), and "refine_stable",
+    whether every factor lies within [1/2, 2].
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    base_grid = config.grid()
+    if theorem not in _THEOREMS:
+        raise ValueError(
+            f"theorem must be one of {tuple(_THEOREMS)}, got {theorem!r}")
     ratios = {}
     refine_factors = {}
     for t in range(trials):
         inst_seed = [int(seed), t]
-        base = _instance_reports(theorem, config, base_grid, config.levels,
-                                 inst_seed)
+        base = _instance_reports(theorem, config, False, inst_seed)
         for variant, rep in base.items():
             ratios.setdefault(variant, []).append(rep.ratio)
         if refine:
-            fine = _instance_reports(theorem, config, config.grid(refine=True),
-                                     config.top_level(refine=True), inst_seed)
+            fine = _instance_reports(theorem, config, True, inst_seed)
             for variant, rep in fine.items():
                 coarse = base[variant].ratio
                 factor = rep.ratio / coarse if coarse > 0 else (
                     1.0 if rep.ratio == 0.0 else math.inf)
                 refine_factors.setdefault(variant, []).append(factor)
-    summary = {
-        "theorem": theorem,
-        "trials": trials,
-        "seed": int(seed),
-        "ratios": ratios,
-        "max_ratio": {k: max(v) for k, v in ratios.items()},
-        "median_ratio": {k: float(np.median(v)) for k, v in ratios.items()},
-    }
+    summary = {"ratios": ratios,
+               "max_ratio": {k: max(v) for k, v in ratios.items()}}
     if refine:
         summary["refine_factors"] = refine_factors
         summary["refine_stable"] = all(

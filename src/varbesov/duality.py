@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .grid import Field, integrate, require_same_grid
-from .exponents import conjugate, constant_exponent
+from .exponents import ExponentField, conjugate, constant_exponent
 from .lebesgue import luxemburg_norm
 from .mixed import FieldSequence, _LevelSolver, _norm_hint, mixed_norm
 from .reports import CheckReport, graded_report
@@ -206,8 +206,6 @@ def verify_norm_conjugate(f, p, trials, seed):
         return CheckReport("duality.norm_conjugate", "trivial", 0.0, 2.0, 1e-6,
                            {"norm": 0.0, "best_pairing": 0.0})
     grid = f.grid
-    from .exponents import constant_exponent
-
     q1 = constant_exponent(grid, 1.0)
     fin = np.isfinite(p.values)
     candidates = []
@@ -254,8 +252,6 @@ def verify_norm_conjugate(f, p, trials, seed):
 def _masked_finite(p):
     """Copy of p with infinite nodes replaced by a large finite exponent so
     the finite-region witness machinery applies off the masked support."""
-    from .exponents import ExponentField
-
     vals = np.where(np.isfinite(p.values), p.values, np.max(
         p.values[np.isfinite(p.values)], initial=2.0))
     return ExponentField(p.grid, vals)

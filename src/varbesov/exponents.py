@@ -54,12 +54,6 @@ class ExponentField:
     def is_finite_valued(self):
         return bool(np.all(np.isfinite(self.values)))
 
-    def is_constant(self, value=None):
-        v0 = self.values.flat[0]
-        if value is not None and v0 != value:
-            return False
-        return bool(np.all(self.values == v0))
-
     def local_log_holder(self):
         """``local_log_holder`` of the samples, measured once per field."""
         if self._c_loc is None:

@@ -155,9 +155,6 @@ class Grid:
         return self._norm_of_axes(
             [self._half_modes(axis) for axis in range(self.dim)])
 
-    def field(self, values):
-        return Field(self, np.asarray(values, dtype=np.float64))
-
 
 def default_grid(dim):
     """Desk-scale grid: n=1 -> N=4096, L=16; n=2 -> N=256, L=8."""

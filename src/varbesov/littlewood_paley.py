@@ -82,27 +82,23 @@ def lp_block(f, rou, j):
     multiplier j times the spectrum)."""
     if not 0 <= j < rou.levels:
         raise ValueError(f"block index {j} out of range 0..{rou.top_level}")
-    require_same_grid(f, rou)
-    spec = _spectrum(f.values, _work_array(f.grid))
-    return Field(f.grid, _filtered(rou.multipliers[j], spec, spec,
-                                   np.empty(f.grid.shape)))
+    return next(_blocks(f, rou, (j,)))
 
 
-def _blocks(f, rou):
-    """The blocks of f, levels 0..J in turn, from one forward transform;
-    block j equals ``lp_block(f, rou, j)`` bitwise.  Every level's product
-    is formed in one work array, and each block is written into a
-    contiguous real array of its own."""
+def _blocks(f, rou, levels):
+    """The blocks of f at the given levels in turn, from one forward
+    transform.  Every level's product is formed in one work array, and each
+    block is written into a contiguous real array of its own."""
     require_same_grid(f, rou)
     spec = _spectrum(f.values, _work_array(f.grid))
     work = _work_array(f.grid)
-    for multiplier in rou.multipliers:
-        yield Field(f.grid, _filtered(multiplier, spec, work,
+    for j in levels:
+        yield Field(f.grid, _filtered(rou.multipliers[j], spec, work,
                                       np.empty(f.grid.shape)))
 
 
 def block_sequence(f, rou):
-    return FieldSequence(tuple(_blocks(f, rou)))
+    return FieldSequence(tuple(_blocks(f, rou, range(rou.levels))))
 
 
 def weighted_norm(blocks, s, p, q):
@@ -123,7 +119,7 @@ def besov_norm(f, s, p, q, rou):
     Inputs should be band-limited below 2^J; beyond that the dyadic tail is
     truncated without a quantified error.
     """
-    return weighted_norm(_blocks(f, rou), s, p, q)
+    return weighted_norm(_blocks(f, rou, range(rou.levels)), s, p, q)
 
 
 def partition_of_unity(rou):
@@ -188,26 +184,18 @@ def check_lemma_eta_shift(alpha, big_r, m, top_level):
     )
 
 
-def _eta_kernels(grid, m, levels):
-    """(eta_{j,m}, its discrete mass h^n sum(eta_{j,m})) for j < levels,
-    each kernel built only when asked for."""
-    radius = grid.min_image_radius()
-    for j in range(levels):
-        kernel = _eta_kernel(j, m, grid, radius)
-        yield kernel, integrate(kernel)
-
-
 def _eta_convolutions(grid, m, fields):
-    """Kernel masses and convolutions eta_{j,m} * fields[j], level by level:
-    each kernel is built, weighed, transformed and dropped in turn.  A field
-    repeated from the previous level is not transformed again.  The
-    transforms write into two work arrays that are gone when this returns,
-    before the caller solves any norm."""
-    phase = _origin_phase(grid)
+    """Kernel masses h^n sum(eta_{j,m}) and convolutions eta_{j,m} *
+    fields[j], level by level: each kernel is built, weighed, transformed
+    and dropped in turn.  A field repeated from the previous level is not
+    transformed again.  The transforms write into two work arrays that are
+    gone when this returns, before the caller solves any norm."""
+    phase, radius = _origin_phase(grid), grid.min_image_radius()
     kernel_spec, field_spec = _work_array(grid), _work_array(grid)
     masses, smoothed, last = [], [], None
-    for (kernel, mass), f in zip(_eta_kernels(grid, m, len(fields)), fields):
-        masses.append(mass)
+    for j, f in enumerate(fields):
+        kernel = _eta_kernel(j, m, grid, radius)
+        masses.append(integrate(kernel))
         if f is not last:
             _spectrum(f.values, field_spec)
             last = f
@@ -229,10 +217,7 @@ def verify_eta_convolution(f, p, m, top_level):
         raise ValueError(f"kernel order m must exceed the dimension {grid.dim}")
     base = luxemburg_norm(f, p)
     levels = top_level + 1
-    if base == 0.0:
-        masses = [mass for _, mass in _eta_kernels(grid, m, levels)]
-    else:
-        masses, smoothed = _eta_convolutions(grid, m, [f] * levels)
+    masses, smoothed = _eta_convolutions(grid, m, [f] * levels)
     c_report = 2.0 * max(masses)
     if base == 0.0:
         return CheckReport(
@@ -286,10 +271,7 @@ def verify_mixed_eta(fs, p, q, m):
     grid = fs.grid
     c_key, c_loc = _mixed_eta_guard(q.reciprocals(), grid, m)
     base = mixed_norm(fs, p, q)
-    if base == 0.0:
-        masses = [mass for _, mass in _eta_kernels(grid, m, fs.levels)]
-    else:
-        masses, smoothed = _eta_convolutions(grid, m, fs.entries)
+    masses, smoothed = _eta_convolutions(grid, m, fs.entries)
     c_report = 2.0 * max(masses)
     if base == 0.0:
         return CheckReport("lp.mixed_eta", "trivial", 0.0, c_report, 1e-6,
@@ -335,23 +317,23 @@ def hardy_bound(a, q_minus, gamma_grid=None):
     return float(np.min(1.0 / c))
 
 
-def verify_hardy(gs, a, p, q, gamma_grid=None, tolerance=1e-6, base=None,
-                 transforms=None):
+def verify_hardy(gs, a, p, q, base=None, transforms=None):
     """Both transform ratios against the explicit admissible constant.
 
     Checks |(G_j)| / |(g_m)| and |(H_j)| / |(g_m)| against
-    min_gamma (1-a^gamma)^{-1/q^-} (1-a^{1-gamma/q^-})^{-1}.  ``base`` is
+    min_gamma (1-a^gamma)^{-1/q^-} (1-a^{1-gamma/q^-})^{-1} over the
+    default gamma grid of ``hardy_bound``, within 1e-6.  ``base`` is
     the norm |(g_m)| when the caller has it (it does not depend on a), and
     ``transforms`` is ``hardy_transform(gs, a)`` when the caller has it (it
     does not depend on p or q); each is formed here otherwise.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
-    bound = hardy_bound(a, q.p_minus, gamma_grid)
+    bound = hardy_bound(a, q.p_minus)
     if base is None:
         base = mixed_norm(gs, p, q)
     if base == 0.0:
-        return CheckReport("lp.hardy", "trivial", 0.0, bound, tolerance,
+        return CheckReport("lp.hardy", "trivial", 0.0, bound, 1e-6,
                            {"ratio_G": 0.0, "ratio_H": 0.0, "a": a})
     if transforms is None:
         transforms = hardy_transform(gs, a)
@@ -359,6 +341,6 @@ def verify_hardy(gs, a, p, q, gamma_grid=None, tolerance=1e-6, base=None,
     r_g = mixed_norm(big_g, p, q) / base
     r_h = mixed_norm(big_h, p, q) / base
     return graded_report(
-        "lp.hardy", max(r_g, r_h), bound, tolerance,
+        "lp.hardy", max(r_g, r_h), bound, 1e-6,
         details={"ratio_G": r_g, "ratio_H": r_h, "a": a, "q_minus": q.p_minus},
     )

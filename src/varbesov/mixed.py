@@ -60,11 +60,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solve import _LOG_HUGE, _LOG_TINY, solve_threshold
+from .exponents import harmonic_sum
 from .grid import Field, require_same_grid
-from .lebesgue import Modular, luxemburg_norm, _exp, _power_integral
+from .lebesgue import (NORM_REL_TOL, Modular, luxemburg_norm, _exp,
+                       _power_integral)
 from .reports import CheckReport, graded_report
 
-NORM_REL_TOL = 1e-9
 INNER_REL_TOL = 1e-10
 # the predictor hands over once its step in log mu is below a quarter of the
 # inner solves' gap, or after _PREDICTOR_PASSES passes per level; each of its
@@ -312,9 +313,9 @@ def classical_mixed_norm(fs, p0, q0):
     return sum(_power_integral(f, p0) ** (q0 / p0) for f in fs) ** (1.0 / q0)
 
 
-def check_monotone_limit(fs, truncation_sets, p, q, rel_tol=1e-6):
+def check_monotone_limit(fs, truncation_sets, p, q):
     """Verify that norms of mask-truncated sequences increase to the norm of
-    the full sequence.
+    the full sequence, the largest within a relative 1e-6 of it.
 
     truncation_sets is an increasing list of boolean node masks whose union
     covers the grid.
@@ -341,13 +342,13 @@ def check_monotone_limit(fs, truncation_sets, p, q, rel_tol=1e-6):
         norms[i + 1] >= norms[i] - 1e-8 * scale for i in range(len(norms) - 1)
     )
     gap = abs(max(norms) - full) / scale if full > 0 else max(norms)
-    status_ok = increasing and gap <= rel_tol
+    status_ok = increasing and gap <= 1e-6
     return CheckReport(
         check_id="mixed.monotone_limit",
         status="pass" if status_ok else "fail",
         measured=gap,
         bound=0.0,
-        tolerance=rel_tol,
+        tolerance=1e-6,
         details={"norms": norms, "full_norm": full, "increasing": increasing},
     )
 
@@ -360,19 +361,16 @@ def _ratio(lhs, rhs):
     return lhs / rhs
 
 
-def check_holder(fs, gs, p1, p2, q1, q2, bound=C_HOLDER, tolerance=1e-6,
-                 level_norms=None, norm=None):
+def check_holder(fs, gs, p1, p2, q1, q2, level_norms=None, norm=None):
     """Empirical constants for the three Holder inequality forms.
 
     Measures LHS/RHS for the scalar product inequality, the fully split
     sequence inequality, and the sup-form with only the integrability index
-    split; asserts every ratio stays below `bound`.  ``level_norms`` (the
-    Luxemburg norms |f_j|_{p1}) and ``norm`` (the mixed norm of ``fs`` at
-    (p1, q1)) are used when the caller has them; otherwise they are solved
-    here.
+    split; asserts every ratio stays below C_HOLDER, within 1e-6.
+    ``level_norms`` (the Luxemburg norms |f_j|_{p1}) and ``norm`` (the mixed
+    norm of ``fs`` at (p1, q1)) are used when the caller has them; otherwise
+    they are solved here.
     """
-    from .exponents import harmonic_sum
-
     if fs.levels != gs.levels:
         raise ValueError("sequences must share the level count")
     p = harmonic_sum(p1, p2)
@@ -402,7 +400,7 @@ def check_holder(fs, gs, p1, p2, q1, q2, bound=C_HOLDER, tolerance=1e-6,
     trivial = fs.max_abs() == 0.0 or gs.max_abs() == 0.0
     measured = max(ratios.values()) if not trivial else 0.0
     return graded_report(
-        "mixed.holder", measured, bound, tolerance,
+        "mixed.holder", measured, C_HOLDER, 1e-6,
         details={"ratios": ratios, "lhs_sequence": lhs_seq},
         trivial=trivial,
     )

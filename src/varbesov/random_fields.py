@@ -89,9 +89,7 @@ def _field_source(grid, kmax, envelope):
         if grid.dim == 1:
             spec[: draw_kmax + 1] = coeff
         else:
-            for i1 in range(draw_kmax + 1):
-                for idx2, k2 in enumerate(range(-draw_kmax, draw_kmax + 1)):
-                    spec[i1, k2 % n] = coeff[i1, idx2]
+            spec[:draw_kmax + 1, np.arange(-draw_kmax, draw_kmax + 1) % n] = coeff
         # undo the 1/N^n of ifftn so the continuum function is grid-independent
         vals = np.fft.ifftn(spec, out=spec).real * grid.node_count
         if envelope:

@@ -42,10 +42,11 @@ class EstimateReport:
     lhs: float
     rhs_terms: dict
     ratio: float
-    config: dict = field(default_factory=dict)
 
 
-def make_estimate_report(lhs, rhs_terms, config=None):
+def make_estimate_report(lhs, rhs_terms):
+    """The ``EstimateReport`` of ``lhs`` against the sum of ``rhs_terms``;
+    a zero left side has ratio 0, and every value must be finite."""
     total = sum(rhs_terms.values())
     if lhs == 0.0:
         ratio = 0.0
@@ -58,4 +59,4 @@ def make_estimate_report(lhs, rhs_terms, config=None):
     for name, v in rhs_terms.items():
         if not math.isfinite(v):
             raise ValueError(f"right-side term {name} is not finite")
-    return EstimateReport(float(lhs), dict(rhs_terms), float(ratio), config or {})
+    return EstimateReport(float(lhs), dict(rhs_terms), float(ratio))

@@ -1,8 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from varbesov import random_fields
 from varbesov.commutator import (SweepConfig, VectorField, commutator,
                                  commutator_lhs_norm, commutator_sequence,
                                  constant_sweep, divergence, theorem1_report,
@@ -385,14 +387,24 @@ class TestSweep:
         with pytest.raises(ValueError, match="trials"):
             constant_sweep(cfg, "theorem1", trials=0, seed=1)
 
-    def test_unknown_theorem(self):
+    def test_unknown_theorem(self, monkeypatch):
         cfg = SweepConfig(points_per_axis=512, levels=6, kmax=25, exponents={
             "s": ("constant", {"value": 1.0}),
             "p1": ("constant", {"value": 4.0}),
             "p2": ("constant", {"value": 4.0}),
             "q": ("constant", {"value": 2.0}),
         })
-        with pytest.raises(ValueError, match="theorem"):
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an instance was drawn for an unknown theorem")
+
+        # the name is rejected before any instance is drawn
+        monkeypatch.setattr(random_fields, "band_limited_vector_field", no_draw)
+        # the package rebinds the name commutator to the function
+        monkeypatch.setattr(importlib.import_module("varbesov.commutator"),
+                            "band_limited_vector_field", no_draw, raising=False)
+        with pytest.raises(ValueError,
+                           match=r"theorem must be one of \(.*\), got 'theorem9'"):
             constant_sweep(cfg, "theorem9", trials=1, seed=1)
 
     def test_small_sweep_summary_shape(self):
@@ -403,9 +415,13 @@ class TestSweep:
             "q": ("constant", {"value": 2.0}),
         })
         summary = constant_sweep(cfg, "theorem1", trials=2, seed=5, refine=False)
-        assert summary["trials"] == 2
+        assert set(summary) == {"ratios", "max_ratio"}
         assert all(len(v) == 2 for v in summary["ratios"].values())
         assert all(math.isfinite(v) for v in summary["max_ratio"].values())
+        refined = constant_sweep(cfg, "theorem1", trials=1, seed=5)
+        assert set(refined) == {"ratios", "max_ratio", "refine_factors",
+                                "refine_stable"}
+        assert set(refined["refine_factors"]) == set(refined["ratios"])
 
     def test_constant_v_family_ratios_vanish(self):
         cfg = SweepConfig(points_per_axis=1024, levels=7, constant_v=True,

@@ -340,7 +340,7 @@ def test_operators_match_complex_formulas(agreement_case):
 def test_blocks_are_owned_contiguous_copies(case):
     f, rou = case["f"], case["rou"]
     produced = []
-    for block in _blocks(f, rou):
+    for block in _blocks(f, rou, range(rou.levels)):
         assert block.values.flags["C_CONTIGUOUS"]
         assert block.values.flags["OWNDATA"]
         produced.append((block, block.values.copy()))
