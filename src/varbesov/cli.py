@@ -19,15 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, _kernels
-from .exponents import (FAMILIES, ExponentField, conjugate, constant_exponent,
+from .exponents import (FAMILIES, conjugate, constant_exponent,
                         exponent_from_family, harmonic_sum)
 from .grid import Grid, Field
-from .lebesgue import classical_norm, luxemburg_norm, modular
+from .lebesgue import (classical_norm, luxemburg_norm, modular,
+                       two_level_gauge, unit_ball_violations)
 from .littlewood_paley import (build_resolution, block_sequence,
-                               check_lemma_eta_shift, hardy_transform,
+                               check_lemma_eta_shift, hardy_sweep,
                                partition_of_unity, single_block_identity,
-                               verify_eta_convolution, verify_hardy,
-                               verify_mixed_eta)
+                               verify_eta_convolution, verify_mixed_eta)
 from .mixed import (check_holder, check_monotone_limit, classical_mixed_norm,
                     mixed_norm)
 from .duality import grade_witnesses, verify_norm_conjugate, witness_measures
@@ -59,6 +59,9 @@ DEFAULT_CONFIG = {
         "p2": {"family": "constant", "params": {"value": 4.0}},
     },
 }
+
+# the settable tolerances and their defaults
+_TOLERANCES = {"lebesgue": 1e-6, "mixed": 1e-7}
 
 
 @dataclass
@@ -139,6 +142,8 @@ def validate_config(raw):
     if "tolerances" in raw:
         _expect(isinstance(raw["tolerances"], dict), "tolerances", "must be an object")
         for k, v in raw["tolerances"].items():
+            _expect(k in _TOLERANCES, f"tolerances.{k}",
+                    f"unknown tolerance (known: {', '.join(_TOLERANCES)})")
             _expect(_is_number(v) and v > 0,
                     f"tolerances.{k}", "must be positive")
         cfg["tolerances"].update(raw["tolerances"])
@@ -179,8 +184,8 @@ def _build_exponent(cfg, grid, role):
     return e
 
 
-def _tol(cfg, name, default):
-    return float(cfg["tolerances"].get(name, default))
+def _tol(cfg, name):
+    return float(cfg["tolerances"].get(name, _TOLERANCES[name]))
 
 
 def _suite_band(cfg, grid):
@@ -197,26 +202,9 @@ def _suite_band(cfg, grid):
 
 
 def _suite_lebesgue(cfg, grid, records, curves):
-    mesh = grid.coordinate_mesh()[0]
-    tol = _tol(cfg, "lebesgue", 1e-6)
-
+    tol = _tol(cfg, "lebesgue")
     if grid.dim == 1:
-        # f = 1 on the nodes of [0, 1) (exponent 1) and of [1, 2) (exponent
-        # 2): the gauge solves m1/lam + m2/lam^2 = 1, where m_i is the
-        # quadrature measure of piece i; when the nodes tile both pieces
-        # exactly, m1 = m2 = 1 and lam is the golden ratio
-        first = (mesh >= 0) & (mesh < 1)
-        second = (mesh >= 1) & (mesh < 2)
-        vals = np.zeros(grid.shape)
-        vals[first | second] = 1.0
-        pv = np.full(grid.shape, 2.0)
-        pv[first] = 1.0
-        lam = luxemburg_norm(Field(grid, vals), ExponentField(grid, pv))
-        m1 = np.count_nonzero(first) * grid.cell
-        m2 = np.count_nonzero(second) * grid.cell
-        exact = (m1 + math.sqrt(m1 * m1 + 4.0 * m2)) / 2.0
-        records.append(graded_report("lebesgue.two_level_gauge",
-                                     abs(lam - exact), 0.0, 1e-8))
+        records.append(two_level_gauge(grid))
 
     f = band_limited_field(grid, _suite_band(cfg, grid), [cfg["seed"], 1])
     for p0 in (1.0, 1.5, 2.0, 3.0, math.inf):
@@ -230,15 +218,14 @@ def _suite_lebesgue(cfg, grid, records, curves):
     for t in range(cfg["trials"]):
         ft = band_limited_field(grid, _suite_band(cfg, grid), [cfg["seed"], 2, t])
         nrm = luxemburg_norm(ft, p)
-        for scale in (0.5, 0.999, 1.001, 2.0):
-            rho = modular(Field(grid, ft.values * (scale / nrm)), p)
-            violations += (scale < 1.0) != (rho <= 1.0)
+        violations += unit_ball_violations(
+            lambda s: modular(Field(grid, ft.values * (s / nrm)), p))
     records.append(graded_report("lebesgue.unit_ball_equivalence",
                                  violations, 0.0, 0.0))
 
 
 def _suite_mixed(cfg, grid, records, curves):
-    tol = _tol(cfg, "mixed", 1e-7)
+    tol = _tol(cfg, "mixed")
     levels = cfg["levels"] + 1
     kmax = _suite_band(cfg, grid)
     p0, q0 = 2.5, 1.7
@@ -278,6 +265,10 @@ def _suite_duality(cfg, grid, records, curves):
     kmax = _suite_band(cfg, grid)
     p = _build_exponent(cfg, grid, "p")
     q = _build_exponent(cfg, grid, "q")
+    # the closed-form witness needs both exponents finite everywhere
+    for role, e in (("p", p), ("q", q)):
+        _expect(e.is_finite_valued(), f"exponents.{role}",
+                "must be finite-valued for the duality suite")
     records.extend(grade_witnesses([
         witness_measures(
             band_limited_sequence(grid, levels, kmax, [cfg["seed"], 6, t]),
@@ -332,28 +323,10 @@ def _suite_hardy(cfg, grid, records, curves):
     levels = cfg["levels"] + 1
     kmax = _suite_band(cfg, grid)
     p = _build_exponent(cfg, grid, "p")
-    a_values = (0.25, 0.5, 0.75)
-    qs = {q0: constant_exponent(grid, q0) for q0 in (1.5, 2.0, 4.0)}
-    cases = [(a, q0) for a in a_values for q0 in qs]
-    worst = dict.fromkeys(cases, 0.0)
-    bound = dict.fromkeys(cases, 0.0)
-    # one sequence per trial, shared by every (a, q0) case; one base norm
-    # per (trial, q0), shared by every a; one transform pair per (trial, a),
-    # shared by every q0 and dropped before the next a's is built
-    for t in range(cfg["trials"]):
-        gs = band_limited_sequence(grid, levels, kmax, [cfg["seed"], 10, t])
-        bases = {q0: mixed_norm(gs, p, q) for q0, q in qs.items()}
-        for a in a_values:
-            transforms = hardy_transform(gs, a)
-            for q0, q in qs.items():
-                rep = verify_hardy(gs, a, p, q, base=bases[q0],
-                                   transforms=transforms)
-                worst[a, q0] = max(worst[a, q0], rep.measured)
-                bound[a, q0] = rep.bound
-            del transforms
-    for a, q0 in cases:
-        records.append(graded_report(f"hardy.a{a}_q{q0}", worst[a, q0],
-                                     bound[a, q0], 1e-6))
+    sequences = (band_limited_sequence(grid, levels, kmax, [cfg["seed"], 10, t])
+                 for t in range(cfg["trials"]))
+    qs = [constant_exponent(grid, q0) for q0 in (1.5, 2.0, 4.0)]
+    records.extend(hardy_sweep(sequences, p, qs, (0.25, 0.5, 0.75)))
 
 
 # (theorem, exponent roles set over the configured ones, seed offset)

@@ -12,6 +12,7 @@ pairs with (f_j) to K while sitting in the conjugate unit ball.  For p = inf
 the witness is a normalized indicator of the near-argmax set per level.
 """
 
+import itertools
 import logging
 import math
 
@@ -207,36 +208,27 @@ def verify_norm_conjugate(f, p, trials, seed):
                            {"norm": 0.0, "best_pairing": 0.0})
     grid = f.grid
     q1 = constant_exponent(grid, 1.0)
+    # witness the finite-p and the infinite-p part of f apart; where one
+    # part is all of f, the other is zero and adds no candidate
     fin = np.isfinite(p.values)
     candidates = []
-    if np.all(fin):
-        hs, _, _ = extremal_witness(FieldSequence((f,)), p, q1)
-        candidates.append(hs[0])
-    elif not np.any(fin):
-        hs = infinity_witness(FieldSequence((f,)), q1, eps=1e-9 * norm)
-        candidates.append(hs[0])
-    else:
-        # split into the finite-p and infinite-p regions and witness each
-        f_fin = Field(grid, np.where(fin, f.values, 0.0))
-        f_inf = Field(grid, np.where(fin, 0.0, f.values))
-        if f_fin.max_abs() > 0.0:
-            hs, _, _ = extremal_witness(FieldSequence((f_fin,)), _masked_finite(p), q1)
-            candidates.append(Field(grid, np.where(fin, hs[0].values, 0.0)))
-        if f_inf.max_abs() > 0.0:
-            hs = infinity_witness(FieldSequence((f_inf,)), q1, eps=1e-9 * norm)
-            candidates.append(Field(grid, np.where(fin, 0.0, hs[0].values)))
+    f_fin = Field(grid, np.where(fin, f.values, 0.0))
+    f_inf = Field(grid, np.where(fin, 0.0, f.values))
+    if f_fin.max_abs() > 0.0:
+        hs, _, _ = extremal_witness(FieldSequence((f_fin,)), _masked_finite(p), q1)
+        candidates.append(Field(grid, np.where(fin, hs[0].values, 0.0)))
+    if f_inf.max_abs() > 0.0:
+        hs = infinity_witness(FieldSequence((f_inf,)), q1, eps=1e-9 * norm)
+        candidates.append(Field(grid, np.where(fin, 0.0, hs[0].values)))
+    shaped = (_shaped_candidate(FieldSequence((f,)), p,
+                                np.random.default_rng([int(seed), trial]))[0]
+              for trial in range(trials))
     pc = conjugate(p)
     best = 0.0
-    for g in candidates:
+    for g in itertools.chain(candidates, shaped):
         gn = luxemburg_norm(g, pc)
         if gn > 0.0:
             best = max(best, integrate(Field(grid, np.abs(f.values) * np.abs(g.values) / gn)))
-    for trial in range(trials):
-        rng = np.random.default_rng([int(seed), trial])
-        gs = _shaped_candidate(FieldSequence((f,)), p, rng)
-        gn = luxemburg_norm(gs[0], pc)
-        if gn > 0.0:
-            best = max(best, integrate(Field(grid, np.abs(f.values) * np.abs(gs[0].values) / gn)))
     ratio = best / norm
     ok = 0.5 - 1e-6 <= ratio <= 2.0 + 1e-6
     return CheckReport(

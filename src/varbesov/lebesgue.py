@@ -15,7 +15,9 @@ import numpy as np
 
 from . import _kernels
 from ._solve import solve_threshold
-from .grid import require_same_grid
+from .exponents import ExponentField
+from .grid import Field, require_same_grid
+from .reports import graded_report
 
 NORM_REL_TOL = 1e-9
 
@@ -293,3 +295,32 @@ def classical_norm(f, p0):
     if math.isinf(p0):
         return f.max_abs()
     return _power_integral(f, p0) ** (1.0 / p0)
+
+
+UNIT_BALL_SCALES = (0.5, 1.0 - 1e-5, 1.0 + 1e-5, 2.0)
+
+
+def unit_ball_violations(modular_at):
+    """How many scales s of ``UNIT_BALL_SCALES`` break "modular <= 1 iff
+    s < 1", where ``modular_at(s)`` is the modular of s / norm times f."""
+    return sum((s < 1.0) != (modular_at(s) <= 1.0) for s in UNIT_BALL_SCALES)
+
+
+def two_level_gauge(grid):
+    """The ``lebesgue.two_level_gauge`` record: f = 1 on x in [0, 2) with
+    exponent 1 on [0, 1) and 2 on [1, 2) has the gauge solving m1/lam +
+    m2/lam^2 = 1, m_i the quadrature measures of the pieces; graded within
+    1e-8."""
+    mesh = grid.coordinate_mesh()[0]
+    first = (mesh >= 0) & (mesh < 1)
+    second = (mesh >= 1) & (mesh < 2)
+    vals = np.zeros(grid.shape)
+    vals[first | second] = 1.0
+    pv = np.full(grid.shape, 2.0)
+    pv[first] = 1.0
+    gauge = luxemburg_norm(Field(grid, vals), ExponentField(grid, pv))
+    m1 = np.count_nonzero(first) * grid.cell
+    m2 = np.count_nonzero(second) * grid.cell
+    exact = (m1 + math.sqrt(m1 * m1 + 4.0 * m2)) / 2.0
+    return graded_report("lebesgue.two_level_gauge", abs(gauge - exact), 0.0,
+                         1e-8, details={"gauge": gauge, "exact": exact})

@@ -288,20 +288,11 @@ def hardy_transform(gs, a):
     G_j = sum_{m >= j} a^{m-j} g_m and H_j = sum_{m <= j} a^{j-m} g_m."""
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
-    grid = gs.grid
-    big_g = []
-    big_h = []
-    for j in range(gs.levels):
-        acc_g = np.zeros(grid.shape)
-        acc_h = np.zeros(grid.shape)
-        for m_idx in range(gs.levels):
-            if m_idx >= j:
-                acc_g += a ** (m_idx - j) * gs[m_idx].values
-            if m_idx <= j:
-                acc_h += a ** (j - m_idx) * gs[m_idx].values
-        big_g.append(Field(grid, acc_g))
-        big_h.append(Field(grid, acc_h))
-    return FieldSequence(tuple(big_g)), FieldSequence(tuple(big_h))
+    levels = range(gs.levels)
+    big_g = (sum(a ** (m - j) * gs[m].values for m in levels[j:]) for j in levels)
+    big_h = (sum(a ** (j - m) * gs[m].values for m in levels[:j + 1]) for j in levels)
+    return tuple(FieldSequence(tuple(Field(gs.grid, v) for v in big))
+                 for big in (big_g, big_h))
 
 
 def hardy_bound(a, q_minus, gamma_grid=None):
@@ -317,30 +308,36 @@ def hardy_bound(a, q_minus, gamma_grid=None):
     return float(np.min(1.0 / c))
 
 
-def verify_hardy(gs, a, p, q, base=None, transforms=None):
-    """Both transform ratios against the explicit admissible constant.
+def hardy_sweep(sequences, p, qs, a_values):
+    """One ``hardy.a{a}_q{q^-}`` record per (a, q), a outer: the worst G and
+    H ratio over ``sequences`` against ``hardy_bound(a, q^-)``, within 1e-6.
 
-    Checks |(G_j)| / |(g_m)| and |(H_j)| / |(g_m)| against
-    min_gamma (1-a^gamma)^{-1/q^-} (1-a^{1-gamma/q^-})^{-1} over the
-    default gamma grid of ``hardy_bound``, within 1e-6.  ``base`` is
-    the norm |(g_m)| when the caller has it (it does not depend on a), and
-    ``transforms`` is ``hardy_transform(gs, a)`` when the caller has it (it
-    does not depend on p or q); each is formed here otherwise.
+    ``sequences`` is read once.  Each takes one base norm per q and one
+    transform pair per a, dropped before the next a's is formed.  A zero
+    sequence measures nothing; a case that measures nothing is trivial.
     """
-    if not 0.0 < a < 1.0:
+    if not all(0.0 < a < 1.0 for a in a_values):
         raise ValueError("a must lie in (0, 1)")
-    bound = hardy_bound(a, q.p_minus)
-    if base is None:
-        base = mixed_norm(gs, p, q)
-    if base == 0.0:
-        return CheckReport("lp.hardy", "trivial", 0.0, bound, 1e-6,
-                           {"ratio_G": 0.0, "ratio_H": 0.0, "a": a})
-    if transforms is None:
-        transforms = hardy_transform(gs, a)
-    big_g, big_h = transforms
-    r_g = mixed_norm(big_g, p, q) / base
-    r_h = mixed_norm(big_h, p, q) / base
-    return graded_report(
-        "lp.hardy", max(r_g, r_h), bound, 1e-6,
-        details={"ratio_G": r_g, "ratio_H": r_h, "a": a, "q_minus": q.p_minus},
-    )
+    worst = [[[0.0, 0.0] for _ in qs] for _ in a_values]  # largest G, H ratio
+    measured = False
+    for gs in sequences:
+        bases = [mixed_norm(gs, p, q) for q in qs]
+        if 0.0 in bases:
+            continue
+        measured = True
+        for a, by_q in zip(a_values, worst):
+            transforms = hardy_transform(gs, a)
+            for q, base, w in zip(qs, bases, by_q):
+                for side, big in enumerate(transforms):
+                    w[side] = max(w[side], mixed_norm(big, p, q) / base)
+            del transforms
+    return [graded_report(
+        f"hardy.a{a}_q{q.p_minus}", max(r_g, r_h), hardy_bound(a, q.p_minus),
+        1e-6, details={"ratio_G": r_g, "ratio_H": r_h, "a": a,
+                       "q_minus": q.p_minus}, trivial=not measured)
+        for a, by_q in zip(a_values, worst) for q, (r_g, r_h) in zip(qs, by_q)]
+
+
+def verify_hardy(gs, a, p, q):
+    """``hardy_sweep`` of the one sequence ``gs`` and the one case (a, q)."""
+    return hardy_sweep((gs,), p, (q,), (a,))[0]

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import pkgutil
 import runpy
 import subprocess
 import sys
@@ -22,6 +23,15 @@ SMALL = {
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 BENCH = runpy.run_path(str(PERFBENCH / "workloads.py"))
+
+
+def _python(*args, **env):
+    """Run a fresh interpreter that imports the package from this tree."""
+    src = os.path.dirname(os.path.dirname(varbesov.__file__))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -123,8 +133,8 @@ class TestRun:
 
     def test_hardy_forms_one_transform_pair_per_a(self, monkeypatch):
         # per trial: one pair for each of the 3 values of a, shared by the
-        # 3 values of q0; verify_hardy forms none of its own
-        from varbesov import cli, littlewood_paley
+        # 3 values of q0
+        from varbesov import littlewood_paley
 
         calls = []
         transform = littlewood_paley.hardy_transform
@@ -133,7 +143,6 @@ class TestRun:
             calls.append(a)
             return transform(gs, a)
 
-        monkeypatch.setattr(cli, "hardy_transform", counted)
         monkeypatch.setattr(littlewood_paley, "hardy_transform", counted)
         run(dict(SMALL, trials=2, suites=["hardy"]))
         assert calls == [0.25, 0.5, 0.75] * 2
@@ -159,36 +168,6 @@ class TestRun:
         run(dict(SMALL, trials=2, suites=["hardy"]))
         assert len(calls) == 2 * 21
 
-    def test_verify_hardy_with_a_passed_base(self):
-        from varbesov.exponents import constant_exponent, log_smooth_exponent
-        from varbesov.grid import Grid
-        from varbesov.littlewood_paley import verify_hardy
-        from varbesov.mixed import mixed_norm
-        from varbesov.random_fields import band_limited_sequence
-
-        grid = Grid(1, 1024, 16.0)
-        gs = band_limited_sequence(grid, 7, 64, [4242, 10, 0])
-        p = log_smooth_exponent(grid, 2.0, 1.0)
-        q = constant_exponent(grid, 2.0)
-        base = mixed_norm(gs, p, q)
-        for a in (0.25, 0.75):
-            assert verify_hardy(gs, a, p, q, base=base) == verify_hardy(gs, a, p, q)
-
-    def test_verify_hardy_with_passed_transforms(self):
-        from varbesov.exponents import cos_bump_exponent, log_smooth_exponent
-        from varbesov.grid import Grid
-        from varbesov.littlewood_paley import hardy_transform, verify_hardy
-        from varbesov.random_fields import band_limited_sequence
-
-        grid = Grid(1, 1024, 16.0)
-        gs = band_limited_sequence(grid, 7, 64, [4242, 10, 0])
-        p = log_smooth_exponent(grid, 2.0, 1.0)
-        q = cos_bump_exponent(grid, 1.5, 1.0)
-        for a in (0.25, 0.75):
-            assert verify_hardy(gs, a, p, q,
-                                transforms=hardy_transform(gs, a)) == \
-                verify_hardy(gs, a, p, q)
-
     def test_environment_has_no_timestamps(self, small_report):
         assert set(small_report.environment) == {
             "package_version", "backend", "numpy_version", "python_version"}
@@ -196,15 +175,11 @@ class TestRun:
     @pytest.mark.parametrize("value", ["numba", "bogus"])
     def test_backend_is_not_an_environment_option(self, value):
         # the kernels have one backend, so no environment value selects one
-        src = os.path.dirname(os.path.dirname(varbesov.__file__))
-        env = dict(os.environ, VARBESOV_BACKEND=value,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = (f"import varbesov.cli as c; "
                 f"r = c.run({dict(SMALL, suites=['lebesgue'])!r}); "
                 f"print(r.environment['backend'], r.failed)")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
+        out = _python("-c", code, VARBESOV_BACKEND=value)
+        assert out.returncode == 0
         assert out.stdout.split() == ["numpy", "[]"]
 
     def test_two_dimensional_config(self):
@@ -311,11 +286,23 @@ class TestMain:
         ({"grid": {"dim": True}}, "grid.dim"),
         ({"grid": {"points_per_axis": True}}, "grid.points_per_axis"),
         ({"tolerances": {"mixed": True}}, "tolerances.mixed"),
+        ({"tolerances": {"hardy": 1e-3}}, "tolerances.hardy: unknown tolerance"),
+        # the duality witness needs finite exponents
+        ({"exponents": {"p": {"family": "two_level", "params": {
+            "inner": 2.0, "outer": float("inf"), "radius": 3.0}}},
+          "suites": ["duality"]}, "exponents.p"),
+        ({"exponents": {"q": {"family": "constant",
+                              "params": {"value": float("inf")}}},
+          "suites": ["duality"]}, "exponents.q"),
+        ({"exponents": {"q": {"family": "two_level", "params": {
+            "inner": 2.0, "outer": float("inf"), "radius": 3.0}}},
+          "suites": ["duality"]}, "exponents.q"),
     ], ids=["half_width_str", "half_width_bool", "half_width_inf", "param_str",
             "param_nan", "p_below_one", "q_below_one", "p1_below_one",
             "p2_zero", "s_infinite", "p1_p2_harmonic_below_one", "levels_bool",
             "seed_bool", "trials_bool", "dim_bool", "points_bool",
-            "tolerance_bool"])
+            "tolerance_bool", "tolerance_unknown", "duality_p_inf",
+            "duality_q_inf", "duality_q_two_level_inf"])
     def test_exit_two_on_malformed_values(self, tmp_path, capsys, config, field):
         # malformed values are configuration errors (exit 2), not failed
         # checks (exit 1); the message names the field
@@ -324,6 +311,21 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--out",
                      str(tmp_path / "r.json")]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
+
+    def test_importing_any_module_runs_nothing(self):
+        names = [m.name for m in pkgutil.iter_modules(varbesov.__path__)]
+        assert "__main__" in names
+        out = _python("-c", "import importlib\n" + "".join(
+            f"importlib.import_module('varbesov.{n}')\n" for n in names))
+        assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+
+    def test_runs_as_a_module(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL, "suites": ["lebesgue"]}))
+        out = _python("-m", "varbesov", "--config", str(cfg_path),
+                      "--out", str(tmp_path / "r.json"))
+        assert out.returncode == 0, out.stderr
+        assert json.loads((tmp_path / "r.json").read_text())["records"]
 
     def test_exit_two_on_unparsable_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from varbesov import lebesgue
 from varbesov.exponents import ExponentField, constant_exponent, log_smooth_exponent
 from varbesov.grid import Field, Grid
-from varbesov.lebesgue import classical_norm, luxemburg_norm, modular, omega
+from varbesov.lebesgue import (classical_norm, luxemburg_norm, modular, omega,
+                               two_level_gauge, unit_ball_violations)
 from varbesov.random_fields import band_limited_field
-
-GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 @pytest.fixture(scope="module")
@@ -97,16 +97,19 @@ class TestLuxemburgNorm:
             assert nrm == pytest.approx(1.7 * 3.0 ** (1.0 / p0), rel=1e-8)
 
     def test_two_level_exponent_golden_gauge(self, grid):
-        # rho(f/lam) = 1/lam + 1/lam^2 = 1 has the golden ratio as root
-        f = indicator(grid, 0.0, 2.0)
-        pv = np.full(grid.shape, 2.0)
-        x = grid.axis_coordinates()
-        pv[(x >= 0) & (x < 1)] = 1.0
-        lam = luxemburg_norm(f, ExponentField(grid, pv))
+        # the pieces tile exactly (m1 = m2 = 1): rho(f/lam) = 1/lam +
+        # 1/lam^2 = 1 has the golden ratio as root
+        rep = two_level_gauge(grid)
         oracle = brentq(lambda t: 1.0 / t + 1.0 / t**2 - 1.0, 1.0, 2.0,
                         xtol=1e-13)
-        assert lam == pytest.approx(oracle, abs=1e-8)
-        assert lam == pytest.approx(GOLDEN, abs=1e-8)
+        assert rep.status == "pass", rep
+        assert rep.details["gauge"] == pytest.approx(oracle, abs=1e-8)
+
+    def test_two_level_gauge_fails_off_by_1e7(self, grid, monkeypatch):
+        norm = lebesgue.luxemburg_norm
+        monkeypatch.setattr(lebesgue, "luxemburg_norm",
+                            lambda f, p: norm(f, p) + 1e-7)
+        assert two_level_gauge(grid).status == "fail"
 
     def test_infinity_is_sup_norm(self, grid):
         f = band_limited_field(grid, 40, 3)
@@ -150,13 +153,16 @@ class TestLuxemburgNorm:
         for seed in range(8):
             f = band_limited_field(grid, 40, [77, seed])
             nrm = luxemburg_norm(f, p)
-            for target in (0.4, 1.0 - 1e-5, 1.0 + 1e-5, 2.5):
-                g = Field(grid, f.values * (target / nrm))
-                rho = modular(g, p)
-                if target <= 1.0 - 1e-7:
-                    assert rho <= 1.0 + 1e-10
-                elif target >= 1.0 + 1e-7:
-                    assert rho > 1.0 - 1e-10
+            assert unit_ball_violations(
+                lambda s: modular(Field(grid, f.values * (s / nrm)), p)) == 0
+
+    @pytest.mark.parametrize("radius, violations", [
+        (1.0, 0), (1.0 + 2e-5, 1), (1.0 - 2e-5, 1), (0.5, 1), (3.0, 2)])
+    def test_unit_ball_violations_counts_each_broken_scale(self, radius,
+                                                           violations):
+        # a modular s^2 / radius^2 reads <= 1 exactly on s <= radius (at
+        # radius 0.5 it reads 1 at s = 0.5, which lies in the ball)
+        assert unit_ball_violations(lambda s: (s / radius) ** 2) == violations
 
 
 @settings(max_examples=20, deadline=None)

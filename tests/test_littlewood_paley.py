@@ -5,11 +5,13 @@ import pytest
 
 from varbesov.exponents import (constant_exponent, cos_bump_exponent,
                                 local_log_holder, log_smooth_exponent)
+from varbesov import littlewood_paley
 from varbesov.grid import Field, convolve, eta_kernel, field_from_function
 from varbesov.lebesgue import luxemburg_norm
 from varbesov.littlewood_paley import (ResolutionOfUnity, besov_norm,
                                        build_resolution, check_lemma_eta_shift,
-                                       hardy_bound, hardy_transform, lp_block,
+                                       hardy_bound, hardy_sweep,
+                                       hardy_transform, lp_block,
                                        partition_of_unity, single_block_identity,
                                        smooth_step, verify_eta_convolution,
                                        verify_hardy, verify_mixed_eta)
@@ -305,8 +307,30 @@ class TestHardy:
         for a in (0.25, 0.5, 0.75):
             for q0 in (1.5, 2.0, 4.0):
                 gs = band_limited_sequence(small_grid, 6, 32, [43, int(a * 100), int(q0 * 10)])
-                rep = verify_hardy(gs, a, p, constant_exponent(small_grid, q0))
+                [rep] = hardy_sweep([gs], p, [constant_exponent(small_grid, q0)], [a])
                 assert rep.status == "pass", (a, q0, rep)
+
+    def test_sweep_grades_the_worst_sequence(self, small_grid, monkeypatch):
+        # a zero sequence measures nothing; a case fails once its bound lies
+        # 2e-6 below its worst ratio
+        p = log_smooth_exponent(small_grid, 2.0, 1.0)
+        qs = [constant_exponent(small_grid, 1.5), cos_bump_exponent(small_grid, 2.0, 1.0)]
+        gss = [band_limited_sequence(small_grid, 5, 32, [59, t]) for t in range(2)]
+        zeros = gss[0].scaled(0.0)
+        reps = hardy_sweep(iter([gss[0], zeros, gss[1]]), p, qs, [0.25, 0.75])
+        assert [r.check_id for r in reps] == [
+            "hardy.a0.25_q1.5", "hardy.a0.25_q2.0", "hardy.a0.75_q1.5", "hardy.a0.75_q2.0"]
+        for rep, *one in zip(reps, *(hardy_sweep([gs], p, qs, [0.25, 0.75]) for gs in gss)):
+            assert rep.status == "pass"
+            assert rep.measured == max(r.measured for r in one)
+        assert [r.measured for r in hardy_sweep(gss[::-1], p, qs, [0.25, 0.75])] == \
+            [r.measured for r in reps]
+        assert [r.status for r in hardy_sweep([zeros], p, qs, [0.5])] == ["trivial"] * 2
+        worst = {(r.details["a"], r.details["q_minus"]): r.measured for r in reps}
+        for slack, status in ((0.5e-6, "pass"), (2e-6, "fail")):
+            monkeypatch.setattr(littlewood_paley, "hardy_bound",
+                                lambda a, q_minus: worst[a, q_minus] - slack)
+            assert {r.status for r in hardy_sweep(gss, p, qs, [0.25, 0.75])} == {status}
 
     def test_variable_q_uses_q_minus(self, small_grid):
         gs = band_limited_sequence(small_grid, 5, 32, 47)
