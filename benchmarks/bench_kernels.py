@@ -30,9 +30,16 @@ Beside the ``mixed_norm`` time stands the number of ``_kernels.log_modular``
 passes per norm, the predictor's and the certificate's included: perfbench's
 ``solve.solve_threshold.evals_total`` counts only the evaluations of
 threshold solves, and a certified mixed norm runs none, so it sees neither.
-The fallback row times one desk-scale ``mixed_norm`` whose q is inf on the
-inner band |x| < 0.4 L: that input is not affine in (log lam, log mu), so
-the predictor declines, and the norm is the plain nested threshold solve.
+The rows below it time one ``mixed_norm`` per input class on the same
+levels and p: q = inf on the inner band |x| < 0.4 L and on the outer band
+|x| >= 0.4 L, p = inf on the inner band, and the outer q = inf band
+with every odd level zero off it, so that those levels carry only q = inf
+terms.  A q = inf node is a term with zero slope in log lam, so the
+predictor and the certificate serve both q bands; the inner band's lines
+still leave the certificate short, and the norm falls back to the nested
+solve from the predictor's crossing.  The predictor declines p = inf (a
+floor in closed form) and levels whose terms all sit at q = inf nodes; those
+norms are the nested solve from the crude hint.
 """
 
 import resource
@@ -99,9 +106,30 @@ def modular_inputs():
     ]
 
 
+def evaluator_rows(grid, fs, p, q):
+    """(name, levels, p, q) per input class of the evaluator rows."""
+    from varbesov.exponents import ExponentField
+    from varbesov.mixed import sequence_from_values
+
+    r = grid.min_image_radius()
+    inner = r < 0.4 * grid.half_width
+    q_inner = ExponentField(grid, np.where(inner, np.inf, q.values))
+    q_outer = ExponentField(grid, np.where(inner, q.values, np.inf))
+    p_inner = ExponentField(grid, np.where(inner, np.inf, p.values))
+    mass_only = sequence_from_values(grid, [
+        np.where(inner, 0.0, f.values) if j % 2 else f.values
+        for j, f in enumerate(fs)])
+    return [
+        ("mixed_norm", fs, p, q),
+        ("mixed_norm, q = inf on |x| < 0.4 L", fs, p, q_inner),
+        ("mixed_norm, q = inf on |x| >= 0.4 L", fs, p, q_outer),
+        ("mixed_norm, p = inf on |x| < 0.4 L", fs, p_inner, q),
+        ("mixed_norm, odd levels q = inf terms only", mass_only, p, q_outer),
+    ]
+
+
 def bench_modular():
-    from varbesov.exponents import (ExponentField, cos_bump_exponent,
-                                    log_smooth_exponent)
+    from varbesov.exponents import cos_bump_exponent, log_smooth_exponent
     from varbesov.lebesgue import Modular
     from varbesov.mixed import mixed_norm
     from varbesov.random_fields import band_limited_sequence
@@ -115,16 +143,13 @@ def bench_modular():
         reps = 50 if grid.node_count <= N else 10
         print(f"  {label}", flush=True)
         t = bench(lambda: Modular(fs, p, q), reps=reps)
-        print(f"    {'Modular build':<40}{t * 1e3:>9.2f} ms", flush=True)
-        rows = [("mixed_norm", q, max(reps // 5, 3))]
-        if grid.dim == 1:
-            inner = grid.min_image_radius() < 0.4 * grid.half_width
-            rows.append(("mixed_norm, fallback (q = inf band)",
-                         ExponentField(grid, np.where(inner, np.inf, q.values)), 3))
-        for name, qe, norm_reps in rows:
-            t = bench(lambda: mixed_norm(fs, p, qe), reps=norm_reps)
-            passes = kernel_passes(lambda: mixed_norm(fs, p, qe))
-            print(f"    {name:<40}{t * 1e3:>9.2f} ms{passes:>8} passes/norm",
+        print(f"    {'Modular build':<44}{t * 1e3:>9.2f} ms", flush=True)
+        for name, gs, pe, qe in evaluator_rows(grid, fs, p, q):
+            passes = kernel_passes(lambda: mixed_norm(gs, pe, qe))
+            # norms of hundreds of passes are timed 3 times
+            norm_reps = max(reps // 5, 3) if passes < 200 else 3
+            t = bench(lambda: mixed_norm(gs, pe, qe), reps=norm_reps)
+            print(f"    {name:<44}{t * 1e3:>9.2f} ms{passes:>8} passes/norm",
                   flush=True)
 
 

@@ -51,16 +51,18 @@ _SUM_MIN = 1e-290  # plain sums below this are redone relative to the top term
 # modular kernels
 # ---------------------------------------------------------------------------
 
-def log_modular(base, c, log_lam, buf, mass=0.0):
+def log_modular(base, c, log_lam, buf):
     """One pass of the exp-log fused modular over finite-exponent nodes.
 
-    With w = exp(base - c * log_lam) and the total rho = mass + sum(w),
-    returns (log rho, d log rho / d log lam, scale).  On return ``buf``
-    holds the terms w / exp(shift) and ``scale`` = exp(shift) / rho is the
-    share of rho per unit of ``buf``, so any other weighted sum of the terms
-    over rho, such as the slope in log mu that ``lebesgue.Modular.partials``
-    takes, is sum(weight * buf) * scale.  When every term
-    is zero, the slope is 0.0, ``scale`` is nan and ``buf`` holds no terms.
+    With the terms w = exp(base - c * log_lam) and rho = sum(w), returns
+    (log rho, d log rho / d log lam, scale).  A term with c = 0 (a q = inf
+    node) is one like any other whose value does not move with lam.  On
+    return ``buf`` holds the terms w / exp(shift) and ``scale`` =
+    exp(shift) / rho is the share of rho per unit of ``buf``, so any other
+    weighted sum of the terms over rho, such as the slope in log mu that
+    ``lebesgue.Modular.partials`` takes, is sum(weight * buf) * scale.  When
+    every term is zero, log rho is -inf, the slope is 0.0, ``scale`` is nan
+    and ``buf`` holds no terms.
 
     ``buf`` is scratch of the nodes' length and is overwritten; only
     in-place ufuncs touch it.  The sum is taken relative to the largest term
@@ -77,14 +79,11 @@ def log_modular(base, c, log_lam, buf, mass=0.0):
         buf += base
         shift = float(buf.max()) if buf.size else -_INF
         if shift == -_INF:
-            log_rho = math.log(mass) if mass > 0.0 else -_INF
-            return log_rho, 0.0, math.nan
+            return -_INF, 0.0, math.nan
         buf -= shift
         np.exp(buf, out=buf)
         s = float(buf.sum())
     log_rho = shift + math.log(s)
-    if mass > 0.0:
-        log_rho = float(np.logaddexp(math.log(mass), log_rho))
     scale = math.exp(shift - log_rho)  # terms of buf per unit of rho
     return log_rho, -float(np.dot(c, buf)) * scale, scale
 

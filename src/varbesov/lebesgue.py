@@ -104,18 +104,20 @@ class Modular:
         rho_j(lam, mu) = rho_p(f_j / (mu lam^{1/q(x)}))
                        = sum over nodes of exp(a - c log lam - p log mu)
 
-    with a = p log|f_j| + log(cell) and c = p/q over finite-p nodes (the
-    lam^{1/inf} = 1 convention makes c = 0 where q = inf).  Construction
+    with a = p log|f_j| + log(cell) and c = p/q over finite-p nodes.  The
+    lam^{1/inf} = 1 convention makes c = 0 where q = inf: such a node is a
+    term like any other, whose value does not move with lam.  Construction
     precomputes a (one row per level, built in place from log|f_j|) and c;
-    a node class is gathered only when it holds some but not all nodes, so
-    the common all-finite case gathers nothing.  ``solve`` then inverts in
-    lam by Newton in log lam, where each evaluation is one pass over a
-    preallocated buffer returning log rho and its slope in log lam.  The
-    slope in log mu is taken only by ``partials``, for the mixed norm's
-    predictor.
+    the finite-p nodes are gathered only when some but not all p are
+    finite, so the common all-finite case gathers nothing.  ``solve`` then
+    inverts in lam by Newton in log lam, where each evaluation is one pass
+    over a preallocated buffer returning log rho and its slope in log lam.
+    The slope in log mu is taken only by ``partials``, for the mixed norm's
+    predictor.  A level whose nonzero terms all have c = 0 is decided from
+    one pass: lam is inf where that sum is above 1, else 0 or the p = inf
+    floor below.
 
-    The other nodes enter in closed form: q = inf nodes with finite p carry
-    a lam-independent mass; p = inf nodes put a floor on log lam at
+    p = inf nodes enter in closed form: they put a floor on log lam at
     q (log|f| - log mu), or make the level infeasible where q = inf too.
 
     The solver sees rho raised by a bound on its rounding error, so a point
@@ -128,31 +130,30 @@ class Modular:
         require_same_grid(*levels, p, *(() if q is None else (q,)))
         pv = p.values.ravel()
         fin = np.isfinite(pv)
+        terms = _node_class(fin)
+        # every p finite: each level's log rho is a plain log-sum-exp of
+        # terms affine in (log lam, log mu)
+        self.plain = terms is _ALL
+        self.p = _take(pv, terms)
+        moving = None  # the terms with c > 0, marked where some have c = 0
         if q is None:
-            rq = None
-            dep, ind, floor, cap = _node_class(fin), None, _node_class(~fin), None
+            self.c = self.p  # q = 1 gives c = p * 1.0 = p
+            floor, cap = _node_class(~fin), None
+            self._floor_q = np.ones_like(_take(pv, floor))
         else:
             qv = q.values.ravel()
             rq = np.where(np.isinf(qv), 0.0, 1.0 / qv)
-            with_q, no_q = rq > 0.0, rq == 0.0
-            dep, ind = _node_class(fin & with_q), _node_class(fin & no_q)
-            floor, cap = _node_class(~fin & with_q), _node_class(~fin & no_q)
-        # every node in the (finite p, finite q) class: each level's log rho
-        # is a plain log-sum-exp, affine terms in (log lam, log mu) only
-        self.plain = dep is _ALL
-        self.p = _take(pv, dep)
-        # q = 1 gives c = p * 1.0 = p
-        self.c = self.p if rq is None else self.p * _take(rq, dep)
-        self._p_ind = _take(pv, ind)
-        if rq is None:
-            self._floor_q = np.ones_like(_take(pv, floor))
-        else:
+            no_q = rq == 0.0
+            self.c = self.p * _take(rq, terms)
+            if (fin & no_q).any():
+                moving = self.c > 0.0
+            floor, cap = _node_class(~fin & ~no_q), _node_class(~fin & no_q)
             self._floor_q = 1.0 / _take(rq, floor)
         log_cell = math.log(p.grid.cell)
         self.rows = []
-        self._rows_ind = []
         self._floor_log = []
         self._cap_log = []
+        self._live = []
         self._lam_dependent = []
         self._row_size = []
         for f in levels:
@@ -162,8 +163,7 @@ class Modular:
             self._floor_log.append(_take(la, floor))
             self._cap_log.append(-math.inf if cap is None else
                                  float(np.max(la[cap], initial=-math.inf)))
-            self._rows_ind.append(_affine_row(la, ind, self._p_ind, log_cell))
-            row = _affine_row(la, dep, self.p, log_cell)
+            row = _affine_row(la, terms, self.p, log_cell)
             self.rows.append(row)
             # largest |a| over the live (nonzero-sample) nodes, 0 if none
             hi = float(row.max()) if row.size else -math.inf
@@ -173,6 +173,9 @@ class Modular:
                 if lo == -math.inf:
                     lo = float(row[row > -math.inf].min())
                 size = max(hi, -lo)
+            self._live.append(hi > -math.inf)
+            if moving is not None:
+                hi = float(np.max(row, where=moving, initial=-math.inf))
             self._lam_dependent.append(hi > -math.inf)
             self._row_size.append(size)
         self._c_max = float(np.max(self.c, initial=0.0))
@@ -181,14 +184,21 @@ class Modular:
         self._base = np.empty_like(self.p)
         self._buf = np.empty_like(self.p)
 
-    def _plain_pass(self, j, log_lam, log_mu):
-        """One ``log_modular`` pass of level j at (log lam, log mu) through
-        ``_buf``; only for a ``plain`` evaluator and a live level: the
-        closed-form node classes are not added."""
+    def _at(self, j, log_mu):
+        """Level j's term exponents a - p log mu at log mu, in ``_base``
+        (the row itself at log mu = 0)."""
+        if log_mu == 0.0:
+            return self.rows[j]
         base = np.multiply(self.p, -log_mu, out=self._base)
         base += self.rows[j]
+        return base
+
+    def _pass(self, j, log_lam, log_mu):
+        """One ``log_modular`` pass of level j at (log lam, log mu) through
+        ``_buf``; p = inf nodes are not added."""
         with np.errstate(over="ignore"):
-            return _kernels.log_modular(base, self.c, log_lam, self._buf)
+            return _kernels.log_modular(self._at(j, log_mu), self.c, log_lam,
+                                        self._buf)
 
     def partials(self, j, log_lam, log_mu):
         """(log rho_j, d log rho_j / d log lam, d log rho_j / d log mu) at
@@ -198,14 +208,14 @@ class Modular:
         The value is not raised by its rounding bound, so it certifies
         nothing.
         """
-        log_rho, d_lam, scale = self._plain_pass(j, log_lam, log_mu)
+        log_rho, d_lam, scale = self._pass(j, log_lam, log_mu)
         return log_rho, d_lam, -float(np.dot(self.p, self._buf)) * scale
 
     def raised_log_rho(self, j, log_lam, log_mu):
         """log rho_j at (log lam, log mu) from one pass, raised by its
         rounding bound (``raised``): <= 0 certifies the point feasible, as
         in ``solve``.  Same scope as ``partials``."""
-        log_rho = self._plain_pass(j, log_lam, log_mu)[0]
+        log_rho = self._pass(j, log_lam, log_mu)[0]
         return self.raised(j, log_rho, log_lam, log_mu)
 
     def raised(self, j, log_rho, log_lam, log_mu):
@@ -220,10 +230,11 @@ class Modular:
     def solve(self, j, log_mu=0.0, hint=1.0, rel_tol=NORM_REL_TOL):
         """lam = inf{lam > 0 : rho_j(lam, mu) <= 1} at mu = exp(log_mu).
 
-        lam is 0 for a zero level and inf when the lam-independent part
-        alone exceeds the unit ball.  A finite lam is a point evaluated on
-        the feasible side, within rel_tol of one evaluated on the infeasible
-        side.
+        lam is 0 for a zero level and inf when no lam is feasible: the
+        terms at q = inf nodes alone sum above 1 (or to 1 beside a term that
+        moves with lam), or a p = q = inf node exceeds mu.  A finite lam is
+        a point evaluated on the feasible side, within rel_tol of one
+        evaluated on the infeasible side.
         """
         if self._cap_log[j] > log_mu:
             return math.inf
@@ -231,12 +242,6 @@ class Modular:
             return self._solve(j, log_mu, hint, rel_tol)
 
     def _solve(self, j, log_mu, hint, rel_tol):
-        mass = 0.0
-        if self._p_ind.size:
-            mass = float(np.exp(self._rows_ind[j] - self._p_ind * log_mu).sum())
-        if mass > 1.0 or (mass == 1.0 and self._lam_dependent[j]):
-            return math.inf
-
         floor = -math.inf
         floor_log = self._floor_log[j]
         if floor_log.size:
@@ -246,33 +251,31 @@ class Modular:
                 floor = float(lf[k]) + _floor_slack(
                     float(self._floor_q[k]), float(floor_log[k]), log_mu)
         if not self._lam_dependent[j]:
+            # rho_j does not move with lam: the q = inf terms alone decide
+            if self._live[j] and self._pass(j, 0.0, log_mu)[0] > 0.0:
+                return math.inf
             return _exp(floor) if floor > -math.inf else 0.0
-
-        base = self.rows[j]
-        if log_mu != 0.0:
-            base = np.multiply(self.p, -log_mu, out=self._base)
-            base += self.rows[j]
-        c, buf = self.c, self._buf
+        base, c, buf = self._at(j, log_mu), self.c, self._buf
         if floor > -math.inf:
-            log_rho = _kernels.log_modular(base, c, floor, buf, mass)[0]
+            log_rho = _kernels.log_modular(base, c, floor, buf)[0]
             if self.raised(j, log_rho, floor, log_mu) <= 0.0:
                 return _exp(floor)
             hint = max(hint, _exp(floor))
 
         def fn(lam):
             log_lam = math.log(lam)
-            log_rho, d_lam, _ = _kernels.log_modular(base, c, log_lam, buf, mass)
+            log_rho, d_lam, _ = _kernels.log_modular(base, c, log_lam, buf)
             return _exp(self.raised(j, log_rho, log_lam, log_mu)), d_lam
 
         return solve_threshold(fn, hint, rel_tol=rel_tol)
 
 
-def luxemburg_norm(f, p, rel_tol=NORM_REL_TOL):
+def luxemburg_norm(f, p):
     """Luxemburg norm of a sampled field.
 
     Any finite sample on a finite box has a finite norm; f = 0 gives 0.  The
     returned value lies on the feasible side (modular(f/result) <= 1) within
-    rel_tol of the infimum.
+    ``NORM_REL_TOL`` of the infimum.
     """
     require_same_grid(f, p)
     m = f.max_abs()
@@ -281,7 +284,7 @@ def luxemburg_norm(f, p, rel_tol=NORM_REL_TOL):
     # an overflowing hint would restart the solve at 1.0, out of reach of
     # norms near the top of the float range
     hint = min(m * max(1.0, f.grid.box_measure), sys.float_info.max)
-    return Modular((f,), p).solve(0, hint=hint, rel_tol=rel_tol)
+    return Modular((f,), p).solve(0, hint=hint)
 
 
 def _power_integral(f, p0):

@@ -2,16 +2,18 @@
 
 The modular of a sequence (f_j) is the sum over levels of the per-level
 infimum lam_j = inf{lam > 0 : rho_p(f_j / lam^{1/q(x)}) <= 1}, with the
-convention lam^{1/inf} = 1 (q = inf nodes are lambda-independent).  The norm
-is the gauge of that modular in the scale parameter mu.  Both work on one
-``lebesgue.Modular`` evaluator per (sequence, p, q): the modular is one
-threshold solve (``_solve.solve_threshold``) in lambda per level, and the
-norm is certified from one pass per level at each end of a bracket in mu,
-or solved by an outer threshold solve around the level solves.
+convention lam^{1/inf} = 1 (a q = inf node is a lambda-independent term).
+The norm is the gauge of that modular in the scale parameter mu.  Both work
+on one ``lebesgue.Modular`` evaluator per (sequence, p, q): the modular is
+one threshold solve (``_solve.solve_threshold``) in lambda per level, and
+the norm is certified from one pass per level at each end of a bracket in
+mu, or solved by an outer threshold solve around the level solves.
 
 Every log rho_j is a log-sum-exp of functions affine in (u, v) =
 (log lam, log mu), so it is convex in (u, v) jointly and decreasing in
-each.  The norm is found in two phases.
+each.  A q = inf term exp(a - p v) is one of them, affine with a zero
+coefficient on u, so the tangent-plane bound and the certificate below hold
+for it unchanged.  The norm is found in two phases.
 
 Predictor (certifies nothing).  One pass at (u_j, v) gives log rho_j with
 its slopes in u and v.  The tangent plane lies below log rho_j, so where
@@ -23,10 +25,11 @@ log(norm).  The next pass is taken at that crossing, on each level's line;
 such a point is on the level's infeasible side, so from the second pass on
 the predicted v rises monotonically.  Once its step is below a quarter of
 the inner solves' gap, the last lines seed the levels' tangents at the
-crossing.  The predictor runs only where every node has finite p and q
-(``Modular.plain``): q = inf mass, p = inf floors and p = q = inf caps are
-not affine in (u, v), and there the solve starts from the crude
-``_norm_hint`` with no tangents.
+crossing.  The predictor runs only where every node has finite p
+(``Modular.plain``): p = inf floors and p = q = inf caps are not affine in
+(u, v), and there the solve starts from the crude ``_norm_hint`` with no
+tangents.  Its ``d_lam < 0`` test declines a level whose nonzero terms all
+sit at q = inf nodes, whose lam_j is 0 or inf.
 
 Certificate (decides the value).  A scale mu is feasible iff
 sum_j lam_j(mu) <= 1, and lam_j(mu) is at most any lam where
@@ -140,6 +143,8 @@ class _LevelSolver:
     def __init__(self, fs, p, q):
         self.evaluator = Modular(fs, p, q)
         self.levels = fs.levels
+        # the levels with a nonzero term, each with one line and one point
+        self.live = [j for j, live in enumerate(self.evaluator._live) if live]
         self._tangents = [None] * fs.levels  # (log mu, log lam, slope)
 
     def inner(self, j, log_mu):
@@ -161,7 +166,7 @@ class _LevelSolver:
                 return math.inf
         return total
 
-    def norm(self, hint, rel_tol=NORM_REL_TOL):
+    def norm(self, hint):
         """The mixed norm, solved from ``hint`` (see ``_norm_hint``); on a
         plain evaluator it is certified from the predictor's lines, or
         solved from the predictor's crossing where that fails."""
@@ -169,14 +174,14 @@ class _LevelSolver:
             log_hint = math.log(hint)
             log_mu = self._predict(log_hint)
             if log_mu is not None:
-                bracket = self._certify(log_mu, rel_tol)
+                bracket = self._certify(log_mu, NORM_REL_TOL)
                 if bracket is not None:
                     return bracket[1][0]  # mu_hi
                 # the crude hint is feasible: a crossing above it helps nothing
                 if log_mu < log_hint:
                     hint = math.exp(log_mu)
         return solve_threshold(lambda mu: self.modular(math.log(mu)), hint,
-                               rel_tol=rel_tol)
+                               rel_tol=NORM_REL_TOL)
 
     def _certify(self, log_mu, rel_tol):
         """The bracket ((mu_lo, points_lo), (mu_hi, points_hi)) of the norm
@@ -185,8 +190,7 @@ class _LevelSolver:
         certify.  ``points`` lists (j, log lam_j) over the live levels: at
         mu_hi each has raised log rho_j <= 0, at mu_lo > 0.
         """
-        ev = self.evaluator
-        live = [j for j in range(self.levels) if ev._lam_dependent[j]]
+        ev, live = self.evaluator, self.live
         offset = 0.0625 * math.log1p(rel_tol)
         ends = []
         for feasible, v in ((True, log_mu + offset), (False, log_mu - offset)):
@@ -218,8 +222,7 @@ class _LevelSolver:
         ``log_mu`` with every lam_j = 1; seeds the tangent of every level
         with a nonzero sample.  Returns None, seeding nothing, when a pass
         gives no usable plane."""
-        ev = self.evaluator
-        live = [j for j in range(self.levels) if ev._lam_dependent[j]]
+        ev, live = self.evaluator, self.live
         if not live:
             return None
         log_lams = [0.0] * len(live)
@@ -266,7 +269,8 @@ def inner_lambda(f, p, q):
     """Per-term infimum inf{lam > 0 : rho_p(f / lam^{1/q(x)}) <= 1}.
 
     Returns 0 for f = 0 and inf when no lambda satisfies the constraint
-    (possible only through lambda-independent q = inf mass).
+    (through the lambda-independent terms at q = inf nodes, or a p = q =
+    inf node where |f| > 1).
     """
     return Modular((f,), p, q).solve(0, rel_tol=INNER_REL_TOL)
 
@@ -291,7 +295,7 @@ def _norm_hint(fs, max_abs):
     return min(hint, sys.float_info.max)
 
 
-def mixed_norm(fs, p, q, rel_tol=NORM_REL_TOL):
+def mixed_norm(fs, p, q):
     """Norm of the mixed space: inf{mu > 0 : modular((f_j)/mu) <= 1}.
 
     For q = inf everywhere this is exactly sup_j of the per-level Luxemburg
@@ -304,7 +308,7 @@ def mixed_norm(fs, p, q, rel_tol=NORM_REL_TOL):
     m = fs.max_abs()
     if m == 0.0:
         return 0.0
-    return _LevelSolver(fs, p, q).norm(_norm_hint(fs, m), rel_tol=rel_tol)
+    return _LevelSolver(fs, p, q).norm(_norm_hint(fs, m))
 
 
 def classical_mixed_norm(fs, p0, q0):

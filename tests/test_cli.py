@@ -168,6 +168,30 @@ class TestRun:
         run(dict(SMALL, trials=2, suites=["hardy"]))
         assert len(calls) == 2 * 21
 
+    def test_q_infinity_shortcut_fails_on_a_sum_of_level_norms(self, monkeypatch):
+        # the record referees mixed_norm at q = inf with the closed-form
+        # largest level norm: a q = inf branch that summed the level norms
+        # instead fails it
+        import numpy as np
+
+        from varbesov import cli
+
+        solve = cli.mixed_norm
+
+        def summed(fs, p, q):
+            if np.all(np.isinf(q.values)):
+                return sum(cli.luxemburg_norm(f, p) for f in fs)
+            return solve(fs, p, q)
+
+        def shortcut():
+            report = run(dict(SMALL, suites=["mixed"]))
+            return next(r for r in report.records
+                        if r.check_id == "mixed.q_infinity_shortcut")
+
+        assert shortcut().status == "pass"
+        monkeypatch.setattr(cli, "mixed_norm", summed)
+        assert shortcut().status == "fail"
+
     def test_environment_has_no_timestamps(self, small_report):
         assert set(small_report.environment) == {
             "package_version", "backend", "numpy_version", "python_version"}

@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -157,6 +156,16 @@ class TestCommutatorSpectra:
 
 
 class TestCommutatorOperator:
+    def test_package_attribute_names_the_module(self):
+        # the package does not rebind the name to the operator
+        import types
+
+        import varbesov
+
+        assert isinstance(varbesov.commutator, types.ModuleType)
+        assert varbesov.commutator.commutator is commutator
+        assert "commutator" not in varbesov.__all__
+
     def test_constant_v_vanishes(self, grid, rou, sample_f):
         v = VectorField((Field(grid, np.full(grid.shape, 2.5)),))
         for j in (0, 3, 6):
@@ -400,9 +409,8 @@ class TestSweep:
 
         # the name is rejected before any instance is drawn
         monkeypatch.setattr(random_fields, "band_limited_vector_field", no_draw)
-        # the package rebinds the name commutator to the function
-        monkeypatch.setattr(importlib.import_module("varbesov.commutator"),
-                            "band_limited_vector_field", no_draw, raising=False)
+        monkeypatch.setattr("varbesov.commutator.band_limited_vector_field",
+                            no_draw)
         with pytest.raises(ValueError,
                            match=r"theorem must be one of \(.*\), got 'theorem9'"):
             constant_sweep(cfg, "theorem9", trials=1, seed=1)

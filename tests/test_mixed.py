@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from varbesov import _kernels, lebesgue, mixed
 from varbesov.duality import _level_weights
-from varbesov.exponents import (conjugate, constant_exponent, cos_bump_exponent,
-                                log_smooth_exponent, two_level_exponent)
+from varbesov.exponents import (ExponentField, conjugate, constant_exponent,
+                                cos_bump_exponent, log_smooth_exponent,
+                                two_level_exponent)
 from varbesov.grid import Field, Grid
 from varbesov.lebesgue import _log_abs, luxemburg_norm
 from varbesov.mixed import (FieldSequence, check_holder, check_monotone_limit,
@@ -51,6 +52,33 @@ class TestInnerLambda:
         nrm = luxemburg_norm(f, p)
         big = Field(grid, 3.0 * f.values / nrm)
         assert inner_lambda(big, p, qi) == math.inf
+
+    @staticmethod
+    def _q_infinity_node(mass, beside=0.0):
+        # p = 1, and q = inf at one node valued mass / cell: that node's
+        # term is mass; ``beside`` puts a sample at a finite-q node next to it
+        g = Grid(1, 256, 16.0)
+        assert g.cell == 0.125
+        vals = np.zeros(g.shape)
+        vals[100] = mass / g.cell
+        vals[101] = beside
+        qv = np.full(g.shape, 2.0)
+        qv[100] = math.inf
+        return Field(g, vals), constant_exponent(g, 1.0), ExponentField(g, qv)
+
+    @pytest.mark.parametrize("mass, lam", [
+        (0.5, 0.0), (1.0, 0.0), (1.0 + 2.0 ** -40, math.inf), (3.0, math.inf)])
+    def test_terms_at_q_infinity_alone(self, mass, lam):
+        # every nonzero sample sits at a q = inf node: lam is 0.0 when their
+        # modular is at most 1, inf above; a mass of exactly 1.0 is feasible
+        f, p, q = self._q_infinity_node(mass)
+        assert inner_lambda(f, p, q) == lam
+
+    def test_unit_mass_beside_a_lam_dependent_sample(self):
+        # a sample that moves with lam adds to a q = inf mass of exactly 1.0
+        # at every lam: no lam is feasible
+        f, p, q = self._q_infinity_node(1.0, beside=1e-3)
+        assert inner_lambda(f, p, q) == math.inf
 
 
 class TestMixedModular:
@@ -259,12 +287,14 @@ class TestIndependentOracle:
         got = mixed_norm(fs, ExponentField(g, p_vals), ExponentField(g, q_vals))
         assert got == pytest.approx(oracle, rel=1e-7)
 
-    @pytest.mark.parametrize("case", ["q_inf_band", "p_inf_band", "wide_q"])
+    @pytest.mark.parametrize("case", ["q_inf_band", "q_inf_terms_only",
+                                      "p_inf_band", "wide_q"])
     def test_fallback_against_brentq_nesting(self, case):
-        # inputs where the norm is not certified: q = inf and p = inf bands
-        # are not affine in (log lam, log mu), so the predictor declines, and
-        # on this draw with q across 1.5..400 the certificate declines; each
-        # norm is the plain nested threshold solve
+        # inputs where the norm is not certified: a p = inf band is not
+        # affine in (log lam, log mu), and a level whose terms all sit at
+        # q = inf nodes has lam_j 0 or inf, so the predictor declines; on
+        # these draws with a q = inf band or q across 1.5..400 the
+        # certificate declines; each norm is the plain nested threshold solve
         from varbesov.exponents import ExponentField
 
         g = Grid(1, 256, 8.0)
@@ -274,6 +304,12 @@ class TestIndependentOracle:
         fs = band_limited_sequence(g, 3, 40, 1313)
         if case == "q_inf_band":
             q = ExponentField(g, np.where(r < 0.4 * g.half_width, np.inf, q.values))
+        elif case == "q_inf_terms_only":
+            band = r >= 0.4 * g.half_width
+            q = ExponentField(g, np.where(band, np.inf, q.values))
+            # level 1 is a plateau on the band only: the scale where its
+            # q = inf terms reach the unit ball sets the norm
+            fs = FieldSequence((fs[0], Field(g, 1.2 * band), fs[2]))
         elif case == "p_inf_band":
             band = r > 0.75 * g.half_width
             p = ExponentField(g, np.where(band, np.inf, p.values))
@@ -283,11 +319,14 @@ class TestIndependentOracle:
             fs = band_limited_sequence(g, 2, 40, 0)
             q = cos_bump_exponent(g, 1.5, 398.5)
         solver = mixed._LevelSolver(fs, p, q)
-        if case == "wide_q":
-            crossing = solver._predict(math.log(mixed._norm_hint(fs, fs.max_abs())))
-            assert solver._certify(crossing, mixed.NORM_REL_TOL) is None
-        else:
+        log_hint = math.log(mixed._norm_hint(fs, fs.max_abs()))
+        if case == "p_inf_band":
             assert not solver.evaluator.plain
+        elif case == "q_inf_terms_only":
+            assert solver._predict(log_hint) is None
+        else:
+            crossing = solver._predict(log_hint)
+            assert solver._certify(crossing, mixed.NORM_REL_TOL) is None
         got = mixed_norm(fs, p, q)
         assert math.log(got) == pytest.approx(
             _brentq_log_mixed_norm(fs, p.values, q.values), abs=1e-8)

@@ -304,18 +304,24 @@ def _count_passes(monkeypatch):
     return passes
 
 
+@pytest.mark.parametrize("outer_q_inf", [False, True], ids=["q", "q_inf_outside"])
 @pytest.mark.parametrize("grid, levels, band, per_level", [
     (default_grid(1), 9, 64, 7), (Grid(2, 256, 16.0), 7, 20, 6)],
     ids=["4096x9", "256^2x7"])
 def test_mixed_norms_certify_without_threshold_solves(grid, levels, band,
-                                                     per_level, monkeypatch):
-    # desk and plane scale, log-smooth p, cos-bump q: the certificate
-    # brackets the norm from the predictor's lines with one pass per level
-    # at each end, so no threshold solve runs, and the predictor's passes
-    # included, each level takes at most ``per_level`` passes
+                                                     per_level, outer_q_inf,
+                                                     monkeypatch):
+    # desk and plane scale, log-smooth p, cos-bump q, also with q = inf on
+    # |x| >= 0.4 L: the certificate brackets the norm from the predictor's
+    # lines with one pass per level at each end, so no threshold solve
+    # runs, and the predictor's passes included, each level takes at most
+    # ``per_level`` passes
     fs = band_limited_sequence(grid, levels, band, 3)
     p = log_smooth_exponent(grid, 2.0, 1.5)
     q = cos_bump_exponent(grid, 1.5, 1.0)
+    if outer_q_inf:
+        outer = grid.min_image_radius() >= 0.4 * grid.half_width
+        q = ExponentField(grid, np.where(outer, math.inf, q.values))
     solves = []
     monkeypatch.setattr(lebesgue, "solve_threshold",
                         _counting(_solve.solve_threshold, solves))
@@ -345,12 +351,28 @@ def _smooth_sequence(grid, log10_scale, seed, levels, zero_levels):
     return FieldSequence(tuple(entries))
 
 
+def _q_inf_on(grid, nodes, family, *params):
+    """``family(grid, *params)`` with q = inf on the nodes ``nodes(grid)``."""
+    q = family(grid, *params)
+    return ExponentField(grid, np.where(nodes(grid), math.inf, q.values))
+
+
+def _outer_band(grid):
+    return grid.min_image_radius() >= 0.6 * grid.half_width
+
+
+def _scattered(grid):
+    return np.arange(grid.node_count).reshape(grid.shape) % 7 == 3
+
+
 # (family, parameters): constant and variable, down to p = 1.0001 and up to
-# q = 400
+# q = 400, and q = inf on a band or on scattered nodes
 _P_FAMILIES = [(constant_exponent, (1.0001,)), (constant_exponent, (2.0,)),
                (log_smooth_exponent, (1.0001, 1.0))]
 _Q_FAMILIES = [(constant_exponent, (1.5,)), (constant_exponent, (400.0,)),
-               (cos_bump_exponent, (1.5, 1.0)), (cos_bump_exponent, (1.5, 398.5))]
+               (cos_bump_exponent, (1.5, 1.0)), (cos_bump_exponent, (1.5, 398.5)),
+               (_q_inf_on, (_outer_band, cos_bump_exponent, 1.5, 1.0)),
+               (_q_inf_on, (_scattered, constant_exponent, 2.0))]
 
 
 _SEQUENCE_CASES = st.tuples(
@@ -458,7 +480,7 @@ def test_certificate_declines_after_an_unconverged_predictor(monkeypatch):
 # the evaluator against a reference copy of its masked form
 # ---------------------------------------------------------------------------
 
-def _reference_log_modular(base, c, log_lam, buf, mass=0.0):
+def _reference_log_modular(base, c, log_lam, buf):
     """The evaluator pass: (log rho, d log rho / d log lam)."""
     np.multiply(c, -log_lam, out=buf)
     buf += base
@@ -470,13 +492,11 @@ def _reference_log_modular(base, c, log_lam, buf, mass=0.0):
         buf += base
         shift = float(buf.max()) if buf.size else -math.inf
         if shift == -math.inf:
-            return (math.log(mass) if mass > 0.0 else -math.inf), 0.0
+            return -math.inf, 0.0
         buf -= shift
         np.exp(buf, out=buf)
         s = float(buf.sum())
     log_rho = shift + math.log(s)
-    if mass > 0.0:
-        log_rho = float(np.logaddexp(math.log(mass), log_rho))
     scale = math.exp(shift - log_rho)
     return log_rho, -float(np.dot(c, buf)) * scale
 
@@ -493,27 +513,24 @@ class _ReferenceModular(Modular):
             qv = q.values.ravel()
             rq = np.where(np.isinf(qv), 0.0, 1.0 / qv)
         fin = np.isfinite(pv)
-        dep = fin & (rq > 0.0)
-        ind = fin & (rq == 0.0)
         floor = ~fin & (rq > 0.0)
         cap = ~fin & (rq == 0.0)
         log_cell = math.log(p.grid.cell)
-        self.p = pv[dep]
-        self.c = self.p * rq[dep]
-        self._p_ind = pv[ind]
+        self.p = pv[fin]
+        self.c = self.p * rq[fin]
         self._floor_q = 1.0 / rq[floor]
-        self.rows, self._rows_ind, self._floor_log = [], [], []
-        self._cap_log, self._lam_dependent, self._row_size = [], [], []
+        self.rows, self._floor_log, self._cap_log = [], [], []
+        self._live, self._lam_dependent, self._row_size = [], [], []
         for f in levels:
             with np.errstate(divide="ignore"):
                 la = np.log(np.abs(f.values, dtype=np.float64)).ravel()
-            row = self.p * la[dep] + log_cell
+            row = self.p * la[fin] + log_cell
             self.rows.append(row)
-            self._rows_ind.append(self._p_ind * la[ind] + log_cell)
             self._floor_log.append(la[floor])
             self._cap_log.append(float(np.max(la[cap], initial=-math.inf)))
             live = row > -math.inf
-            self._lam_dependent.append(bool(np.any(live)))
+            self._live.append(bool(np.any(live)))
+            self._lam_dependent.append(bool(np.any(live & (self.c > 0.0))))
             self._row_size.append(float(np.max(np.abs(row[live]), initial=0.0)))
         self._c_max = float(np.max(self.c, initial=0.0))
         self._p_max = float(np.max(self.p, initial=0.0))
@@ -522,11 +539,6 @@ class _ReferenceModular(Modular):
         self._buf = np.empty_like(self.p)
 
     def _solve(self, j, log_mu, hint, rel_tol):
-        mass = 0.0
-        if self._p_ind.size:
-            mass = float(np.exp(self._rows_ind[j] - self._p_ind * log_mu).sum())
-        if mass > 1.0 or (mass == 1.0 and self._lam_dependent[j]):
-            return math.inf
         floor = -math.inf
         floor_log = self._floor_log[j]
         if floor_log.size:
@@ -536,25 +548,27 @@ class _ReferenceModular(Modular):
                 qk = float(self._floor_q[k])
                 floor = float(lf[k]) + 4.0 * lebesgue._ROUND * qk * (
                     1.0 + abs(float(floor_log[k])) + abs(log_mu))
-        if not self._lam_dependent[j]:
-            return lebesgue._exp(floor) if floor > -math.inf else 0.0
         base = self.rows[j]
         if log_mu != 0.0:
             base = np.multiply(self.p, -log_mu, out=self._base)
             base += self.rows[j]
         c, buf = self.c, self._buf
+        if not self._lam_dependent[j]:
+            if self._live[j] and _reference_log_modular(base, c, 0.0, buf)[0] > 0.0:
+                return math.inf
+            return lebesgue._exp(floor) if floor > -math.inf else 0.0
         slack = lebesgue._ROUND * (
             self._row_size[j] + self._p_max * abs(log_mu) + self._sum_size)
         c_slack = lebesgue._ROUND * self._c_max
         if floor > -math.inf:
-            log_rho = _reference_log_modular(base, c, floor, buf, mass)[0]
+            log_rho = _reference_log_modular(base, c, floor, buf)[0]
             if log_rho + slack + c_slack * abs(floor) <= 0.0:
                 return lebesgue._exp(floor)
             hint = max(hint, lebesgue._exp(floor))
 
         def fn(lam):
             log_lam = math.log(lam)
-            log_rho, d_lam = _reference_log_modular(base, c, log_lam, buf, mass)
+            log_rho, d_lam = _reference_log_modular(base, c, log_lam, buf)
             return lebesgue._exp(log_rho + slack + c_slack * abs(log_lam)), d_lam
 
         return _solve.solve_threshold(fn, hint, rel_tol=rel_tol)
@@ -564,8 +578,8 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
-_BUILD_ATTRS = ("p", "c", "_p_ind", "_floor_q", "_c_max", "_p_max", "_sum_size")
-_ROW_ATTRS = ("rows", "_rows_ind", "_floor_log", "_cap_log", "_lam_dependent",
+_BUILD_ATTRS = ("p", "c", "_floor_q", "_c_max", "_p_max", "_sum_size")
+_ROW_ATTRS = ("rows", "_floor_log", "_cap_log", "_live", "_lam_dependent",
               "_row_size")
 
 
@@ -690,11 +704,11 @@ def test_luxemburg_modular_matches_masked_reference_bitwise(kind, monkeypatch):
     _solve_all(ev, ref, 1, [0.0, -0.7, 1.3], [1.0, 1e-3, 1e6])
 
 
-@pytest.mark.parametrize("kind", ["q_inf", "p_inf", "cap"])
+@pytest.mark.parametrize("kind", ["p_inf", "cap"])
 @pytest.mark.parametrize("scale", [1.0, 1e300])
 @pytest.mark.parametrize("make", [_line_sequence, _plane_blocks])
 def test_declined_inputs_start_from_the_crude_hint(make, scale, kind):
-    # q = inf mass, p = inf floors and p = q = inf caps are not affine in
+    # p = inf floors and p = q = inf caps are not affine in
     # (log lam, log mu): the predictor declines and the solve is the
     # threshold solve from the crude hint, bit for bit
     fs = make(scale)
@@ -704,3 +718,23 @@ def test_declined_inputs_start_from_the_crude_hint(make, scale, kind):
     want = _solve.solve_threshold(lambda mu: solver.modular(math.log(mu)),
                                   mixed._norm_hint(fs, fs.max_abs()))
     assert _bits(mixed_norm(fs, p, q)) == _bits(want)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+@pytest.mark.parametrize("make, certified", [(_line_sequence, False),
+                                             (_plane_blocks, True)])
+def test_q_infinity_inputs_run_the_predictor(make, certified, scale):
+    # a q = inf node is a term with c = 0, affine in (log lam, log mu), so
+    # the evaluator is plain and the predictor runs.  The plane blocks
+    # certify; on the line, levels far below the others keep lines short of
+    # their log lam_j when the crossing has converged, and the norm is the
+    # threshold solve from that crossing, bit for bit
+    fs = make(scale)
+    p, q = _exponents(fs.grid, "q_inf")
+    solver, crossing, bracket = _certify(fs, p, q)
+    assert solver.evaluator.plain
+    if certified:
+        assert _bits(mixed_norm(fs, p, q)) == _bits(bracket[1][0])
+    else:
+        assert bracket is None
+        _assert_fallback(solver, crossing, fs, p, q)
