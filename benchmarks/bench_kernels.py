@@ -22,8 +22,9 @@ them.  Beside each time stands the number of minor page faults per call
 first time, mostly in fresh allocations of its arrays.
 
 The evaluator rows time one ``lebesgue.Modular`` build (the per-level rows
-of a level stack) and one ``mixed_norm`` on a band-limited sequence at desk
-scale (4096 nodes, 9 levels) and plane scale (256^2, 7 levels), with a
+of a level stack), one build in the q-omitted form of ``luxemburg_norm``
+(one level, c is p) and one ``mixed_norm`` on a band-limited sequence at
+desk scale (4096 nodes, 9 levels) and plane scale (256^2, 7 levels), with a
 log-smooth p and a cos-bump q as in the default configuration; the desk
 ``mixed_norm`` row is the end-to-end mixed norm on the CLI's default grid.
 Beside the ``mixed_norm`` time stands the number of ``_kernels.log_modular``
@@ -39,7 +40,9 @@ predictor and the certificate serve both q bands; the inner band's lines
 still leave the certificate short, and the norm falls back to the nested
 solve from the predictor's crossing.  The predictor declines p = inf (a
 floor in closed form) and levels whose terms all sit at q = inf nodes; those
-norms are the nested solve from the crude hint.
+norms are the nested solve from the crude hint.  Every row of the evaluator
+spans every node, a p = inf node being a zero term, so each pass of the
+p = inf row sweeps all the nodes, not only those with finite p.
 """
 
 import resource
@@ -144,6 +147,9 @@ def bench_modular():
         print(f"  {label}", flush=True)
         t = bench(lambda: Modular(fs, p, q), reps=reps)
         print(f"    {'Modular build':<44}{t * 1e3:>9.2f} ms", flush=True)
+        t = bench(lambda: Modular(fs.entries[:1], p), reps=reps)
+        print(f"    {'Modular build, q omitted, one level':<44}{t * 1e3:>9.2f} ms",
+              flush=True)
         for name, gs, pe, qe in evaluator_rows(grid, fs, p, q):
             passes = kernel_passes(lambda: mixed_norm(gs, pe, qe))
             # norms of hundreds of passes are timed 3 times

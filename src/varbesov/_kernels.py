@@ -5,7 +5,9 @@
 its slope in log lam (the Newton slope of every evaluation) and the scale
 of the terms it leaves in its buffer; the slope in log mu, which only the
 mixed norm's predictor reads (``lebesgue.Modular.partials``), is a
-weighted sum of those terms that the caller takes from them.
+weighted sum of those terms that the caller takes from them.  Both slopes
+are dot products taken by ``dot``, whose bits do not depend on the BLAS
+thread count.
 ``scaled_modular``, ``plain_modular`` and ``esssup_modular`` (the p = inf
 modular sup t^{q(x)}) evaluate one modular on flat float64 arrays, checked
 by the tests against ``lebesgue.omega`` node by node.  Only
@@ -45,6 +47,9 @@ BACKEND = "numpy"  # the kernel backend named in every report's environment
 
 _INF = math.inf
 _SUM_MIN = 1e-290  # plain sums below this are redone relative to the top term
+# OpenBLAS splits a dot across threads above 10,000 elements, which moves
+# its last bits; ``dot`` takes no longer dot than this in one call
+_DOT_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +90,25 @@ def log_modular(base, c, log_lam, buf):
         s = float(buf.sum())
     log_rho = shift + math.log(s)
     scale = math.exp(shift - log_rho)  # terms of buf per unit of rho
-    return log_rho, -float(np.dot(c, buf)) * scale, scale
+    return log_rho, -dot(c, buf) * scale, scale
+
+
+def dot(a, b):
+    """The dot product of two 1-D float64 arrays, with bits that do not
+    depend on the BLAS thread count: one ``np.dot`` up to ``_DOT_BLOCK``
+    elements, else the sum, in order, of the dots of consecutive
+    ``_DOT_BLOCK``-element pieces and then of the shorter tail."""
+    n = a.shape[0]
+    if n <= _DOT_BLOCK:
+        return float(np.dot(a, b))
+    k = n - n % _DOT_BLOCK
+    total = 0.0
+    for part in np.vecdot(a[:k].reshape(-1, _DOT_BLOCK),
+                          b[:k].reshape(-1, _DOT_BLOCK)).tolist():
+        total += part
+    if k < n:
+        total += float(np.dot(a[k:], b[k:]))
+    return total
 
 
 def _flat(a):

@@ -11,7 +11,11 @@ log F convex and decreasing in log x (a log-sum-exp of functions affine in
 log x, or a sum of log-convex level infima): a tangent root never passes
 the crossing, Newton approaches it monotonically
 from the infeasible side, and from both ends of a bracket the larger tangent
-root is the better lower bound.  Once the step is below half the target gap
+root is the better lower bound.  A tangent is a global lower bound of a
+convex log F, so a flat one above 1 (slope exactly 0, as where the terms
+that move with x underflow beside a constant sum above 1) shows that F
+never reaches 1: the search jumps to the top of its range and returns inf
+there.  Once the step is below half the target gap
 the crossing is pinned, and one closing probe a tenth of the gap past it
 lands on the other side and closes the bracket.  A Newton step that is not
 at most half the previous one (a wrong slope makes Newton creep) is
@@ -54,9 +58,12 @@ def _logv(v):
 
 
 def _tangent_root(u, w, s):
-    """Root of the tangent line of log F at (u, w) with slope s, or nan."""
+    """Root of the tangent line of log F at (u, w) with slope s, or nan; inf
+    for a flat tangent above the crossing (s = 0 < w)."""
     if math.isfinite(w) and s < 0.0 and math.isfinite(s):
         return u - w / s
+    if s == 0.0 and w > 0.0:
+        return math.inf
     return math.nan
 
 

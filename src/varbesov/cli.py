@@ -301,8 +301,7 @@ def _suite_littlewood_paley(cfg, grid, records, curves):
     f0 = Field(grid, 0.4 + 0.3 * np.cos(np.pi * mesh / grid.half_width))
     records.append(single_block_identity(f0, s, p, q, rou))
 
-    rep = check_lemma_eta_shift(s, s.local_log_holder(),
-                                float(grid.dim + 2), top)
+    rep = check_lemma_eta_shift(s, s.local_log_holder(), top)
     records.append(rep)
     curves["lp.eta_shift"] = rep.details["per_level"]
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .grid import Field, integrate, require_same_grid
 from .exponents import ExponentField, conjugate, constant_exponent
-from .lebesgue import luxemburg_norm
-from .mixed import FieldSequence, _LevelSolver, _norm_hint, mixed_norm
+from .lebesgue import _norm_hint, luxemburg_norm
+from .mixed import FieldSequence, _LevelSolver, mixed_norm
 from .reports import CheckReport, graded_report
 
 logger = logging.getLogger(__name__)
@@ -81,7 +81,7 @@ def _level_weights(fs, p, q, max_abs):
     ``_LevelSolver``: each beta_j starts from its level's predictor line
     (from 1 where the predictor declined)."""
     solver = _LevelSolver(fs, p, q)
-    k_norm = solver.norm(_norm_hint(fs, max_abs))
+    k_norm = solver.norm(_norm_hint(fs.grid, max_abs, fs.levels))
     log_k = math.log(k_norm)
     return k_norm, [solver.inner(j, log_k) for j in range(fs.levels)]
 

@@ -65,36 +65,6 @@ def _exp(x):
     return math.exp(x) if x < _LOG_MAX else math.inf
 
 
-_ALL = slice(None)  # a node class that holds every node
-_EMPTY = np.empty(0)
-_EMPTY.flags.writeable = False
-
-
-def _node_class(mask):
-    """Index of the nodes in ``mask``: ``_ALL`` when it holds every node,
-    None when it holds none, else the mask itself."""
-    if mask.all():
-        return _ALL
-    return mask if mask.any() else None
-
-
-def _take(a, index):
-    """a[index] for a ``_node_class`` index: a view of ``a`` for ``_ALL``,
-    an empty array for None, a gathered copy otherwise."""
-    return _EMPTY if index is None else a[index]
-
-
-def _affine_row(la, index, p, log_cell):
-    """p * la[index] + log_cell, built in place on ``la[index]`` (so on
-    ``la`` itself when the class holds every node)."""
-    if index is None:
-        return _EMPTY
-    row = la[index]
-    row *= p
-    row += log_cell
-    return row
-
-
 class Modular:
     """Scaled modular of a field or a level stack, precomputed for solves.
 
@@ -104,21 +74,24 @@ class Modular:
         rho_j(lam, mu) = rho_p(f_j / (mu lam^{1/q(x)}))
                        = sum over nodes of exp(a - c log lam - p log mu)
 
-    with a = p log|f_j| + log(cell) and c = p/q over finite-p nodes.  The
-    lam^{1/inf} = 1 convention makes c = 0 where q = inf: such a node is a
-    term like any other, whose value does not move with lam.  Construction
-    precomputes a (one row per level, built in place from log|f_j|) and c;
-    the finite-p nodes are gathered only when some but not all p are
-    finite, so the common all-finite case gathers nothing.  ``solve`` then
-    inverts in lam by Newton in log lam, where each evaluation is one pass
-    over a preallocated buffer returning log rho and its slope in log lam.
-    The slope in log mu is taken only by ``partials``, for the mixed norm's
+    with a = p log|f_j| + log(cell) and c = p/q.  The lam^{1/inf} = 1
+    convention makes c = 0 where q = inf: such a node is a term like any
+    other, whose value does not move with lam.  Every row spans every node:
+    a p = inf node is a zero term (p = c = 0, a = -inf) beside its closed
+    form below.  Construction precomputes a (one row per level, built in
+    place on log|f_j|) and c; where every p is finite, p is the exponent's
+    own array, and with q omitted c is p itself.  ``solve`` then inverts in
+    lam by Newton in log lam, where each evaluation is one pass over a
+    preallocated buffer returning log rho and its slope in log lam.  The
+    slope in log mu is taken only by ``partials``, for the mixed norm's
     predictor.  A level whose nonzero terms all have c = 0 is decided from
     one pass: lam is inf where that sum is above 1, else 0 or the p = inf
     floor below.
 
     p = inf nodes enter in closed form: they put a floor on log lam at
     q (log|f| - log mu), or make the level infeasible where q = inf too.
+    Both are read through index arrays of those nodes, built only when
+    some p is infinite.
 
     The solver sees rho raised by a bound on its rounding error, so a point
     reported feasible is feasible for any evaluator accurate to a few ulps
@@ -129,44 +102,38 @@ class Modular:
         levels = tuple(levels)
         require_same_grid(*levels, p, *(() if q is None else (q,)))
         pv = p.values.ravel()
-        fin = np.isfinite(pv)
-        terms = _node_class(fin)
+        infinite = np.isinf(pv)
         # every p finite: each level's log rho is a plain log-sum-exp of
         # terms affine in (log lam, log mu)
-        self.plain = terms is _ALL
-        self.p = _take(pv, terms)
+        self.plain = not infinite.any()
+        self.p = pv if self.plain else np.where(infinite, 0.0, pv)
+        rq = None if q is None else 1.0 / q.values.ravel()  # 0 at q = inf
+        self.c = self.p if rq is None else self.p * rq
         moving = None  # the terms with c > 0, marked where some have c = 0
-        if q is None:
-            self.c = self.p  # q = 1 gives c = p * 1.0 = p
-            floor, cap = _node_class(~fin), None
-            self._floor_q = np.ones_like(_take(pv, floor))
-        else:
-            qv = q.values.ravel()
-            rq = np.where(np.isinf(qv), 0.0, 1.0 / qv)
-            no_q = rq == 0.0
-            self.c = self.p * _take(rq, terms)
-            if (fin & no_q).any():
-                moving = self.c > 0.0
-            floor, cap = _node_class(~fin & ~no_q), _node_class(~fin & no_q)
-            self._floor_q = 1.0 / _take(rq, floor)
+        if rq is not None and not rq.all():
+            moving = self.c > 0.0
+        self._floor_log, self._cap_log = [], []
+        if not self.plain:
+            # p = inf nodes: floors where q is finite, caps where q = inf
+            nodes = np.flatnonzero(infinite)
+            node_rq = np.ones(nodes.size) if rq is None else rq[nodes]
+            floor, cap = nodes[node_rq > 0.0], nodes[node_rq == 0.0]
+            self._floor_q = 1.0 / node_rq[node_rq > 0.0]
         log_cell = math.log(p.grid.cell)
-        self.rows = []
-        self._floor_log = []
-        self._cap_log = []
-        self._live = []
-        self._lam_dependent = []
-        self._row_size = []
+        self.rows, self._live, self._lam_dependent, self._row_size = [], [], [], []
         for f in levels:
-            la = _log_abs(f.values).ravel()
-            # gather the classes first: a class of every node is la itself,
-            # and its row is built in place
-            self._floor_log.append(_take(la, floor))
-            self._cap_log.append(-math.inf if cap is None else
-                                 float(np.max(la[cap], initial=-math.inf)))
-            row = _affine_row(la, terms, self.p, log_cell)
+            row = _log_abs(f.values).ravel()
+            if not self.plain:
+                self._floor_log.append(row[floor])
+                self._cap_log.append(float(np.max(row[cap], initial=-math.inf)))
+                row[nodes] = 0.0  # p is 0 there, and 0 * -inf is NaN
+            row *= self.p
+            row += log_cell
+            if not self.plain:
+                row[nodes] = -math.inf
             self.rows.append(row)
             # largest |a| over the live (nonzero-sample) nodes, 0 if none
-            hi = float(row.max()) if row.size else -math.inf
+            hi = float(row.max())
             size = 0.0
             if hi > -math.inf:
                 lo = float(row.min())
@@ -178,9 +145,9 @@ class Modular:
                 hi = float(np.max(row, where=moving, initial=-math.inf))
             self._lam_dependent.append(hi > -math.inf)
             self._row_size.append(size)
-        self._c_max = float(np.max(self.c, initial=0.0))
-        self._p_max = float(np.max(self.p, initial=0.0))
-        self._sum_size = math.log2(max(self.p.size, 1))
+        self._c_max = float(self.c.max())
+        self._p_max = float(self.p.max())
+        self._sum_size = math.log2(self.p.size)
         self._base = np.empty_like(self.p)
         self._buf = np.empty_like(self.p)
 
@@ -193,12 +160,12 @@ class Modular:
         base += self.rows[j]
         return base
 
+    @np.errstate(over="ignore")
     def _pass(self, j, log_lam, log_mu):
         """One ``log_modular`` pass of level j at (log lam, log mu) through
-        ``_buf``; p = inf nodes are not added."""
-        with np.errstate(over="ignore"):
-            return _kernels.log_modular(self._at(j, log_mu), self.c, log_lam,
-                                        self._buf)
+        ``_buf``; p = inf nodes are zero terms."""
+        return _kernels.log_modular(self._at(j, log_mu), self.c, log_lam,
+                                    self._buf)
 
     def partials(self, j, log_lam, log_mu):
         """(log rho_j, d log rho_j / d log lam, d log rho_j / d log mu) at
@@ -209,7 +176,7 @@ class Modular:
         nothing.
         """
         log_rho, d_lam, scale = self._pass(j, log_lam, log_mu)
-        return log_rho, d_lam, -float(np.dot(self.p, self._buf)) * scale
+        return log_rho, d_lam, -_kernels.dot(self.p, self._buf) * scale
 
     def raised_log_rho(self, j, log_lam, log_mu):
         """log rho_j at (log lam, log mu) from one pass, raised by its
@@ -227,6 +194,7 @@ class Modular:
         slack = _ROUND * (self._row_size[j] + self._p_max * abs(log_mu) + self._sum_size)
         return log_rho + slack + _ROUND * self._c_max * abs(log_lam)
 
+    @np.errstate(over="ignore")
     def solve(self, j, log_mu=0.0, hint=1.0, rel_tol=NORM_REL_TOL):
         """lam = inf{lam > 0 : rho_j(lam, mu) <= 1} at mu = exp(log_mu).
 
@@ -236,20 +204,17 @@ class Modular:
         a point evaluated on the feasible side, within rel_tol of one
         evaluated on the infeasible side.
         """
-        if self._cap_log[j] > log_mu:
-            return math.inf
-        with np.errstate(over="ignore"):
-            return self._solve(j, log_mu, hint, rel_tol)
-
-    def _solve(self, j, log_mu, hint, rel_tol):
         floor = -math.inf
-        floor_log = self._floor_log[j]
-        if floor_log.size:
-            lf = (floor_log - log_mu) * self._floor_q
-            k = int(np.argmax(lf))
-            if lf[k] > -math.inf:
-                floor = float(lf[k]) + _floor_slack(
-                    float(self._floor_q[k]), float(floor_log[k]), log_mu)
+        if not self.plain:
+            if self._cap_log[j] > log_mu:
+                return math.inf
+            floor_log = self._floor_log[j]
+            if floor_log.size:
+                lf = (floor_log - log_mu) * self._floor_q
+                k = int(np.argmax(lf))
+                if lf[k] > -math.inf:
+                    floor = float(lf[k]) + _floor_slack(
+                        float(self._floor_q[k]), float(floor_log[k]), log_mu)
         if not self._lam_dependent[j]:
             # rho_j does not move with lam: the q = inf terms alone decide
             if self._live[j] and self._pass(j, 0.0, log_mu)[0] > 0.0:
@@ -281,10 +246,17 @@ def luxemburg_norm(f, p):
     m = f.max_abs()
     if m == 0.0:
         return 0.0
-    # an overflowing hint would restart the solve at 1.0, out of reach of
-    # norms near the top of the float range
-    hint = min(m * max(1.0, f.grid.box_measure), sys.float_info.max)
-    return Modular((f,), p).solve(0, hint=hint)
+    return Modular((f,), p).solve(0, hint=_norm_hint(f.grid, m, 1))
+
+
+def _norm_hint(grid, max_abs, levels):
+    """A scale on the feasible side of the norm of ``levels`` fields on
+    ``grid`` whose largest |f| is ``max_abs``: the crude start of every
+    norm solve.  It is at most the largest float, since an overflowing hint
+    would restart the solve at 1.0, out of reach of norms near the top of
+    the float range."""
+    return min(max_abs * max(1.0, grid.box_measure) * levels,
+               sys.float_info.max)
 
 
 def _power_integral(f, p0):

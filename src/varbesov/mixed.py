@@ -27,9 +27,10 @@ the predicted v rises monotonically.  Once its step is below a quarter of
 the inner solves' gap, the last lines seed the levels' tangents at the
 crossing.  The predictor runs only where every node has finite p
 (``Modular.plain``): p = inf floors and p = q = inf caps are not affine in
-(u, v), and there the solve starts from the crude ``_norm_hint`` with no
-tangents.  Its ``d_lam < 0`` test declines a level whose nonzero terms all
-sit at q = inf nodes, whose lam_j is 0 or inf.
+(u, v), and there the solve starts from the crude
+``lebesgue._norm_hint`` with no tangents.  Its ``d_lam < 0`` test declines
+a level whose nonzero terms all sit at q = inf nodes, whose lam_j is 0 or
+inf.
 
 Certificate (decides the value).  A scale mu is feasible iff
 sum_j lam_j(mu) <= 1, and lam_j(mu) is at most any lam where
@@ -52,12 +53,11 @@ monotone), started from the predictor's crossing.  The level sum carries
 no slope, so the outer solve takes the safeguard path.  Evaluators the
 predictor declines solve the same way from the crude hint, each level
 solve from lam = 1.  A p = inf evaluator is one of them: its level infima
-come in closed form from ``Modular``'s floor and cap classes, so the norm
+come in closed form from ``Modular``'s p = inf floors and caps, so the norm
 of a p = inf sequence is a safeguard solve from the crude hint over those.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +66,7 @@ from ._solve import _LOG_HUGE, _LOG_TINY, solve_threshold
 from .exponents import harmonic_sum
 from .grid import Field, require_same_grid
 from .lebesgue import (NORM_REL_TOL, Modular, luxemburg_norm, _exp,
-                       _power_integral)
+                       _norm_hint, _power_integral)
 from .reports import CheckReport, graded_report
 
 INNER_REL_TOL = 1e-10
@@ -167,7 +167,7 @@ class _LevelSolver:
         return total
 
     def norm(self, hint):
-        """The mixed norm, solved from ``hint`` (see ``_norm_hint``); on a
+        """The mixed norm, solved from ``hint`` (``lebesgue._norm_hint``); on a
         plain evaluator it is certified from the predictor's lines, or
         solved from the predictor's crossing where that fails."""
         if self.evaluator.plain:
@@ -279,7 +279,7 @@ def mixed_modular(fs, p, q):
     """Modular of the sequence: the sum over levels of lam_j at mu = 1.
 
     A p = inf evaluator is one the predictor declines; ``Modular`` takes
-    its level infima in closed form from the floor and cap classes, so
+    its level infima in closed form from the p = inf floors and caps, so
     where p = inf everywhere lam_j is sup_x |f_j(x)|^{q(x)} (with the
     t^inf step convention), raised by a few ulps to its feasible side.
     """
@@ -287,20 +287,12 @@ def mixed_modular(fs, p, q):
     return _LevelSolver(fs, p, q).modular()
 
 
-def _norm_hint(fs, max_abs):
-    """A scale on the feasible side of the mixed norm of ``fs``, whose
-    largest |f_j| is ``max_abs``, at most the largest float (as in
-    ``luxemburg_norm``)."""
-    hint = max_abs * max(1.0, fs.grid.box_measure) * fs.levels
-    return min(hint, sys.float_info.max)
-
-
 def mixed_norm(fs, p, q):
     """Norm of the mixed space: inf{mu > 0 : modular((f_j)/mu) <= 1}.
 
     For q = inf everywhere this is exactly sup_j of the per-level Luxemburg
     norms and is returned through that formula; every other norm is
-    ``_LevelSolver.norm`` from the crude hint ``_norm_hint``.
+    ``_LevelSolver.norm`` from the crude hint ``lebesgue._norm_hint``.
     """
     require_same_grid(*fs.entries, p, q)
     if np.all(np.isinf(q.values)):
@@ -308,7 +300,7 @@ def mixed_norm(fs, p, q):
     m = fs.max_abs()
     if m == 0.0:
         return 0.0
-    return _LevelSolver(fs, p, q).norm(_norm_hint(fs, m))
+    return _LevelSolver(fs, p, q).norm(_norm_hint(fs.grid, m, fs.levels))
 
 
 def classical_mixed_norm(fs, p0, q0):

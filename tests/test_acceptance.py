@@ -141,14 +141,14 @@ def test_criterion_6_eta_machinery():
     with _Criterion(6, "Eta-kernel shift and convolution bounds"):
         for big_r in (0.0, 1.5):
             rep = check_lemma_eta_shift(constant_exponent(GRID, 1.0), big_r,
-                                        float(GRID.dim + 2), LEVELS)
+                                        LEVELS)
             assert rep.measured == 1.0, big_r
 
         alpha = log_smooth_exponent(GRID, 0.5, 0.8)
         c_loc = local_log_holder(alpha.values, GRID)
-        rep = check_lemma_eta_shift(alpha, c_loc, float(GRID.dim + 2), LEVELS)
-        assert math.isfinite(rep.measured)
-        assert rep.details["spread"] <= 2.0
+        rep = check_lemma_eta_shift(alpha, c_loc, LEVELS)
+        assert math.isfinite(rep.details["c_max"])
+        assert rep.measured <= 2.0
 
         sigma = GRID.half_width / 7.7
         bump = field_from_function(GRID, lambda x: np.exp(-x**2 / (2 * sigma**2)))

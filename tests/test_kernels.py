@@ -82,6 +82,21 @@ def test_esssup_twins_agree(sample):
             assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 4096, 8192, 8193, 65536, 3 * 8192 + 5])
+def test_dot_sums_8192_node_pieces_in_order(n):
+    # up to 8192 nodes one np.dot; above, the dots of 8192-node pieces and
+    # of the tail summed in order, each below OpenBLAS's 10,000-element
+    # threading threshold
+    rng = np.random.default_rng(n)
+    a, b = rng.random(n), rng.random(n)
+    want = 0.0
+    for i in range(0, n, 8192):
+        want += float(np.dot(a[i:i + 8192], b[i:i + 8192]))
+    assert K.dot(a, b) == want
+    if n <= 8192:
+        assert K.dot(a, b) == float(np.dot(a, b))
+
+
 def test_log_holder_twins_agree(sample):
     g = np.cos(sample["coords"][:, 0] / 3.0)
     anchors = np.arange(0, 512, 7, dtype=np.int64)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import varbesov
 from varbesov import lebesgue
 from varbesov.exponents import ExponentField, constant_exponent, log_smooth_exponent
 from varbesov.grid import Field, Grid
@@ -179,3 +183,25 @@ def test_homogeneity(scale, seed):
     n1 = luxemburg_norm(f, p)
     n2 = luxemburg_norm(Field(g, scale * f.values), p)
     assert n2 == pytest.approx(scale * n1, rel=1e-8)
+
+
+def test_luxemburg_norm_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot of more than 10,000 elements across threads,
+    # which moves its last bits; the evaluator's slopes over 256^2 nodes
+    # must not see that (at this seed a single 65,536-node np.dot did)
+    code = ("from varbesov.exponents import log_smooth_exponent\n"
+            "from varbesov.grid import Grid\n"
+            "from varbesov.lebesgue import luxemburg_norm\n"
+            "from varbesov.random_fields import band_limited_field\n"
+            "g = Grid(2, 256, 16.0)\n"
+            "f = band_limited_field(g, 20, 1)\n"
+            "print(luxemburg_norm(f, log_smooth_exponent(g, 2.0, 1.0)).hex())\n")
+    src = os.path.dirname(os.path.dirname(varbesov.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        outs.append(out.stdout)
+    assert outs[0] == outs[1] != ""

@@ -132,26 +132,37 @@ class TestBesovNorm:
 
 class TestEtaShift:
     def test_constant_alpha_zero_shift(self, small_grid):
-        rep = check_lemma_eta_shift(constant_exponent(small_grid, 1.5), 0.0, 3.0, 6)
+        rep = check_lemma_eta_shift(constant_exponent(small_grid, 1.5), 0.0, 6)
         assert rep.status == "pass"
         assert rep.measured == 1.0
 
     def test_constant_alpha_positive_shift(self, small_grid):
-        rep = check_lemma_eta_shift(constant_exponent(small_grid, 1.5), 2.0, 3.0, 6)
+        rep = check_lemma_eta_shift(constant_exponent(small_grid, 1.5), 2.0, 6)
         assert rep.measured == 1.0
 
     def test_log_family(self, small_grid):
         alpha = log_smooth_exponent(small_grid, 0.5, 0.8)
         c_loc = local_log_holder(alpha.values, small_grid)
-        rep = check_lemma_eta_shift(alpha, c_loc, 3.0, 6)
+        rep = check_lemma_eta_shift(alpha, c_loc, 6)
         assert rep.status == "pass"
-        assert math.isfinite(rep.measured)
-        assert rep.details["spread"] <= 2.0
+        assert math.isfinite(rep.details["c_max"])
+        assert rep.measured <= 2.0
+
+    def test_grades_the_spread_it_reports(self, small_grid):
+        # measured is the spread c_max / c_min of the per-level constants,
+        # graded against the bound 2 that the record carries
+        alpha = log_smooth_exponent(small_grid, 0.5, 0.8)
+        c_loc = local_log_holder(alpha.values, small_grid)
+        rep = check_lemma_eta_shift(alpha, c_loc, 6)
+        curve = rep.details["per_level"]
+        assert (rep.bound, rep.tolerance) == (2.0, 0.0)
+        assert rep.details["c_max"] == max(curve)
+        assert rep.measured == max(curve) / min(curve)
 
     def test_rejects_small_shift(self, small_grid):
         alpha = cos_bump_exponent(small_grid, 0.5, 2.0)
         with pytest.raises(ValueError, match="log-Holder"):
-            check_lemma_eta_shift(alpha, 0.0, 3.0, 6)
+            check_lemma_eta_shift(alpha, 0.0, 6)
 
 
 class TestEtaConvolution:

@@ -319,7 +319,8 @@ class TestIndependentOracle:
             fs = band_limited_sequence(g, 2, 40, 0)
             q = cos_bump_exponent(g, 1.5, 398.5)
         solver = mixed._LevelSolver(fs, p, q)
-        log_hint = math.log(mixed._norm_hint(fs, fs.max_abs()))
+        log_hint = math.log(
+            lebesgue._norm_hint(fs.grid, fs.max_abs(), fs.levels))
         if case == "p_inf_band":
             assert not solver.evaluator.plain
         elif case == "q_inf_terms_only":

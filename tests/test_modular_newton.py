@@ -229,6 +229,22 @@ def test_q_infinity_mass_on_both_sides_of_one(seed, mass, log_target, p0, q0):
     _assert_bracket(lambda x: _plain(np.abs(vals) / x ** rq, p0), lam, q0 / p0)
 
 
+@pytest.mark.parametrize("p0", [1.0, 2.0])
+def test_flat_tangent_above_the_crossing_returns_inf(p0, monkeypatch):
+    # a q = inf sample of 1e300 beside a 1e-300 sample: the q = inf term
+    # alone exceeds 1 and the term that moves with lam underflows beside
+    # it, so the pass reads a slope of exactly 0; that flat tangent above
+    # the crossing ends the solve at the top of the range
+    grid = Grid(1, 256, 16.0)
+    vals = np.zeros(grid.shape)
+    vals[0], vals[1] = 1e300, 1e-300
+    q = ExponentField(grid, np.where(np.arange(grid.node_count) == 0, np.inf, 2.0))
+    passes = _count_passes(monkeypatch)
+    lam = inner_lambda(Field(grid, vals), constant_exponent(grid, p0), q)
+    assert lam == math.inf
+    assert passes[0] <= 3
+
+
 @settings(max_examples=30, deadline=None)
 @given(seeds, st.floats(-1.5, 1.5), st.sampled_from([1.0001, 2.0, 5.0]),
        st.sampled_from([1.0, 2.0, 400.0]))
@@ -396,7 +412,7 @@ def _certify(fs, p, q):
     """(solver, crossing, bracket): the predictor and the certificate run as
     ``mixed_norm`` runs them; the bracket is None where it declines."""
     solver = _LevelSolver(fs, p, q)
-    log_hint = math.log(mixed._norm_hint(fs, fs.max_abs()))
+    log_hint = math.log(lebesgue._norm_hint(fs.grid, fs.max_abs(), fs.levels))
     crossing = solver._predict(log_hint)
     assert crossing < log_hint
     return solver, crossing, solver._certify(crossing, mixed.NORM_REL_TOL)
@@ -416,7 +432,8 @@ def test_predictor_stays_below_the_certified_solve(case):
     fs, p, q, zero_levels = _sequence_case(*case)
     solver = _LevelSolver(fs, p, q)
     assert solver.evaluator.plain
-    log_mu = solver._predict(math.log(mixed._norm_hint(fs, fs.max_abs())))
+    log_mu = solver._predict(
+        math.log(lebesgue._norm_hint(fs.grid, fs.max_abs(), fs.levels)))
     assert log_mu is not None
     assert log_mu <= math.log(mixed_norm(fs, p, q))
     # each seeded line lies below the certified log lam_j, at the predicted
@@ -477,8 +494,16 @@ def test_certificate_declines_after_an_unconverged_predictor(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the evaluator against a reference copy of its masked form
+# the evaluator against a reference copy of its every-node form
 # ---------------------------------------------------------------------------
+
+def _reference_dot(a, b):
+    """a . b as the sum, in order, of the dots of 8192-node pieces."""
+    total = 0.0
+    for i in range(0, a.size, 8192):
+        total += float(np.dot(a[i:i + 8192], b[i:i + 8192]))
+    return total
+
 
 def _reference_log_modular(base, c, log_lam, buf):
     """The evaluator pass: (log rho, d log rho / d log lam)."""
@@ -498,12 +523,14 @@ def _reference_log_modular(base, c, log_lam, buf):
         s = float(buf.sum())
     log_rho = shift + math.log(s)
     scale = math.exp(shift - log_rho)
-    return log_rho, -float(np.dot(c, buf)) * scale
+    return log_rho, -_reference_dot(c, buf) * scale
 
 
 class _ReferenceModular(Modular):
-    """``Modular`` built through a boolean gather of every node class and
-    solved with its own copy of the evaluator pass."""
+    """``Modular`` built over every node by ``np.where`` (a p = inf node is
+    a term with p = c = 0 and a = -inf), its p = inf floors and caps taken
+    through boolean masks, and solved with its own copy of the evaluator
+    pass."""
 
     def __init__(self, levels, p, q=None):
         pv = p.values.ravel()
@@ -516,31 +543,39 @@ class _ReferenceModular(Modular):
         floor = ~fin & (rq > 0.0)
         cap = ~fin & (rq == 0.0)
         log_cell = math.log(p.grid.cell)
-        self.p = pv[fin]
-        self.c = self.p * rq[fin]
+        self.plain = bool(fin.all())
+        self.p = np.where(fin, pv, 0.0)
+        self.c = self.p * rq
         self._floor_q = 1.0 / rq[floor]
         self.rows, self._floor_log, self._cap_log = [], [], []
         self._live, self._lam_dependent, self._row_size = [], [], []
         for f in levels:
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore"):
                 la = np.log(np.abs(f.values, dtype=np.float64)).ravel()
-            row = self.p * la[fin] + log_cell
+                row = np.where(fin, pv * la + log_cell, -math.inf)
             self.rows.append(row)
-            self._floor_log.append(la[floor])
-            self._cap_log.append(float(np.max(la[cap], initial=-math.inf)))
+            if not self.plain:
+                self._floor_log.append(la[floor])
+                self._cap_log.append(float(np.max(la[cap], initial=-math.inf)))
             live = row > -math.inf
             self._live.append(bool(np.any(live)))
             self._lam_dependent.append(bool(np.any(live & (self.c > 0.0))))
             self._row_size.append(float(np.max(np.abs(row[live]), initial=0.0)))
         self._c_max = float(np.max(self.c, initial=0.0))
         self._p_max = float(np.max(self.p, initial=0.0))
-        self._sum_size = math.log2(max(self.p.size, 1))
+        self._sum_size = math.log2(pv.size)
         self._base = np.empty_like(self.p)
         self._buf = np.empty_like(self.p)
 
-    def _solve(self, j, log_mu, hint, rel_tol):
+    def solve(self, j, log_mu=0.0, hint=1.0, rel_tol=REL_TOL):
+        if not self.plain and self._cap_log[j] > log_mu:
+            return math.inf
+        with np.errstate(over="ignore"):
+            return self._reference_solve(j, log_mu, hint, rel_tol)
+
+    def _reference_solve(self, j, log_mu, hint, rel_tol):
         floor = -math.inf
-        floor_log = self._floor_log[j]
+        floor_log = self._floor_log[j] if not self.plain else np.empty(0)
         if floor_log.size:
             lf = (floor_log - log_mu) * self._floor_q
             k = int(np.argmax(lf))
@@ -578,17 +613,25 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
-_BUILD_ATTRS = ("p", "c", "_floor_q", "_c_max", "_p_max", "_sum_size")
+_BUILD_ATTRS = ("plain", "p", "c", "_c_max", "_p_max", "_sum_size")
 _ROW_ATTRS = ("rows", "_floor_log", "_cap_log", "_live", "_lam_dependent",
               "_row_size")
 
 
-def _assert_same_build(ev, ref):
-    for name in _BUILD_ATTRS:
+def _assert_same_build(ev, ref, levels):
+    """The evaluator's arrays equal the reference's bit for bit, and every
+    one of them spans every node."""
+    nodes = ref.p.size
+    assert ev.p.size == ev.c.size == nodes
+    for name in _BUILD_ATTRS + (() if ref.plain else ("_floor_q",)):
         assert _bits(getattr(ev, name)) == _bits(getattr(ref, name)), name
     for name in _ROW_ATTRS:
-        for j, (a, b) in enumerate(zip(getattr(ev, name), getattr(ref, name))):
+        got, want = getattr(ev, name), getattr(ref, name)
+        assert len(got) == len(want), name
+        for j, (a, b) in enumerate(zip(got, want)):
             assert _bits(a) == _bits(b), (name, j)
+    assert len(ev.rows) == levels
+    assert all(row.size == nodes for row in ev.rows)
 
 
 def _line_sequence(scale=1.0):
@@ -684,7 +727,7 @@ def test_modular_matches_masked_reference_bitwise(make, scale, kind, monkeypatch
     fs = sequence_from_values(fs.grid, vals)
     p, q = _exponents(fs.grid, kind)
     ev, ref = Modular(fs, p, q), _ReferenceModular(fs, p, q)
-    _assert_same_build(ev, ref)
+    _assert_same_build(ev, ref, fs.levels)
     last = _record_last_evaluations(monkeypatch)
     top = math.log(scale)
     _solve_all(ev, ref, fs.levels, [0.0, top - 0.7, top + 1.3],
@@ -699,7 +742,9 @@ def test_luxemburg_modular_matches_masked_reference_bitwise(kind, monkeypatch):
     f = _line_sequence()[4]
     p, _ = _exponents(f.grid, kind)
     ev, ref = Modular((f,), p), _ReferenceModular((f,), p)
-    _assert_same_build(ev, ref)
+    _assert_same_build(ev, ref, 1)
+    # q omitted is q = 1: c is p itself
+    assert ev.c is ev.p
     _record_last_evaluations(monkeypatch)
     _solve_all(ev, ref, 1, [0.0, -0.7, 1.3], [1.0, 1e-3, 1e6])
 
@@ -715,8 +760,8 @@ def test_declined_inputs_start_from_the_crude_hint(make, scale, kind):
     p, q = _exponents(fs.grid, kind)
     solver = _LevelSolver(fs, p, q)
     assert not solver.evaluator.plain
-    want = _solve.solve_threshold(lambda mu: solver.modular(math.log(mu)),
-                                  mixed._norm_hint(fs, fs.max_abs()))
+    hint = lebesgue._norm_hint(fs.grid, fs.max_abs(), fs.levels)
+    want = _solve.solve_threshold(lambda mu: solver.modular(math.log(mu)), hint)
     assert _bits(mixed_norm(fs, p, q)) == _bits(want)
 
 

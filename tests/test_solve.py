@@ -117,6 +117,15 @@ def test_newton_on_log_convex_sum(a, b, slope, hint):
     assert len(calls) <= len(plain_calls)
 
 
+def test_flat_tangent_above_one_returns_inf():
+    # a slope of exactly 0 at F > 1: the tangent, a lower bound of a
+    # log-convex F, never reaches 1, so the solve jumps to the top of its
+    # range and returns inf there
+    fn, calls = _counted(lambda x: (2.0, 0.0))
+    assert solve_threshold(fn, hint=1.0) == math.inf
+    assert len(calls) == 2
+
+
 def test_wrong_derivative_falls_back_to_safeguard():
     # a slope ten times too steep makes Newton creep; the safeguard still
     # brackets and converges on the feasible side
