@@ -146,18 +146,12 @@ class TestEtaShift:
         rep = check_lemma_eta_shift(alpha, c_loc, 6)
         assert rep.status == "pass"
         assert math.isfinite(rep.details["c_max"])
-        assert rep.measured <= 2.0
-
-    def test_grades_the_spread_it_reports(self, small_grid):
         # measured is the spread c_max / c_min of the per-level constants,
         # graded against the bound 2 that the record carries
-        alpha = log_smooth_exponent(small_grid, 0.5, 0.8)
-        c_loc = local_log_holder(alpha.values, small_grid)
-        rep = check_lemma_eta_shift(alpha, c_loc, 6)
         curve = rep.details["per_level"]
         assert (rep.bound, rep.tolerance) == (2.0, 0.0)
         assert rep.details["c_max"] == max(curve)
-        assert rep.measured == max(curve) / min(curve)
+        assert rep.measured == max(curve) / min(curve) <= 2.0
 
     def test_rejects_small_shift(self, small_grid):
         alpha = cos_bump_exponent(small_grid, 0.5, 2.0)

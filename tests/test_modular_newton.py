@@ -567,13 +567,10 @@ class _ReferenceModular(Modular):
         self._base = np.empty_like(self.p)
         self._buf = np.empty_like(self.p)
 
+    @np.errstate(over="ignore")
     def solve(self, j, log_mu=0.0, hint=1.0, rel_tol=REL_TOL):
         if not self.plain and self._cap_log[j] > log_mu:
             return math.inf
-        with np.errstate(over="ignore"):
-            return self._reference_solve(j, log_mu, hint, rel_tol)
-
-    def _reference_solve(self, j, log_mu, hint, rel_tol):
         floor = -math.inf
         floor_log = self._floor_log[j] if not self.plain else np.empty(0)
         if floor_log.size:
