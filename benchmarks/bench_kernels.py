@@ -22,11 +22,14 @@ them.  Beside each time stands the number of minor page faults per call
 first time, mostly in fresh allocations of its arrays.
 
 The evaluator rows time one ``lebesgue.Modular`` build (the per-level rows
-of a level stack), one build in the q-omitted form of ``luxemburg_norm``
-(one level, c is p) and one ``mixed_norm`` on a band-limited sequence at
+of a level stack) and one ``mixed_norm`` on a band-limited sequence at
 desk scale (4096 nodes, 9 levels) and plane scale (256^2, 7 levels), with a
 log-smooth p and a cos-bump q as in the default configuration; the desk
 ``mixed_norm`` row is the end-to-end mixed norm on the CLI's default grid.
+Two rows time the q-omitted form of ``luxemburg_norm`` (one level, c is p)
+at the constant p = inf that the CLI's ``lebesgue.constant_reduction_pinf``
+record runs: one ``Modular`` build, whose every node is a p = inf floor
+beside a zero term, and one ``luxemburg_norm``.
 Beside the ``mixed_norm`` time stands the number of ``_kernels.log_modular``
 passes per norm, the predictor's and the certificate's included: perfbench's
 ``solve.solve_threshold.evals_total`` counts only the evaluations of
@@ -45,6 +48,7 @@ spans every node, a p = inf node being a zero term, so each pass of the
 p = inf row sweeps all the nodes, not only those with finite p.
 """
 
+import math
 import resource
 import time
 
@@ -132,8 +136,9 @@ def evaluator_rows(grid, fs, p, q):
 
 
 def bench_modular():
-    from varbesov.exponents import cos_bump_exponent, log_smooth_exponent
-    from varbesov.lebesgue import Modular
+    from varbesov.exponents import (constant_exponent, cos_bump_exponent,
+                                    log_smooth_exponent)
+    from varbesov.lebesgue import Modular, luxemburg_norm
     from varbesov.mixed import mixed_norm
     from varbesov.random_fields import band_limited_sequence
 
@@ -147,8 +152,12 @@ def bench_modular():
         print(f"  {label}", flush=True)
         t = bench(lambda: Modular(fs, p, q), reps=reps)
         print(f"    {'Modular build':<44}{t * 1e3:>9.2f} ms", flush=True)
-        t = bench(lambda: Modular(fs.entries[:1], p), reps=reps)
-        print(f"    {'Modular build, q omitted, one level':<44}{t * 1e3:>9.2f} ms",
+        f, p_inf = fs.entries[0], constant_exponent(grid, math.inf)
+        t = bench(lambda: Modular((f,), p_inf), reps=reps)
+        print(f"    {'Modular build, p = inf, q omitted, one level':<44}"
+              f"{t * 1e3:>9.2f} ms", flush=True)
+        t = bench(lambda: luxemburg_norm(f, p_inf), reps=reps)
+        print(f"    {'luxemburg_norm, p = inf':<44}{t * 1e3:>9.2f} ms",
               flush=True)
         for name, gs, pe, qe in evaluator_rows(grid, fs, p, q):
             passes = kernel_passes(lambda: mixed_norm(gs, pe, qe))

@@ -6,8 +6,11 @@ its slope in log lam (the Newton slope of every evaluation) and the scale
 of the terms it leaves in its buffer; the slope in log mu, which only the
 mixed norm's predictor reads (``lebesgue.Modular.partials``), is a
 weighted sum of those terms that the caller takes from them.  Both slopes
-are dot products taken by ``dot``, whose bits do not depend on the BLAS
-thread count.
+are dot products taken by ``dot``, which hands BLAS no dot longer than
+8192 elements.  OpenBLAS (the BLAS of numpy's wheels) keeps a dot of up to
+10,000 elements on one thread, so under OpenBLAS the slopes' bits do not
+depend on the thread count; a BLAS that splits shorter dots gives no such
+guarantee.
 ``scaled_modular``, ``plain_modular`` and ``esssup_modular`` (the p = inf
 modular sup t^{q(x)}) evaluate one modular on flat float64 arrays, checked
 by the tests against ``lebesgue.omega`` node by node.  Only
@@ -95,9 +98,10 @@ def log_modular(base, c, log_lam, buf):
 
 def dot(a, b):
     """The dot product of two 1-D float64 arrays, with bits that do not
-    depend on the BLAS thread count: one ``np.dot`` up to ``_DOT_BLOCK``
-    elements, else the sum, in order, of the dots of consecutive
-    ``_DOT_BLOCK``-element pieces and then of the shorter tail."""
+    depend on the OpenBLAS thread count: one ``np.dot`` up to
+    ``_DOT_BLOCK`` elements, else the sum, in order, of the dots of
+    consecutive ``_DOT_BLOCK``-element pieces and then of the shorter
+    tail."""
     n = a.shape[0]
     if n <= _DOT_BLOCK:
         return float(np.dot(a, b))

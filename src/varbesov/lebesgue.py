@@ -90,7 +90,7 @@ class Modular:
 
     p = inf nodes enter in closed form: they put a floor on log lam at
     q (log|f| - log mu), or make the level infeasible where q = inf too.
-    Both are read through index arrays of those nodes, built only when
+    Both are read through boolean masks of those nodes, built only when
     some p is infinite.
 
     The solver sees rho raised by a bound on its rounding error, so a point
@@ -115,22 +115,22 @@ class Modular:
         self._floor_log, self._cap_log = [], []
         if not self.plain:
             # p = inf nodes: floors where q is finite, caps where q = inf
-            nodes = np.flatnonzero(infinite)
-            node_rq = np.ones(nodes.size) if rq is None else rq[nodes]
-            floor, cap = nodes[node_rq > 0.0], nodes[node_rq == 0.0]
-            self._floor_q = 1.0 / node_rq[node_rq > 0.0]
+            floor = infinite if rq is None else infinite & (rq > 0.0)
+            cap = infinite ^ floor
+            self._floor_q = (np.ones(np.count_nonzero(floor)) if rq is None
+                             else 1.0 / rq[floor])
         log_cell = math.log(p.grid.cell)
         self.rows, self._live, self._lam_dependent, self._row_size = [], [], [], []
         for f in levels:
             row = _log_abs(f.values).ravel()
             if not self.plain:
                 self._floor_log.append(row[floor])
-                self._cap_log.append(float(np.max(row[cap], initial=-math.inf)))
-                row[nodes] = 0.0  # p is 0 there, and 0 * -inf is NaN
+                self._cap_log.append(float(np.max(row, where=cap, initial=-math.inf)))
+                row[infinite] = 0.0  # p is 0 there, and 0 * -inf is NaN
             row *= self.p
             row += log_cell
             if not self.plain:
-                row[nodes] = -math.inf
+                row[infinite] = -math.inf
             self.rows.append(row)
             # largest |a| over the live (nonzero-sample) nodes, 0 if none
             hi = float(row.max())
