@@ -31,7 +31,9 @@ at the constant p = inf that the CLI's ``lebesgue.constant_reduction_pinf``
 record runs: one ``Modular`` build, whose every node is a p = inf floor
 beside a zero term, and one ``luxemburg_norm``.
 Beside the ``mixed_norm`` time stands the number of ``_kernels.log_modular``
-passes per norm, the predictor's and the certificate's included: perfbench's
+passes per norm, the predictor's included, and the certificate's, which
+takes a pass only for a level point that the bound from the predictor's
+last pass cannot decide (none on these inputs): perfbench's
 ``solve.solve_threshold.evals_total`` counts only the evaluations of
 threshold solves, and a certified mixed norm runs none, so it sees neither.
 The rows below it time one ``mixed_norm`` per input class on the same

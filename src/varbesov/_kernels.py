@@ -140,16 +140,24 @@ def scaled_modular(log_t, p, rq, log_mu, log_lam, cell, budget=0.0):
 
 
 def plain_modular(t, p, cell):
-    """Modular in natural power form; `t` holds nonnegative samples."""
+    """Modular in natural power form; `t` holds nonnegative samples.
+
+    The sum runs over the nodes with finite p and t > 0, in node order.
+    Where every node is one of them, t and p are read as they are, with
+    no gathered copies: the same terms in the same order, so the same bits.
+    """
     t, p = _flat(t), _flat(p)
     infp = np.isinf(p)
-    if np.any(t[infp] > 1.0):
-        return _INF
-    fin = ~infp
-    tf = t[fin]
-    pos = tf > 0.0
+    if infp.any():
+        if np.any(t[infp] > 1.0):
+            return _INF
+        fin = ~infp
+        t, p = t[fin], p[fin]
+    pos = t > 0.0
+    if not pos.all():
+        t, p = t[pos], p[pos]
     with np.errstate(over="ignore"):
-        terms = tf[pos] ** p[fin][pos]
+        terms = t ** p
     total = float(np.sum(terms)) * float(cell)
     return _INF if math.isinf(total) else total
 

@@ -160,10 +160,11 @@ class Modular:
         base += self.rows[j]
         return base
 
-    @np.errstate(over="ignore")
     def _pass(self, j, log_lam, log_mu):
         """One ``log_modular`` pass of level j at (log lam, log mu) through
-        ``_buf``; p = inf nodes are zero terms."""
+        ``_buf``; p = inf nodes are zero terms.  A term may overflow to inf:
+        the caller holds ``np.errstate(over="ignore")`` once per sweep, as
+        ``solve`` and the mixed norm's predictor and certificate do."""
         return _kernels.log_modular(self._at(j, log_mu), self.c, log_lam,
                                     self._buf)
 
@@ -171,9 +172,9 @@ class Modular:
         """(log rho_j, d log rho_j / d log lam, d log rho_j / d log mu) at
         lam = exp(log_lam), mu = exp(log_mu), from one pass.
 
-        Only for a ``plain`` evaluator, and a level with a nonzero sample.
-        The value is not raised by its rounding bound, so it certifies
-        nothing.
+        Only for a ``plain`` evaluator, and a level with a nonzero sample,
+        under ``np.errstate(over="ignore")`` (see ``_pass``).  The value is
+        not raised by its rounding bound, so it certifies nothing.
         """
         log_rho, d_lam, scale = self._pass(j, log_lam, log_mu)
         return log_rho, d_lam, -_kernels.dot(self.p, self._buf) * scale

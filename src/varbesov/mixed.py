@@ -6,8 +6,9 @@ convention lam^{1/inf} = 1 (a q = inf node is a lambda-independent term).
 The norm is the gauge of that modular in the scale parameter mu.  Both work
 on one ``lebesgue.Modular`` evaluator per (sequence, p, q): the modular is
 one threshold solve (``_solve.solve_threshold``) in lambda per level, and
-the norm is certified from one pass per level at each end of a bracket in
-mu, or solved by an outer threshold solve around the level solves.
+the norm is certified at both ends of a bracket in mu from the predictor's
+last pass per level, or solved by an outer threshold solve around the level
+solves.
 
 Every log rho_j is a log-sum-exp of functions affine in (u, v) =
 (log lam, log mu), so it is convex in (u, v) jointly and decreasing in
@@ -25,12 +26,12 @@ log(norm).  The next pass is taken at that crossing, on each level's line;
 such a point is on the level's infeasible side, so from the second pass on
 the predicted v rises monotonically.  Once its step is below a quarter of
 the inner solves' gap, the last lines seed the levels' tangents at the
-crossing.  The predictor runs only where every node has finite p
-(``Modular.plain``): p = inf floors and p = q = inf caps are not affine in
-(u, v), and there the solve starts from the crude
-``lebesgue._norm_hint`` with no tangents.  Its ``d_lam < 0`` test declines
-a level whose nonzero terms all sit at q = inf nodes, whose lam_j is 0 or
-inf.
+crossing, and the last passes are kept for the certificate.  The predictor
+runs only where every node has finite p (``Modular.plain``): p = inf floors
+and p = q = inf caps are not affine in (u, v), and there the solve starts
+from the crude ``lebesgue._norm_hint`` with no tangents.  Its
+``d_lam < 0`` test declines a level whose nonzero terms all sit at q = inf
+nodes, whose lam_j is 0 or inf.
 
 Certificate (decides the value).  A scale mu is feasible iff
 sum_j lam_j(mu) <= 1, and lam_j(mu) is at most any lam where
@@ -42,12 +43,44 @@ rho_j(lam''_j, mu_lo) > 1 sum to more than 1.  The ends sit a sixteenth of
 the gap log1p(rel_tol) either side of the predictor's crossing; each
 level's point is its line there, shifted by -1/2 log of the lines' sum, so
 the points sum to its square root: below 1 above the crossing, above 1
-below it.  rho_j is raised by its rounding bound, as in every threshold
-solve, and the returned value is mu_hi: two passes per level.  Where an end
-does not certify (an unconverged predictor, a non-finite value, a sum on
-the wrong side of 1), the norm falls back to a plain nested solve: a
-threshold solve in mu over the level sum ``_LevelSolver.modular``, whose
-level solves start from the predictor's lines (log lam_j is convex in
+below it.  Each point is decided as a pass there would decide it, with
+rho_j raised by its rounding bound R (``Modular.raised``), as in every
+threshold solve: raised log rho_j <= 0 at mu_hi, > 0 at mu_lo.  The
+returned value is mu_hi.
+
+A point (u, v) is decided without a pass, from its level's last predictor
+pass at (u0, v0), which read L0 = log rho_j and the slopes g = (g_u, g_v).
+With d = (u - u0, v - v0), log rho_j(u, v) = L0 + log E exp(X), where E is
+the mean under the weights w_i / rho_j of that pass's terms and
+X = -c_i d_u - p_i d_v (c_i = p_i / q_i), so E X = g . d.  Jensen gives
+log E exp(X) >= E X, and Hoeffding's lemma (Hoeffding 1963) gives
+log E exp(X) <= E X + W^2 / 8 for X in an interval of width
+W = (c_max - c_min)|d_u| + (p_max - p_min)|d_v|.  The pass's rounding
+widens both: R0, the raise at (u0, v0), bounds the error of L0.  The slopes
+are weighted means of nonnegative terms, so their relative error is at
+most kappa = 4 R0 + 2 n eps: the terms' exponents and sum within R0, the
+log and exp that form the pass's scale within R0, and the dot over n
+nodes in any order within n eps; kappa bounds it relative to the exact
+slope, so the computed one is within 2 kappa of it.  The float arithmetic
+of the bound itself stays within 16 eps of the magnitudes it adds.  So the
+exact log rho_j is in [lo, hi - 2 R] with
+
+    lo = L0 + g . d - e,   hi = L0 + g . d + W^2 / 8 + e + 2 R,
+    e = R0 + 2 kappa (|g_u d_u| + |g_v d_v|) + 16 eps (magnitudes),
+
+and a pass at (u, v) reads within R of it, so its raised value is in
+[lo, hi].  hi <= 0 decides the point feasible and lo > 0 infeasible, as
+the pass would; a point decided infeasible has rho_j > 1.  Only a point
+that neither decides takes the pass (``Modular.raised_log_rho``), so the
+bracket is the one the passes would give, bit for bit.  Near the crossing
+|d| is about 1e-10 and e and W^2 / 8 are far below the points' distance
+from their level's boundary, so certified norms of the tested desk and
+plane inputs take no certificate pass.
+
+Where an end does not certify (an unconverged predictor, a non-finite
+value, a sum on the wrong side of 1), the norm falls back to a plain nested
+solve: a threshold solve in mu over the level sum ``_LevelSolver.modular``,
+whose level solves start from the predictor's lines (log lam_j is convex in
 log mu, so a line sits on the level's infeasible side, where Newton is
 monotone), started from the predictor's crossing.  The level sum carries
 no slope, so the outer solve takes the safeguard path.  Evaluators the
@@ -58,6 +91,7 @@ of a p = inf sequence is a safeguard solve from the crude hint over those.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +110,7 @@ INNER_REL_TOL = 1e-10
 _PREDICTOR_STOP = 0.25 * math.log1p(INNER_REL_TOL)
 _PREDICTOR_PASSES = 12
 _CROSSING_STEPS = 60
+_EPS = sys.float_info.epsilon
 
 #: Asserted constant for the generalized Holder inequalities.  The scalar
 #: variable-exponent Holder constant is 2; two nested applications plus the
@@ -132,12 +167,14 @@ class _LevelSolver:
 
     ``norm`` runs in the two phases of the module docstring: on a plain
     evaluator ``_predict`` seeds one line per live level, below its
-    log lam_j, and ``_certify`` brackets the norm from those lines with one
-    raised pass per live level at each end.  Where it declines, or the
-    predictor does, ``solve_threshold`` over ``modular`` decides the value,
-    from the predictor's crossing or the crude hint.  The predictor's lines
-    are the only tangents: ``_predict`` alone writes them, and a level solve
-    starts from its level's line where there is one.
+    log lam_j, and keeps the level's last pass; ``_certify`` brackets the
+    norm from those lines and decides each level point at each end from
+    that pass, taking a raised pass only where the bound cannot decide.
+    Where it declines, or the predictor does, ``solve_threshold`` over
+    ``modular`` decides the value, from the predictor's crossing or the
+    crude hint.  The predictor's lines are the only tangents: ``_predict``
+    alone writes them, and a level solve starts from its level's line where
+    there is one.
     """
 
     def __init__(self, fs, p, q):
@@ -146,6 +183,9 @@ class _LevelSolver:
         # the levels with a nonzero term, each with one line and one point
         self.live = [j for j, live in enumerate(self.evaluator._live) if live]
         self._tangents = [None] * fs.levels  # (log mu, log lam, slope)
+        # the predictor's last pass per live level:
+        # (log mu, log lam, log rho, d_lam, d_mu)
+        self._last = None
 
     def inner(self, j, log_mu):
         """lam_j at mu = exp(log_mu), solved from its level's line or from 1."""
@@ -183,51 +223,94 @@ class _LevelSolver:
         return solve_threshold(lambda mu: self.modular(math.log(mu)), hint,
                                rel_tol=NORM_REL_TOL)
 
+    @np.errstate(over="ignore")
     def _certify(self, log_mu, rel_tol):
         """The bracket ((mu_lo, points_lo), (mu_hi, points_hi)) of the norm
         around the predictor's crossing ``log_mu``, from the lines it seeded
         (the module docstring's certificate); None when an end does not
         certify.  ``points`` lists (j, log lam_j) over the live levels: at
-        mu_hi each has raised log rho_j <= 0, at mu_lo > 0.
+        mu_hi each has raised log rho_j <= 0, at mu_lo > 0, decided by
+        ``_bounds`` where they can, else by a pass.
         """
-        ev, live = self.evaluator, self.live
+        ev = self.evaluator
+        widths = self._widths()
         offset = 0.0625 * math.log1p(rel_tol)
         ends = []
         for feasible, v in ((True, log_mu + offset), (False, log_mu - offset)):
-            if not _LOG_TINY < v < _LOG_HUGE:
+            end = self._end(v)
+            if end is None:
                 return None
-            mu = math.exp(v)
-            v = math.log(mu)  # the point is the float mu
-            us = []
-            for j in live:
-                at, log_lam, slope = self._tangents[j]
-                us.append(log_lam + slope * (v - at))
-            total = sum(_exp(u) for u in us)
-            if not 0.0 < total < math.inf:
-                return None
-            shift = -0.5 * math.log(total)
-            us = [u + shift for u in us]
-            total = sum(_exp(u) for u in us)
+            mu, v, points = end
+            total = sum(_exp(u) for _, u in points)
             if not (total <= 1.0 if feasible else total > 1.0):
                 return None
-            for j, u in zip(live, us):
-                raised = ev.raised_log_rho(j, u, v)
-                if not (raised <= 0.0 if feasible else raised > 0.0):
+            for (j, u), last in zip(points, self._last):
+                lo, hi = self._bounds(j, last, u, v, widths)
+                if not (hi <= 0.0 or lo > 0.0):  # undecided: take the pass
+                    lo = hi = ev.raised_log_rho(j, u, v)
+                if not (hi <= 0.0 if feasible else lo > 0.0):
                     return None
-            ends.append((mu, list(zip(live, us))))
+            ends.append((mu, points))
         return ends[1], ends[0]
 
+    def _end(self, v):
+        """(mu, log mu, points) for the bracket end at log mu = ``v``: mu
+        is the float exp(v), and ``points`` lists (j, log lam_j) over the
+        live levels, each level's line at log mu shifted so that the points
+        sum to the square root of the lines' sum.  None where mu or that
+        sum leaves the float range."""
+        if not _LOG_TINY < v < _LOG_HUGE:
+            return None
+        mu = math.exp(v)
+        v = math.log(mu)  # the point is the float mu
+        us = []
+        for j in self.live:
+            at, log_lam, slope = self._tangents[j]
+            us.append(log_lam + slope * (v - at))
+        total = sum(_exp(u) for u in us)
+        if not 0.0 < total < math.inf:
+            return None
+        shift = -0.5 * math.log(total)
+        return mu, v, [(j, u + shift) for j, u in zip(self.live, us)]
+
+    def _widths(self):
+        """(c_max - c_min, p_max - p_min): the widths of the terms'
+        coefficients on u and v, over every node."""
+        ev = self.evaluator
+        return ev._c_max - float(ev.c.min()), ev._p_max - float(ev.p.min())
+
+    def _bounds(self, j, last, u, v, widths):
+        """(lo, hi) around the raised log rho_j that a pass of level j at
+        (u, v) would read, from the level's last predictor pass ``last`` =
+        (v0, u0, log rho, d_lam, d_mu), with no pass: Jensen's bound below,
+        Hoeffding's above, both widened by the rounding bounds of the module
+        docstring.  ``widths`` is ``_widths()``."""
+        ev = self.evaluator
+        v0, u0, log_rho, d_lam, d_mu = last
+        r0 = ev.raised(j, 0.0, u0, v0)  # the raise alone
+        du, dv = u - u0, v - v0
+        lin_u, lin_v = d_lam * du, d_mu * dv
+        first = abs(lin_u) + abs(lin_v)
+        spread = (widths[0] * abs(du) + widths[1] * abs(dv)) ** 2 / 8.0
+        r = ev.raised(j, 0.0, u, v)
+        kappa = 4.0 * r0 + 2.0 * ev.p.size * _EPS
+        err = (r0 + 2.0 * kappa * first
+               + 16.0 * _EPS * (abs(log_rho) + first + spread + r0 + r))
+        plane = log_rho + lin_u + lin_v
+        return plane - err, plane + spread + err + 2.0 * r
+
+    @np.errstate(over="ignore")
     def _predict(self, log_mu):
         """Joint-Newton lower estimate of log(norm), starting at log mu =
         ``log_mu`` with every lam_j = 1; seeds the tangent of every level
-        with a nonzero sample.  Returns None, seeding nothing, when a pass
-        gives no usable plane."""
+        with a nonzero sample and keeps the last pass of each.  Returns
+        None, seeding nothing, when a pass gives no usable plane."""
         ev, live = self.evaluator, self.live
         if not live:
             return None
         log_lams = [0.0] * len(live)
         for _ in range(_PREDICTOR_PASSES):
-            lines = []
+            lines, passes = [], []
             for j, log_lam in zip(live, log_lams):
                 log_rho, d_lam, d_mu = ev.partials(j, log_lam, log_mu)
                 if not (d_lam < 0.0 and d_mu < 0.0 and math.isfinite(log_rho)):
@@ -235,6 +318,7 @@ class _LevelSolver:
                 # the tangent plane's zero line:
                 # log lam = r + s (log mu' - log mu)
                 lines.append((log_lam - log_rho / d_lam, -d_mu / d_lam))
+                passes.append((log_mu, log_lam, log_rho, d_lam, d_mu))
             step = _crossing(lines)
             if not math.isfinite(step):
                 return None
@@ -244,6 +328,7 @@ class _LevelSolver:
                 break
         for j, log_lam, (_, slope) in zip(live, log_lams, lines):
             self._tangents[j] = (log_mu, log_lam, slope)
+        self._last = passes
         return log_mu
 
 

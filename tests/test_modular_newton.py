@@ -320,18 +320,35 @@ def _count_passes(monkeypatch):
     return passes
 
 
+def _count_certificate_passes(monkeypatch, passes):
+    """The passes of ``passes`` (``_count_passes``) that each
+    ``_LevelSolver._certify`` call takes, one entry per call."""
+    counts = []
+    certify = _LevelSolver._certify
+
+    def counted(self, *args):
+        before = passes[0]
+        try:
+            return certify(self, *args)
+        finally:
+            counts.append(passes[0] - before)
+
+    monkeypatch.setattr(_LevelSolver, "_certify", counted)
+    return counts
+
+
 @pytest.mark.parametrize("outer_q_inf", [False, True], ids=["q", "q_inf_outside"])
 @pytest.mark.parametrize("grid, levels, band, per_level", [
-    (default_grid(1), 9, 64, 7), (Grid(2, 256, 16.0), 7, 20, 6)],
+    (default_grid(1), 9, 64, 5), (Grid(2, 256, 16.0), 7, 20, 4)],
     ids=["4096x9", "256^2x7"])
 def test_mixed_norms_certify_without_threshold_solves(grid, levels, band,
                                                      per_level, outer_q_inf,
                                                      monkeypatch):
     # desk and plane scale, log-smooth p, cos-bump q, also with q = inf on
     # |x| >= 0.4 L: the certificate brackets the norm from the predictor's
-    # lines with one pass per level at each end, so no threshold solve
-    # runs, and the predictor's passes included, each level takes at most
-    # ``per_level`` passes
+    # lines and decides every level point at both ends from the level's
+    # last predictor pass, so it takes no pass and no threshold solve runs;
+    # the predictor's passes are all, at most ``per_level`` per level
     fs = band_limited_sequence(grid, levels, band, 3)
     p = log_smooth_exponent(grid, 2.0, 1.5)
     q = cos_bump_exponent(grid, 1.5, 1.0)
@@ -344,8 +361,10 @@ def test_mixed_norms_certify_without_threshold_solves(grid, levels, band,
     monkeypatch.setattr(mixed, "solve_threshold",
                         _counting(_solve.solve_threshold, solves))
     passes = _count_passes(monkeypatch)
+    in_certificate = _count_certificate_passes(monkeypatch, passes)
     mixed_norm(fs, p, q)
     assert solves == []
+    assert in_certificate == [0]
     assert passes[0] <= per_level * fs.levels
 
 
@@ -483,14 +502,99 @@ def test_certificate_brackets_the_norm(case):
 
 def test_certificate_declines_after_an_unconverged_predictor(monkeypatch):
     # one predictor pass leaves the crossing well below the norm: the
-    # feasible end does not certify, and the norm is the threshold solve
-    # from that crossing
+    # bound from that pass cannot decide the feasible end's first point,
+    # which takes the evaluated pass, reads infeasible and ends the
+    # certificate; the norm is the threshold solve from that crossing
     monkeypatch.setattr(mixed, "_PREDICTOR_PASSES", 1)
     fs = band_limited_sequence(default_grid(1), 9, 64, 3)
     p, q = _exponents(fs.grid, "finite")
+    in_certificate = _count_certificate_passes(monkeypatch,
+                                               _count_passes(monkeypatch))
     solver, crossing, bracket = _certify(fs, p, q)
     assert bracket is None
+    assert in_certificate == [1]
     _assert_fallback(solver, crossing, fs, p, q)
+
+
+def _end_points(solver, crossing):
+    """(log mu, points) at each end of the certificate's bracket that is in
+    the float range, from ``solver``'s lines around ``crossing``."""
+    offset = 0.0625 * math.log1p(mixed.NORM_REL_TOL)
+    ends = [solver._end(crossing + offset), solver._end(crossing - offset)]
+    return [end[1:] for end in ends if end is not None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEQUENCE_CASES)
+def test_certificate_bounds_agree_with_evaluated_passes(case):
+    # at both ends, and at points moved off them in log lam, the raised
+    # log rho_j that a pass reads lies in the bound's [lo, hi]: a point the
+    # bound decides (hi <= 0 feasible, lo > 0 infeasible) never disagrees
+    # with the evaluated pass
+    fs, p, q, _ = _sequence_case(*case)
+    solver, crossing, _ = _certify(fs, p, q)
+    ev, widths = solver.evaluator, solver._widths()
+    decided = 0
+    with np.errstate(over="ignore"):
+        for v, points in _end_points(solver, crossing):
+            for (j, u), last in zip(points, solver._last):
+                for du in (0.0, -1e-9, 1e-9, 0.5):
+                    lo, hi = solver._bounds(j, last, u + du, v, widths)
+                    raised = ev.raised_log_rho(j, u + du, v)
+                    assert lo <= raised <= hi, (j, du)
+                    if hi <= 0.0:
+                        assert raised <= 0.0
+                    if lo > 0.0:
+                        assert raised > 0.0
+                    decided += hi <= 0.0 or lo > 0.0
+    assert decided > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEQUENCE_CASES)
+def test_certificate_decides_as_its_passes_would(case):
+    # with every bound made undecided, each level point takes its raised
+    # pass, as the certificate did before it read the predictor's last
+    # passes: the bracket is the same, bit for bit, or None both ways
+    fs, p, q, _ = _sequence_case(*case)
+    solver, crossing, bracket = _certify(fs, p, q)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_LevelSolver, "_bounds",
+                  lambda self, *args: (-math.inf, math.inf))
+        passes = _count_passes(m)
+        evaluated = solver._certify(crossing, mixed.NORM_REL_TOL)
+    if bracket is None:
+        assert evaluated is None
+        return
+    assert passes[0] == 2 * len(solver.live)
+    for (mu, points), (mu_e, points_e) in zip(bracket, evaluated):
+        assert _bits(mu) == _bits(mu_e)
+        assert points == points_e
+
+
+@pytest.mark.parametrize("du, dv", [(-1e-3, 1e-3), (1e-3, 1e-3), (0.0, -1e-3),
+                                    (0.4, -0.3), (-2.0, 1.0)])
+def test_certificate_bounds_on_two_terms(du, dv):
+    # two nodes whose terms are 1/2 each at (log lam, log mu) = (0, 0):
+    # there log rho = log((e^X1 + e^X2) / 2), X_i = -c_i du - p_i dv, is
+    # the mean of the X_i plus log cosh((X1 - X2) / 2).  Jensen's bound is
+    # that mean and Hoeffding's adds W^2 / 8, W = |c1 - c2| |du| +
+    # |p1 - p2| |dv| >= |X1 - X2|: both are the closed forms up to the
+    # rounding bounds, and they hold the exact value between them
+    grid = Grid(1, 2, 1.0)  # two nodes, cell 1
+    pv, qv = np.array([2.0, 3.0]), np.array([1.5, 4.0])
+    fs = FieldSequence((Field(grid, 0.5 ** (1.0 / pv)),))
+    solver = _LevelSolver(fs, ExponentField(grid, pv), ExponentField(grid, qv))
+    ev = solver.evaluator
+    last = (0.0, 0.0, *ev.partials(0, 0.0, 0.0))
+    lo, hi = solver._bounds(0, last, du, dv, solver._widths())
+    x = -pv / qv * du - pv * dv
+    mean = 0.5 * (x[0] + x[1])
+    exact = mean + math.log(math.cosh(0.5 * (x[0] - x[1])))
+    width = abs(pv[0] / qv[0] - pv[1] / qv[1]) * abs(du) + abs(pv[0] - pv[1]) * abs(dv)
+    assert lo <= exact <= hi - 2.0 * ev.raised(0, 0.0, du, dv)
+    assert lo == pytest.approx(mean, abs=1e-12)
+    assert hi == pytest.approx(mean + width ** 2 / 8.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
