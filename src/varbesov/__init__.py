@@ -18,9 +18,8 @@ from .littlewood_paley import (ResolutionOfUnity, besov_norm, build_resolution,
                                check_lemma_eta_shift, hardy_transform,
                                lp_block, verify_eta_convolution, verify_hardy,
                                verify_mixed_eta)
-from .commutator import (SweepConfig, VectorField, commutator_lhs_norm,
-                         constant_sweep, theorem1_report, theorem2_report,
-                         theorem3_report)
+from .commutator import (VectorField, commutator_lhs_norm, constant_sweep,
+                         theorem1_report, theorem2_report, theorem3_report)
 from .random_fields import (band_limited_field, band_limited_sequence,
                             band_limited_vector_field)
 
@@ -42,7 +41,7 @@ __all__ = [
     "ResolutionOfUnity", "besov_norm", "build_resolution",
     "check_lemma_eta_shift", "hardy_transform", "lp_block",
     "verify_eta_convolution", "verify_hardy", "verify_mixed_eta",
-    "SweepConfig", "VectorField", "commutator_lhs_norm",
+    "VectorField", "commutator_lhs_norm",
     "constant_sweep", "theorem1_report", "theorem2_report", "theorem3_report",
     "band_limited_field", "band_limited_sequence", "band_limited_vector_field",
 ]

@@ -31,9 +31,9 @@ from .littlewood_paley import (build_resolution, block_sequence,
 from .mixed import (check_holder, check_monotone_limit, classical_mixed_norm,
                     mixed_norm)
 from .duality import grade_witnesses, verify_norm_conjugate, witness_measures
-from .commutator import SweepConfig, constant_sweep
+from .commutator import constant_sweep
 from .random_fields import (band_limited_field, band_limited_sequence,
-                            gaussian_envelope)
+                            gaussian_envelope, input_band)
 from .reports import CheckReport, graded_report
 
 SUITES = ("lebesgue", "mixed", "duality", "littlewood_paley", "hardy",
@@ -189,16 +189,11 @@ def _tol(cfg, name):
 
 
 def _suite_band(cfg, grid):
-    """Mode budget for generated inputs: the dealiasing margin 2^J/4 with a
-    floor wide enough for the generator's envelope margin."""
-    band = max(2 ** cfg["levels"] // 4, 20)
-    ceiling = min(2 ** cfg["levels"], grid.nyquist_index // 2)
-    if ceiling < 20:
-        raise ConfigError(
-            "grid.points_per_axis: too few modes for boundary-decaying "
-            f"band-limited inputs (need Nyquist/2 >= 20, got {ceiling})"
-        )
-    return min(band, ceiling)
+    """``input_band`` of the configured grid and levels."""
+    try:
+        return input_band(grid, cfg["levels"])
+    except ValueError as exc:
+        raise ConfigError(exc.args[0]) from exc
 
 
 def _suite_lebesgue(cfg, grid, records, curves):
@@ -342,9 +337,9 @@ _COMMUTATOR_SWEEPS = (
 
 
 def _suite_commutator(cfg, grid, records, curves):
-    # the sweep rebuilds each exponent per trial; built here, they are
-    # checked once, and the product's exponent p with 1/p = 1/p1 + 1/p2
-    # must lie in [1, inf]
+    # built here, each exponent is checked once, and the product's exponent
+    # p with 1/p = 1/p1 + 1/p2 must lie in [1, inf]; the sweep builds its
+    # own from the descriptors, as it would on a refined grid
     built = {role: _build_exponent(cfg, grid, role)
              for role in ("p1", "p2", "q", "s")}
     try:
@@ -353,12 +348,10 @@ def _suite_commutator(cfg, grid, records, curves):
         raise ConfigError(f"exponents.p1, exponents.p2: {exc.args[0]}") from exc
     base = {role: (cfg["exponents"][role]["family"],
                    cfg["exponents"][role]["params"]) for role in built}
-    band = _suite_band(cfg, grid)
+    _suite_band(cfg, grid)  # the sweep's band; a bad one exits 2 here
     for theorem, roles, offset in _COMMUTATOR_SWEEPS:
-        sweep = SweepConfig(dim=grid.dim, points_per_axis=grid.points_per_axis,
-                            half_width=grid.half_width, levels=cfg["levels"],
-                            exponents=base | roles, kmax=band)
-        summary = constant_sweep(sweep, theorem, trials=cfg["trials"],
+        summary = constant_sweep(grid, cfg["levels"], base | roles, theorem,
+                                 trials=cfg["trials"],
                                  seed=cfg["seed"] + offset, refine=False)
         worst = max(summary["max_ratio"].values())
         records.append(graded_report(f"commutator.{theorem}_ratio_finite",

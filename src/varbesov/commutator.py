@@ -6,16 +6,18 @@ advection:
 
     sum_k [ V_k d_k(block_j f) - block_j(V_k d_k f) ].
 
-Constant V and constant f both annihilate it.  The harness evaluates the
-weighted mixed norm of the commutator sequence against several right-hand
-side aggregates of Besov and Luxemburg norms, records the empirical ratios,
-and repeats each instance on a refined grid to confirm the ratios are
+Constant V and constant f both annihilate it.  Each theorem report
+evaluates the weighted mixed norm of the commutator sequence against
+several right-hand side aggregates of Besov and Luxemburg norms.
+``constant_sweep`` records the empirical ratios of random band-limited
+(V, f) instances on the caller's grid and, optionally, repeats each
+instance on the refined grid (2N, J+1) to confirm the ratios are
 discretization-stable.  No divergence-free structure is assumed anywhere;
 the test families have div V != 0.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,8 @@ from .lebesgue import luxemburg_norm
 from .littlewood_paley import (besov_norm, block_sequence, build_resolution,
                                weighted_norm)
 from .mixed import FieldSequence
-from .random_fields import _key, band_limited_field, band_limited_vector_field
+from .random_fields import (_key, band_limited_field,
+                            band_limited_vector_field, input_band)
 from .reports import make_estimate_report
 
 DECAY_GUARD = 1e-10
@@ -79,8 +82,9 @@ def divergence(v):
 def commutator(v, f, rou, j):
     """[V.grad, block_j] f = sum_k (V_k d_k block_j f - block_j(V_k d_k f)).
 
-    Products are formed in physical space; callers keep inputs band-limited
-    below 2^J / 4 so the doubled product bandwidth stays alias-free.
+    Products are formed in physical space; callers keep inputs within
+    ``random_fields.input_band`` (at most N / 4 modes) so the doubled
+    product bandwidth stays alias-free.
     """
     if not 0 <= j < rou.levels:
         raise ValueError(f"block index {j} out of range 0..{rou.top_level}")
@@ -256,41 +260,6 @@ def theorem3_report(v, f, s1, s2, p1, p2, q1, q2, rou):
     }
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Generator family for randomized estimate sweeps.
-
-    Exponent roles map to (family_name, params) descriptors so the same
-    family can be re-sampled on the refined grid; each theorem reads the
-    roles ``_THEOREMS`` lists for it.  kmax defaults to 2^J / 4,
-    the dealiasing margin for physical-space products.  constant_v swaps the
-    random vector fields for constants, the degenerate family whose ratios
-    must vanish.
-    """
-
-    dim: int = 1
-    points_per_axis: int = 4096
-    half_width: float = 16.0
-    levels: int = 8
-    exponents: dict = field(default_factory=dict)
-    kmax: int | None = None
-    constant_v: bool = False
-
-    def grid(self, refine=False):
-        n = self.points_per_axis * (2 if refine else 1)
-        return Grid(self.dim, n, self.half_width)
-
-    def top_level(self, refine=False):
-        return self.levels + (1 if refine else 0)
-
-    def band(self):
-        return self.kmax if self.kmax is not None else 2 ** self.levels // 4
-
-    def exponent(self, grid, role):
-        family, params = self.exponents[role]
-        return exponent_from_family(grid, family, params)
-
-
 # each estimate's report function and the exponent roles it takes, in order
 _THEOREMS = {
     "theorem1": (theorem1_report, ("s", "p1", "p2", "q")),
@@ -299,47 +268,50 @@ _THEOREMS = {
 }
 
 
-def _instance_reports(theorem, config, refine, seed):
-    """The reports of one random (V, f) instance, on the base or the refined
-    grid and levels of ``config``."""
-    report, roles = _THEOREMS[theorem]
-    grid = config.grid(refine)
-    rou = build_resolution(grid, config.top_level(refine))
-    if config.constant_v:
-        v = VectorField(tuple(
-            Field(grid, np.full(grid.shape, 1.0 + axis))
-            for axis in range(grid.dim)
-        ))
-    else:
-        v = VectorField(tuple(band_limited_vector_field(grid, config.band(), seed)))
-    f = band_limited_field(grid, config.band(), _key(seed, 7919))
-    return report(v, f, *(config.exponent(grid, r) for r in roles), rou)
+def constant_sweep(grid, levels, exponents, theorem, trials, seed,
+                   refine=True):
+    """Randomized (V, f) sweep for one estimate family on ``grid`` at
+    J = ``levels``.
 
-
-def constant_sweep(config, theorem, trials, seed, refine=True):
-    """Randomized (V, f) sweep for one estimate family.
+    ``exponents`` maps each role ``_THEOREMS`` lists for the theorem to a
+    (family_name, params) descriptor, so the same family is sampled again on
+    the refined grid (2N, J+1).  Each grid's resolution and exponents are
+    built once; trial t draws V and f from the key (seed, t) on the band
+    ``input_band(grid, levels)`` at every resolution, so the continuum
+    instance is the same on both grids.
 
     Returns {"ratios": per-variant lists of the per-instance ratios,
     "max_ratio": their per-variant max}; when refine is set, also
-    "refine_factors", the per-instance factor by which each ratio moves when
-    the grid and level count are refined to (2N, J+1), and "refine_stable",
-    whether every factor lies within [1/2, 2].
+    "refine_factors", the per-instance factor by which each ratio moves on
+    the refined grid, and "refine_stable", whether every factor lies within
+    [1/2, 2].
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if theorem not in _THEOREMS:
         raise ValueError(
             f"theorem must be one of {tuple(_THEOREMS)}, got {theorem!r}")
+    report, roles = _THEOREMS[theorem]
+    band = input_band(grid, levels)
+    scales = [(grid, levels)]
+    if refine:
+        scales.append((Grid(grid.dim, 2 * grid.points_per_axis,
+                            grid.half_width), levels + 1))
+    setups = [(g, build_resolution(g, top),
+               [exponent_from_family(g, *exponents[r]) for r in roles])
+              for g, top in scales]
     ratios = {}
     refine_factors = {}
     for t in range(trials):
-        inst_seed = [int(seed), t]
-        base = _instance_reports(theorem, config, False, inst_seed)
+        key = [int(seed), t]
+        base, *fine = [
+            report(VectorField(tuple(band_limited_vector_field(g, band, key))),
+                   band_limited_field(g, band, _key(key, 7919)), *exps, rou)
+            for g, rou, exps in setups]
         for variant, rep in base.items():
             ratios.setdefault(variant, []).append(rep.ratio)
         if refine:
-            fine = _instance_reports(theorem, config, True, inst_seed)
-            for variant, rep in fine.items():
+            for variant, rep in fine[0].items():
                 coarse = base[variant].ratio
                 factor = rep.ratio / coarse if coarse > 0 else (
                     1.0 if rep.ratio == 0.0 else math.inf)

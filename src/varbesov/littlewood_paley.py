@@ -288,16 +288,14 @@ def hardy_transform(gs, a):
                  for big in (big_g, big_h))
 
 
-def hardy_bound(a, q_minus, gamma_grid=None):
-    """min over the gamma grid of 1/c(gamma) with
+def hardy_bound(a, q_minus):
+    """min over gamma in q^- * (0.05, 0.10, ..., 0.95) of 1/c(gamma) with
     c = (1-a^gamma)^{1/q^-} (1-a^{1-gamma/q^-}), gamma in (0, q^-)."""
-    if gamma_grid is None:
-        gamma_grid = q_minus * np.linspace(0.05, 0.95, 19)
-    gamma_grid = np.asarray(gamma_grid, dtype=np.float64)
-    if np.any(gamma_grid <= 0.0) or np.any(gamma_grid >= q_minus):
-        raise ValueError("gamma grid must lie strictly inside (0, q^-)")
-    c = (1.0 - a ** gamma_grid) ** (1.0 / q_minus) \
-        * (1.0 - a ** (1.0 - gamma_grid / q_minus))
+    if not q_minus > 0.0:
+        raise ValueError("q^- must be positive")
+    gamma = q_minus * np.linspace(0.05, 0.95, 19)
+    c = (1.0 - a ** gamma) ** (1.0 / q_minus) \
+        * (1.0 - a ** (1.0 - gamma / q_minus))
     return float(np.min(1.0 / c))
 
 

@@ -40,7 +40,7 @@ rho_j(lam, mu) > 1.  So one point per level settles each end of a bracket:
 mu_hi is feasible when points lam'_j with rho_j(lam'_j, mu_hi) <= 1 sum to
 at most 1, and mu_lo is infeasible when points lam''_j with
 rho_j(lam''_j, mu_lo) > 1 sum to more than 1.  The ends sit a sixteenth of
-the gap log1p(rel_tol) either side of the predictor's crossing; each
+the gap log1p(NORM_REL_TOL) either side of the predictor's crossing; each
 level's point is its line there, shifted by -1/2 log of the lines' sum, so
 the points sum to its square root: below 1 above the crossing, above 1
 below it.  Each point is decided as a pass there would decide it, with
@@ -214,7 +214,7 @@ class _LevelSolver:
             log_hint = math.log(hint)
             log_mu = self._predict(log_hint)
             if log_mu is not None:
-                bracket = self._certify(log_mu, NORM_REL_TOL)
+                bracket = self._certify(log_mu)
                 if bracket is not None:
                     return bracket[1][0]  # mu_hi
                 # the crude hint is feasible: a crossing above it helps nothing
@@ -224,7 +224,7 @@ class _LevelSolver:
                                rel_tol=NORM_REL_TOL)
 
     @np.errstate(over="ignore")
-    def _certify(self, log_mu, rel_tol):
+    def _certify(self, log_mu):
         """The bracket ((mu_lo, points_lo), (mu_hi, points_hi)) of the norm
         around the predictor's crossing ``log_mu``, from the lines it seeded
         (the module docstring's certificate); None when an end does not
@@ -234,7 +234,7 @@ class _LevelSolver:
         """
         ev = self.evaluator
         widths = self._widths()
-        offset = 0.0625 * math.log1p(rel_tol)
+        offset = 0.0625 * math.log1p(NORM_REL_TOL)
         ends = []
         for feasible, v in ((True, log_mu + offset), (False, log_mu - offset)):
             end = self._end(v)

@@ -24,6 +24,23 @@ ENVELOPE_FRACTION = 7.7
 BAND_MARGIN = 19
 
 
+def input_band(grid, levels):
+    """Mode budget for inputs to a J = ``levels`` analysis on ``grid``: the
+    dealiasing margin 2^J / 4, at least BAND_MARGIN + 1 so the envelope's
+    margin leaves modes to draw, and at most min(2^J, N / 4).  Raises
+    ValueError naming the binding cap when that ceiling is too low."""
+    need = BAND_MARGIN + 1
+    ceiling = min(2 ** levels, grid.nyquist_index // 2)
+    if ceiling < need:
+        name, cap = (("grid.points_per_axis", "points_per_axis / 4")
+                     if ceiling == grid.nyquist_index // 2
+                     else ("levels", "2^levels"))
+        raise ValueError(
+            f"{name}: too few modes for boundary-decaying band-limited "
+            f"inputs (need {cap} >= {need}, got {ceiling})")
+    return min(max(2 ** levels // 4, need), ceiling)
+
+
 def _key(base, *extra):
     """Compose a deterministic rng key from an int or a sequence of ints."""
     if isinstance(base, (list, tuple)):

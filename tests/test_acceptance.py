@@ -8,8 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from varbesov.cli import emit, run
-from varbesov.commutator import (SweepConfig, VectorField, commutator,
-                                 constant_sweep)
+from varbesov.commutator import VectorField, commutator, constant_sweep
 from varbesov.duality import grade_witnesses, witness_measures
 from varbesov.exponents import (constant_exponent, cos_bump_exponent,
                                 local_log_holder, log_smooth_exponent)
@@ -239,8 +238,7 @@ def test_criterion_8_commutator():
         trials_per_config = 8
         for theorem, matrix in THEOREM_MATRICES.items():
             for idx, exponents in enumerate(matrix):
-                cfg = SweepConfig(levels=LEVELS, exponents=exponents)
-                summary = constant_sweep(cfg, theorem,
+                summary = constant_sweep(GRID, LEVELS, exponents, theorem,
                                          trials=trials_per_config,
                                          seed=1014 + idx, refine=True)
                 for variant, values in summary["max_ratio"].items():

@@ -321,12 +321,19 @@ class TestMain:
         ({"exponents": {"q": {"family": "two_level", "params": {
             "inner": 2.0, "outer": float("inf"), "radius": 3.0}}},
           "suites": ["duality"]}, "exponents.q"),
+        # the input band's ceiling min(2^levels, points_per_axis / 4) is
+        # below the 20 modes the generator needs: name the binding cap
+        ({"grid": {"points_per_axis": 4096}, "levels": 4, "suites": ["mixed"]},
+         "levels: too few modes"),
+        ({"grid": {"points_per_axis": 64}, "levels": 4, "suites": ["mixed"]},
+         "grid.points_per_axis: too few modes"),
     ], ids=["half_width_str", "half_width_bool", "half_width_inf", "param_str",
             "param_nan", "p_below_one", "q_below_one", "p1_below_one",
             "p2_zero", "s_infinite", "p1_p2_harmonic_below_one", "levels_bool",
             "seed_bool", "trials_bool", "dim_bool", "points_bool",
             "tolerance_bool", "tolerance_unknown", "duality_p_inf",
-            "duality_q_inf", "duality_q_two_level_inf"])
+            "duality_q_inf", "duality_q_two_level_inf", "band_levels",
+            "band_points"])
     def test_exit_two_on_malformed_values(self, tmp_path, capsys, config, field):
         # malformed values are configuration errors (exit 2), not failed
         # checks (exit 1); the message names the field

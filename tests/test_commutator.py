@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from varbesov import random_fields
-from varbesov.commutator import (SweepConfig, VectorField, commutator,
+from varbesov import cli, random_fields
+from varbesov import commutator as commutator_module
+from varbesov.commutator import (VectorField, commutator,
                                  commutator_lhs_norm, commutator_sequence,
                                  constant_sweep, divergence, theorem1_report,
                                  theorem2_report, theorem3_report)
@@ -385,25 +386,21 @@ class TestTheoremReports:
         assert math.isfinite(rep.ratio)
 
 
+_SWEEP_EXPONENTS = {
+    "s": ("constant", {"value": 1.0}),
+    "p1": ("constant", {"value": 4.0}),
+    "p2": ("constant", {"value": 4.0}),
+    "q": ("constant", {"value": 2.0}),
+}
+
+
 class TestSweep:
     def test_rejects_empty_trials(self):
-        cfg = SweepConfig(points_per_axis=512, levels=6, kmax=25, exponents={
-            "s": ("constant", {"value": 1.0}),
-            "p1": ("constant", {"value": 4.0}),
-            "p2": ("constant", {"value": 4.0}),
-            "q": ("constant", {"value": 2.0}),
-        })
         with pytest.raises(ValueError, match="trials"):
-            constant_sweep(cfg, "theorem1", trials=0, seed=1)
+            constant_sweep(Grid(1, 512, 16.0), 6, _SWEEP_EXPONENTS, "theorem1",
+                           trials=0, seed=1)
 
     def test_unknown_theorem(self, monkeypatch):
-        cfg = SweepConfig(points_per_axis=512, levels=6, kmax=25, exponents={
-            "s": ("constant", {"value": 1.0}),
-            "p1": ("constant", {"value": 4.0}),
-            "p2": ("constant", {"value": 4.0}),
-            "q": ("constant", {"value": 2.0}),
-        })
-
         def no_draw(*args, **kwargs):
             raise AssertionError("an instance was drawn for an unknown theorem")
 
@@ -413,34 +410,54 @@ class TestSweep:
                             no_draw)
         with pytest.raises(ValueError,
                            match=r"theorem must be one of \(.*\), got 'theorem9'"):
-            constant_sweep(cfg, "theorem9", trials=1, seed=1)
+            constant_sweep(Grid(1, 512, 16.0), 6, _SWEEP_EXPONENTS, "theorem9",
+                           trials=1, seed=1)
 
-    def test_small_sweep_summary_shape(self):
-        cfg = SweepConfig(points_per_axis=1024, levels=7, exponents={
-            "s": ("constant", {"value": 1.0}),
-            "p1": ("constant", {"value": 4.0}),
-            "p2": ("constant", {"value": 4.0}),
-            "q": ("constant", {"value": 2.0}),
-        })
-        summary = constant_sweep(cfg, "theorem1", trials=2, seed=5, refine=False)
+    def test_small_sweep_summary_shape(self, grid):
+        summary = constant_sweep(grid, 7, _SWEEP_EXPONENTS, "theorem1",
+                                 trials=2, seed=5, refine=False)
         assert set(summary) == {"ratios", "max_ratio"}
         assert all(len(v) == 2 for v in summary["ratios"].values())
         assert all(math.isfinite(v) for v in summary["max_ratio"].values())
-        refined = constant_sweep(cfg, "theorem1", trials=1, seed=5)
+        refined = constant_sweep(grid, 7, _SWEEP_EXPONENTS, "theorem1",
+                                 trials=1, seed=5)
         assert set(refined) == {"ratios", "max_ratio", "refine_factors",
                                 "refine_stable"}
         assert set(refined["refine_factors"]) == set(refined["ratios"])
 
-    def test_constant_v_family_ratios_vanish(self):
-        cfg = SweepConfig(points_per_axis=1024, levels=7, constant_v=True,
-                          exponents={
-                              "s": ("constant", {"value": 1.0}),
-                              "p1": ("constant", {"value": 4.0}),
-                              "p2": ("constant", {"value": 4.0}),
-                              "q": ("constant", {"value": 2.0}),
-                          })
-        summary = constant_sweep(cfg, "theorem1", trials=3, seed=5, refine=False)
-        assert max(summary["max_ratio"].values()) <= 1e-6
+    def test_six_levels_draw_on_the_cli_band(self, grid, monkeypatch):
+        # 2^6 / 4 = 16 modes leave none under the generator's margin; the
+        # sweep draws on the CLI's band, floored at 20, on both grids
+        bands = []
+        for name in ("band_limited_field", "band_limited_vector_field"):
+            draw = getattr(random_fields, name)
+
+            def recorded(g, kmax, key, draw=draw):
+                bands.append((g.points_per_axis, kmax))
+                return draw(g, kmax, key)
+
+            monkeypatch.setattr(f"varbesov.commutator.{name}", recorded)
+        summary = constant_sweep(grid, 6, _SWEEP_EXPONENTS, "theorem1",
+                                 trials=1, seed=5, refine=True)
+        band = cli._suite_band({"levels": 6}, grid)
+        assert band == 20
+        assert sorted(set(bands)) == [(1024, band), (2048, band)]
+        assert all(math.isfinite(v) for v in summary["max_ratio"].values())
+        assert summary["refine_stable"]
+
+    def test_one_resolution_and_exponent_set_per_grid(self, monkeypatch):
+        calls = {}
+        for name in ("build_resolution", "exponent_from_family"):
+            build = getattr(commutator_module, name)
+
+            def counted(*args, name=name, build=build):
+                calls[name] = calls.get(name, 0) + 1
+                return build(*args)
+
+            monkeypatch.setattr(commutator_module, name, counted)
+        constant_sweep(Grid(1, 512, 16.0), 6, _SWEEP_EXPONENTS, "theorem1",
+                       trials=3, seed=5, refine=True)
+        assert calls == {"build_resolution": 2, "exponent_from_family": 8}
 
 
 class TestSpecExamples:

@@ -302,10 +302,15 @@ class TestHardy:
             hardy_transform(gs, 1.5)
 
     def test_explicit_constant_formula(self):
-        # gamma = 1, a = 1/2, q = 2: c = (1 - 2**-0.5) / sqrt(2)
-        bound = hardy_bound(0.5, 2.0, gamma_grid=[1.0])
-        c = (1.0 - 0.5) ** 0.5 * (1.0 - 0.5**0.5)
-        assert bound == pytest.approx(1.0 / c, rel=1e-12)
+        # a = 1/2, q = 2: the gamma grid is 0.1, 0.2, ..., 1.9; at gamma = 1,
+        # c = (1 - 2**-0.5) / sqrt(2)
+        def c(gamma):
+            return (1.0 - 0.5 ** gamma) ** 0.5 * (1.0 - 0.5 ** (1.0 - gamma / 2.0))
+
+        bound = hardy_bound(0.5, 2.0)
+        assert bound == pytest.approx(min(1.0 / c(k / 10.0) for k in range(1, 20)),
+                                      rel=1e-12)
+        assert bound <= 1.0 / c(1.0)
 
     def test_bound_holds_across_matrix(self, small_grid):
         p = log_smooth_exponent(small_grid, 2.0, 1.0)

@@ -327,7 +327,7 @@ class TestIndependentOracle:
             assert solver._predict(log_hint) is None
         else:
             crossing = solver._predict(log_hint)
-            assert solver._certify(crossing, mixed.NORM_REL_TOL) is None
+            assert solver._certify(crossing) is None
         got = mixed_norm(fs, p, q)
         assert math.log(got) == pytest.approx(
             _brentq_log_mixed_norm(fs, p.values, q.values), abs=1e-8)

@@ -434,7 +434,7 @@ def _certify(fs, p, q):
     log_hint = math.log(lebesgue._norm_hint(fs.grid, fs.max_abs(), fs.levels))
     crossing = solver._predict(log_hint)
     assert crossing < log_hint
-    return solver, crossing, solver._certify(crossing, mixed.NORM_REL_TOL)
+    return solver, crossing, solver._certify(crossing)
 
 
 def _assert_fallback(solver, crossing, fs, p, q):
@@ -562,7 +562,7 @@ def test_certificate_decides_as_its_passes_would(case):
         m.setattr(_LevelSolver, "_bounds",
                   lambda self, *args: (-math.inf, math.inf))
         passes = _count_passes(m)
-        evaluated = solver._certify(crossing, mixed.NORM_REL_TOL)
+        evaluated = solver._certify(crossing)
     if bracket is None:
         assert evaluated is None
         return
