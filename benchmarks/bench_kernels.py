@@ -14,12 +14,14 @@ R = c_loc, as ``check_lemma_eta_shift`` calls it (a constant alpha takes
 no sweep).
 
 The spectral rows time one ``convolve``, the per-level eta convolutions of
-``verify_eta_convolution``, one ``commutator_sequence``, one ``besov_norm``
-and one ``verify_mixed_eta`` on the desk grids of the CLI (4096 nodes with
-J = 8; 256^2 with J = 6), on band-limited inputs as the suites generate
-them.  Beside each time stands the number of minor page faults per call
-(the ``ru_minflt`` delta of ``getrusage``): pages the call touched for the
-first time, mostly in fresh allocations of its arrays.
+``verify_eta_convolution``, the commutators at every level (the sequence
+that ``commutator_lhs_norm`` weighs, collected from
+``commutator._commutators``), one ``besov_norm`` and one
+``verify_mixed_eta`` on the desk grids of the CLI (4096 nodes with J = 8;
+256^2 with J = 6), on band-limited inputs as the suites generate them.
+Beside each time stands the number of minor page faults per call (the
+``ru_minflt`` delta of ``getrusage``): pages the call touched for the first
+time, mostly in fresh allocations of its arrays.
 
 The evaluator rows time one ``lebesgue.Modular`` build (the per-level rows
 of a level stack) and one ``mixed_norm`` on a band-limited sequence at
@@ -194,13 +196,14 @@ def minor_faults():
 
 
 def bench_spectral():
-    from varbesov.commutator import VectorField, commutator_sequence
+    from varbesov.commutator import VectorField, _commutators
     from varbesov.exponents import (constant_exponent, cos_bump_exponent,
                                     log_smooth_exponent)
     from varbesov.grid import convolve, eta_kernel
     from varbesov.littlewood_paley import (besov_norm, build_resolution,
                                            verify_eta_convolution,
                                            verify_mixed_eta)
+    from varbesov.mixed import FieldSequence
     from varbesov.random_fields import (band_limited_field,
                                         band_limited_sequence,
                                         band_limited_vector_field)
@@ -222,8 +225,9 @@ def bench_spectral():
             ("convolve", lambda: convolve(kernel, f), 40),
             (f"verify_eta_convolution, levels 0..{eta_top}",
              lambda: verify_eta_convolution(f, p, m, eta_top), 10),
-            (f"commutator_sequence, {rou.levels} levels",
-             lambda: commutator_sequence(v, f, rou), 10),
+            (f"commutators, {rou.levels} levels",
+             lambda: FieldSequence(tuple(
+                 _commutators(v, f, rou, range(rou.levels)))), 10),
             (f"besov_norm, {rou.levels} levels",
              lambda: besov_norm(f, s, p, q, rou), 10),
             (f"verify_mixed_eta, {fs.levels} levels",

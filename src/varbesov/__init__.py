@@ -16,7 +16,7 @@ from .duality import (extremal_witness, infinity_witness, pairing,
                       random_dual_search, verify_norm_conjugate)
 from .littlewood_paley import (ResolutionOfUnity, besov_norm, build_resolution,
                                check_lemma_eta_shift, hardy_transform,
-                               lp_block, verify_eta_convolution, verify_hardy,
+                               lp_block, verify_eta_convolution,
                                verify_mixed_eta)
 from .commutator import (VectorField, commutator_lhs_norm, constant_sweep,
                          theorem1_report, theorem2_report, theorem3_report)
@@ -40,7 +40,7 @@ __all__ = [
     "verify_norm_conjugate",
     "ResolutionOfUnity", "besov_norm", "build_resolution",
     "check_lemma_eta_shift", "hardy_transform", "lp_block",
-    "verify_eta_convolution", "verify_hardy", "verify_mixed_eta",
+    "verify_eta_convolution", "verify_mixed_eta",
     "VectorField", "commutator_lhs_norm",
     "constant_sweep", "theorem1_report", "theorem2_report", "theorem3_report",
     "band_limited_field", "band_limited_sequence", "band_limited_vector_field",

@@ -28,7 +28,6 @@ from .grid import (Field, Grid, _derivative_of_spectrum, _filtered,
 from .lebesgue import luxemburg_norm
 from .littlewood_paley import (besov_norm, block_sequence, build_resolution,
                                weighted_norm)
-from .mixed import FieldSequence
 from .random_fields import (_key, band_limited_field,
                             band_limited_vector_field, input_band)
 from .reports import make_estimate_report
@@ -89,10 +88,6 @@ def commutator(v, f, rou, j):
     if not 0 <= j < rou.levels:
         raise ValueError(f"block index {j} out of range 0..{rou.top_level}")
     return next(_commutators(v, f, rou, (j,)))
-
-
-def commutator_sequence(v, f, rou):
-    return FieldSequence(tuple(_commutators(v, f, rou, range(rou.levels))))
 
 
 def _commutators(v, f, rou, levels):

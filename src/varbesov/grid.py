@@ -22,6 +22,7 @@ arrays of their own.  They define the inputs, and any change to their
 transforms would move every input by rounding.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +45,8 @@ class Grid:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if not _is_power_of_two(self.points_per_axis):
             raise ValueError("points_per_axis must be a power of two")
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError("half_width must be finite and positive")
 
     @property
     def spacing(self):

@@ -208,6 +208,8 @@ def verify_eta_convolution(f, p, m, top_level):
     grid = f.grid
     if m <= grid.dim:
         raise ValueError(f"kernel order m must exceed the dimension {grid.dim}")
+    if top_level < 0:
+        raise ValueError("top_level must be nonnegative")
     base = luxemburg_norm(f, p)
     levels = top_level + 1
     masses, smoothed = _eta_convolutions(grid, m, [f] * levels)
@@ -327,8 +329,3 @@ def hardy_sweep(sequences, p, qs, a_values):
         1e-6, details={"ratio_G": r_g, "ratio_H": r_h, "a": a,
                        "q_minus": q.p_minus}, trivial=not measured)
         for a, by_q in zip(a_values, worst) for q, (r_g, r_h) in zip(qs, by_q)]
-
-
-def verify_hardy(gs, a, p, q):
-    """``hardy_sweep`` of the one sequence ``gs`` and the one case (a, q)."""
-    return hardy_sweep((gs,), p, (q,), (a,))[0]

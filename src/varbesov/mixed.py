@@ -442,15 +442,14 @@ def _ratio(lhs, rhs):
     return lhs / rhs
 
 
-def check_holder(fs, gs, p1, p2, q1, q2, level_norms=None, norm=None):
+def check_holder(fs, gs, p1, p2, q1, q2, norm=None):
     """Empirical constants for the three Holder inequality forms.
 
     Measures LHS/RHS for the scalar product inequality, the fully split
     sequence inequality, and the sup-form with only the integrability index
     split; asserts every ratio stays below C_HOLDER, within 1e-6.
-    ``level_norms`` (the Luxemburg norms |f_j|_{p1}) and ``norm`` (the mixed
-    norm of ``fs`` at (p1, q1)) are used when the caller has them; otherwise
-    they are solved here.
+    ``norm`` (the mixed norm of ``fs`` at (p1, q1)) is used when the caller
+    has it; otherwise it is solved here.
     """
     if fs.levels != gs.levels:
         raise ValueError("sequences must share the level count")
@@ -461,8 +460,7 @@ def check_holder(fs, gs, p1, p2, q1, q2, level_norms=None, norm=None):
         tuple(Field(grid, a.values * b.values) for a, b in zip(fs, gs))
     )
 
-    if level_norms is None:
-        level_norms = [luxemburg_norm(f, p1) for f in fs]
+    level_norms = [luxemburg_norm(f, p1) for f in fs]
     if norm is None:
         norm = mixed_norm(fs, p1, q1)
 

@@ -11,7 +11,7 @@ import pytest
 import varbesov
 from varbesov import _kernels
 from varbesov.cli import (ConfigError, DEFAULT_CONFIG, emit, emit_plot_data,
-                          main, parse_report, run, validate_config)
+                          main, run, validate_config)
 
 SMALL = {
     "grid": {"dim": 1, "points_per_axis": 1024, "half_width": 16.0},
@@ -64,10 +64,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="levels"):
             validate_config({"grid": {"points_per_axis": 256}, "levels": 8})
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ConfigError, match="tolerances.mixed"):
-            validate_config({"tolerances": {"mixed": -1.0}})
-
 
 class TestRun:
     def test_empty_suite_selection(self):
@@ -78,6 +74,47 @@ class TestRun:
     def test_small_run_all_pass(self, small_report):
         assert [r.check_id for r in small_report.records]
         assert not small_report.failed
+
+    def test_every_gate_is_pinned(self, small_report):
+        # each record's gate is a code constant (or a closed form of the
+        # grid and exponents); a change to any of them shows in this table
+        assert [(r.check_id, r.bound, r.tolerance)
+                for r in small_report.records] == [
+            ("lebesgue.two_level_gauge", 0.0, 1e-08),
+            ("lebesgue.constant_reduction_p1.0", 0.0, 1e-06),
+            ("lebesgue.constant_reduction_p1.5", 0.0, 1e-06),
+            ("lebesgue.constant_reduction_p2.0", 0.0, 1e-06),
+            ("lebesgue.constant_reduction_p3.0", 0.0, 1e-06),
+            ("lebesgue.constant_reduction_pinf", 0.0, 1e-06),
+            ("lebesgue.unit_ball_equivalence", 0.0, 0.0),
+            ("mixed.constant_reduction", 0.0, 1e-07),
+            ("mixed.q_infinity_shortcut", 0.0, 1e-07),
+            ("mixed.monotone_limit", 0.0, 1e-06),
+            ("mixed.holder", 8.0, 1e-06),
+            ("duality.beta_sum", 0.0, 1e-05),
+            ("duality.witness_feasible", 1.0, 0.0001),
+            ("duality.witness_pairing", 0.0, 0.0),
+            ("duality.upper_bound", 8.0, 1e-09),
+            ("duality.norm_conjugate", 2.0, 1e-06),
+            ("lp.partition_of_unity", 0.0, 1e-12),
+            ("lp.reconstruction", 0.0, 1e-10),
+            ("lp.single_block_identity", 0.0, 1e-07),
+            ("lp.eta_shift", 2.0, 0.0),
+            ("lp.eta_convolution", 4.41439641848, 1e-06),
+            ("lp.mixed_eta", 4.41439641848, 1e-06),
+            ("hardy.a0.25_q1.5", 2.59182298813, 1e-06),
+            ("hardy.a0.25_q2.0", 2.13665919843, 1e-06),
+            ("hardy.a0.25_q4.0", 1.64932722129, 1e-06),
+            ("hardy.a0.5_q1.5", 6.0303824751, 1e-06),
+            ("hardy.a0.5_q2.0", 4.44653262759, 1e-06),
+            ("hardy.a0.5_q4.0", 2.90859433443, 1e-06),
+            ("hardy.a0.75_q1.5", 21.5343091525, 1e-06),
+            ("hardy.a0.75_q2.0", 13.7289855289, 1e-06),
+            ("hardy.a0.75_q4.0", 7.22384346753, 1e-06),
+            ("commutator.theorem1_ratio_finite", 0.0, 0.0),
+            ("commutator.theorem2_ratio_finite", 0.0, 0.0),
+            ("commutator.theorem3_ratio_finite", 0.0, 0.0),
+        ]
 
     def test_every_selected_check_appears_once(self, small_report):
         ids = [r.check_id for r in small_report.records]
@@ -230,11 +267,13 @@ def test_records_match_the_benchmark_reference(workload):
 
 class TestEmit:
     def test_json_round_trip(self, small_report):
-        blob = emit(small_report, "json")
-        back = parse_report(blob)
-        assert back.records == small_report.records
-        assert back.config == small_report.config
-        assert back.environment == small_report.environment
+        doc = json.loads(emit(small_report, "json"))
+        assert [(r["id"], r["status"], r["measured"], r["bound"],
+                 r["tolerance"]) for r in doc["records"]] == [
+            (r.check_id, r.status, r.measured, r.bound, r.tolerance)
+            for r in small_report.records]
+        assert doc["config"] == small_report.config
+        assert doc["environment"] == small_report.environment
 
     def test_empty_report_valid(self):
         report = run({**SMALL, "suites": []})
@@ -309,8 +348,9 @@ class TestMain:
         ({"trials": True}, "trials"),
         ({"grid": {"dim": True}}, "grid.dim"),
         ({"grid": {"points_per_axis": True}}, "grid.points_per_axis"),
-        ({"tolerances": {"mixed": True}}, "tolerances.mixed"),
-        ({"tolerances": {"hardy": 1e-3}}, "tolerances.hardy: unknown tolerance"),
+        # gates are fixed in code; no configuration key sets a tolerance
+        ({"tolerances": {"mixed": 1e-7}},
+         "tolerances: unknown configuration key"),
         # the duality witness needs finite exponents
         ({"exponents": {"p": {"family": "two_level", "params": {
             "inner": 2.0, "outer": float("inf"), "radius": 3.0}}},
@@ -327,13 +367,19 @@ class TestMain:
          "levels: too few modes"),
         ({"grid": {"points_per_axis": 64}, "levels": 4, "suites": ["mixed"]},
          "grid.points_per_axis: too few modes"),
+        # a box so wide for its nodes that no eta-kernel level is resolvable
+        ({"grid": {"points_per_axis": 128, "half_width": 200.0}, "levels": 5,
+          "suites": ["littlewood_paley"]}, "grid.half_width: resolves no"),
+        ({"grid": {"dim": 2, "points_per_axis": 128, "half_width": 100.0},
+          "levels": 5, "suites": ["littlewood_paley"]},
+         "grid.half_width: resolves no"),
     ], ids=["half_width_str", "half_width_bool", "half_width_inf", "param_str",
             "param_nan", "p_below_one", "q_below_one", "p1_below_one",
             "p2_zero", "s_infinite", "p1_p2_harmonic_below_one", "levels_bool",
             "seed_bool", "trials_bool", "dim_bool", "points_bool",
-            "tolerance_bool", "tolerance_unknown", "duality_p_inf",
-            "duality_q_inf", "duality_q_two_level_inf", "band_levels",
-            "band_points"])
+            "tolerances_unknown_key", "duality_p_inf", "duality_q_inf",
+            "duality_q_two_level_inf", "band_levels", "band_points",
+            "eta_unresolved_1d", "eta_unresolved_2d"])
     def test_exit_two_on_malformed_values(self, tmp_path, capsys, config, field):
         # malformed values are configuration errors (exit 2), not failed
         # checks (exit 1); the message names the field

@@ -5,10 +5,10 @@ import pytest
 
 from varbesov import cli, random_fields
 from varbesov import commutator as commutator_module
-from varbesov.commutator import (VectorField, commutator,
-                                 commutator_lhs_norm, commutator_sequence,
-                                 constant_sweep, divergence, theorem1_report,
-                                 theorem2_report, theorem3_report)
+from varbesov.commutator import (VectorField, _commutators, commutator,
+                                 commutator_lhs_norm, constant_sweep,
+                                 divergence, theorem1_report, theorem2_report,
+                                 theorem3_report)
 from varbesov.exponents import (ExponentField, constant_exponent,
                                 cos_bump_exponent, harmonic_sum,
                                 log_smooth_exponent)
@@ -95,7 +95,7 @@ def _count_transforms(monkeypatch):
 class TestCommutatorSpectra:
     def test_sequence_equals_levels_and_composition_bitwise(self, transport_case):
         v, f, rou = transport_case
-        seq = commutator_sequence(v, f, rou)
+        seq = FieldSequence(tuple(_commutators(v, f, rou, range(rou.levels))))
         assert seq.levels == rou.levels
         for j, c in enumerate(seq):
             assert c.values.tobytes() == commutator(v, f, rou, j).values.tobytes()
@@ -106,7 +106,7 @@ class TestCommutatorSpectra:
         # per level the block, its n derivatives and the n blocks of V_k d_k f
         v, f, rou = transport_case
         counts = _count_transforms(monkeypatch)
-        commutator_sequence(v, f, rou)
+        FieldSequence(tuple(_commutators(v, f, rou, range(rou.levels))))
         dim, levels = f.grid.dim, rou.levels
         assert counts == {"rfftn": 1 + dim + levels,
                           "irfftn": dim + levels * (2 * dim + 1),
@@ -230,7 +230,7 @@ def _composed_reports(theorem, v, f, s, p1, p2, q, rou, s2=None, q2=None):
         s1, q1 = s, q
         s = ExponentField(g, s1.values + s2.values)
         q = harmonic_sum(q1, q2)
-    lhs = weighted(commutator_sequence(v, f, rou), s, p, q)
+    lhs = weighted(_commutators(v, f, rou, range(rou.levels)), s, p, q)
     f_div = Field(g, f.values * divergence(v).values)
     if theorem == "theorem1":
         grad_v = sum(luxemburg_norm(d, p1) for comp in v for d in grad(comp))

@@ -28,6 +28,11 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             Grid(3, 64, 1.0)
 
+    @pytest.mark.parametrize("half_width", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_half_width_not_finite_positive(self, half_width):
+        with pytest.raises(ValueError, match="half_width"):
+            Grid(1, 64, half_width)
+
     def test_spacing(self):
         g = Grid(1, 4096, 16.0)
         assert g.spacing == 32.0 / 4096

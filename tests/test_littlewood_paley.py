@@ -14,7 +14,7 @@ from varbesov.littlewood_paley import (ResolutionOfUnity, besov_norm,
                                        hardy_transform, lp_block,
                                        partition_of_unity, single_block_identity,
                                        smooth_step, verify_eta_convolution,
-                                       verify_hardy, verify_mixed_eta)
+                                       verify_mixed_eta)
 from varbesov.mixed import FieldSequence, classical_mixed_norm, mixed_norm
 from varbesov.random_fields import band_limited_field, band_limited_sequence
 
@@ -195,6 +195,11 @@ class TestEtaConvolution:
         with pytest.raises(ValueError, match="dimension"):
             verify_eta_convolution(f, constant_exponent(small_grid, 2.0), 1.0, 6)
 
+    def test_rejects_negative_top_level(self, small_grid):
+        f = band_limited_field(small_grid, 32, 3)
+        with pytest.raises(ValueError, match="top_level"):
+            verify_eta_convolution(f, constant_exponent(small_grid, 2.0), 3.0, -1)
+
 
 class TestMixedEta:
     def test_constant_q_matches_levelwise(self, small_grid):
@@ -292,8 +297,8 @@ class TestHardy:
     def test_zero_sequence(self, small_grid):
         zeros = FieldSequence(
             tuple(Field(small_grid, np.zeros(small_grid.shape)) for _ in range(3)))
-        rep = verify_hardy(zeros, 0.5, constant_exponent(small_grid, 2.0),
-                           constant_exponent(small_grid, 2.0))
+        [rep] = hardy_sweep([zeros], constant_exponent(small_grid, 2.0),
+                            [constant_exponent(small_grid, 2.0)], [0.5])
         assert rep.status == "trivial"
 
     def test_rejects_bad_weight(self, small_grid):
@@ -346,7 +351,7 @@ class TestHardy:
         gs = band_limited_sequence(small_grid, 5, 32, 47)
         p = constant_exponent(small_grid, 2.0)
         q = cos_bump_exponent(small_grid, 1.5, 1.0)
-        rep = verify_hardy(gs, 0.5, p, q)
+        [rep] = hardy_sweep([gs], p, [q], [0.5])
         assert rep.status == "pass"
         assert rep.details["q_minus"] == pytest.approx(1.5, abs=1e-9)
 
@@ -359,7 +364,7 @@ class TestHardy:
         gs = FieldSequence((g0,) + tuple(zeros for _ in range(levels - 1)))
         p = constant_exponent(small_grid, 2.0)
         q = constant_exponent(small_grid, q0)
-        rep = verify_hardy(gs, a, p, q)
+        [rep] = hardy_sweep([gs], p, [q], [a])
         expect = sum(a ** (j * q0) for j in range(levels)) ** (1 / q0)
         assert rep.details["ratio_H"] == pytest.approx(expect, rel=1e-7)
         assert rep.details["ratio_H"] <= rep.bound + 1e-6

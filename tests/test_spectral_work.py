@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from varbesov.commutator import VectorField, _gradient, commutator_sequence
+from varbesov.commutator import VectorField, _commutators, _gradient
 from varbesov.duality import _shaped_candidate
 from varbesov.exponents import (constant_exponent, cos_bump_exponent,
                                 log_smooth_exponent)
@@ -237,8 +237,9 @@ def test_random_fields_match_fresh_outputs(case):
 
 def test_commutator_sequence_matches_fresh_outputs(case):
     v = vector_field(case)
-    got = commutator_sequence(v, case["f"], case["rou"])
-    want = ref_commutators(v, case["f"], case["rou"].multipliers)
+    rou = case["rou"]
+    got = _commutators(v, case["f"], rou, range(rou.levels))
+    want = ref_commutators(v, case["f"], rou.multipliers)
     for g, w in zip(got, want):
         assert same_bits(g.values, w)
 
@@ -329,7 +330,7 @@ def test_operators_match_complex_formulas(agreement_case):
     _, smoothed = _eta_convolutions(grid, m, [f] * (top + 1))
     for j, g in enumerate(smoothed):
         close(g.values, ref_convolve(eta_kernel(j, m, grid), f, half=False))
-    for got, want in zip(commutator_sequence(v, f, rou),
+    for got, want in zip(_commutators(v, f, rou, range(rou.levels)),
                          ref_commutators(v, f, mults, half=False)):
         close(got.values, want)
 

@@ -16,8 +16,9 @@ from varbesov.exponents import (constant_exponent, cos_bump_exponent,
                                 log_smooth_exponent)
 from varbesov.grid import Field, Grid, integrate
 from varbesov.lebesgue import classical_norm, luxemburg_norm
-from varbesov.littlewood_paley import (besov_norm, build_resolution, lp_block,
-                                       partition_of_unity, verify_hardy)
+from varbesov.littlewood_paley import (besov_norm, build_resolution,
+                                       hardy_sweep, lp_block,
+                                       partition_of_unity)
 from varbesov.mixed import FieldSequence, classical_mixed_norm, mixed_norm
 from varbesov.random_fields import (band_limited_field, band_limited_sequence,
                                     band_limited_vector_field)
@@ -78,8 +79,8 @@ def test_duality_witness(seq2):
 
 
 def test_hardy(seq2):
-    rep = verify_hardy(seq2, 0.5, constant_exponent(GRID2, 2.0),
-                       constant_exponent(GRID2, 2.0))
+    [rep] = hardy_sweep([seq2], constant_exponent(GRID2, 2.0),
+                        [constant_exponent(GRID2, 2.0)], [0.5])
     assert rep.status == "pass"
 
 
