@@ -1,17 +1,18 @@
 """Count the code lines of the package.
 
-Run from the repository root:
+Run from any directory:
 
-    python benchmarks/code_lines.py [package directory]
+    python benchmarks/code_lines.py
 
-A code line is a non-blank line of ``src/varbesov/*.py`` (or of the given
-directory) that is neither a ``#`` comment nor inside a module, class or
-function docstring.  Prints the count per file and the total.
+A code line is a non-blank line of ``src/varbesov/*.py`` that is neither a
+``#`` comment nor inside a module, class or function docstring.  Prints the
+count per file and the total.
 """
 
 import ast
 import pathlib
-import sys
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "varbesov"
 
 DOCSTRING_OWNERS = (ast.Module, ast.ClassDef, ast.FunctionDef,
                     ast.AsyncFunctionDef)
@@ -38,11 +39,9 @@ def code_lines(path):
                and not line.strip().startswith("#"))
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    root = pathlib.Path(argv[0] if argv else "src/varbesov")
+def main():
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         n = code_lines(path)
         total += n
         print(f"{path.name:<24}{n:>6,}")
