@@ -325,6 +325,8 @@ def _suite_commutator(cfg, grid, records, curves):
     # own from the descriptors, as it would on a refined grid
     built = {role: _build_exponent(cfg, grid, role)
              for role in ("p1", "p2", "q", "s")}
+    _expect(built["s"].p_minus > 0, "exponents.s",
+            "must be positive for the commutator suite")
     try:
         harmonic_sum(built["p1"], built["p2"])
     except ValueError as exc:
@@ -336,10 +338,10 @@ def _suite_commutator(cfg, grid, records, curves):
         summary = constant_sweep(grid, cfg["levels"], base | roles, theorem,
                                  trials=cfg["trials"],
                                  seed=cfg["seed"] + offset, refine=False)
-        worst = max(summary["max_ratio"].values())
+        finite = all(math.isfinite(r) for ratios in summary["ratios"].values()
+                     for r in ratios)
         records.append(graded_report(f"commutator.{theorem}_ratio_finite",
-                                     0.0 if math.isfinite(worst) else 1.0,
-                                     0.0, 0.0))
+                                     0.0 if finite else 1.0, 0.0, 0.0))
         if theorem == "theorem1":
             curves["commutator.theorem1"] = [
                 summary["max_ratio"][k] for k in sorted(summary["max_ratio"])

@@ -137,12 +137,6 @@ def _gradient(f):
             for k in range(f.grid.dim)]
 
 
-def _shift_smoothness(s, delta):
-    return ExponentField(s.grid, s.values + delta,
-                         value_at_infinity=None if s.value_at_infinity is None
-                         else s.value_at_infinity + delta)
-
-
 def theorem1_report(v, f, s, p1, p2, q, rou):
     """First estimate family: positive smoothness, three right-hand sides.
 
@@ -159,7 +153,8 @@ def theorem1_report(v, f, s, p1, p2, q, rou):
     grad_f_p1 = _vector_luxemburg(grad_f, p1)
     v_blocks = [block_sequence(comp, rou) for comp in v]
     v_besov = _vector_besov(v_blocks, s, p2, q)
-    v_besov_up = _vector_besov(v_blocks, _shift_smoothness(s, 1.0), p2, q)
+    v_besov_up = _vector_besov(v_blocks, ExponentField(s.grid, s.values + 1.0),
+                               p2, q)
     del v_blocks
     grad_v = [_gradient(comp) for comp in v]
     grad_v_p1 = sum(luxemburg_norm(d, p1) for grad in grad_v for d in grad)
@@ -212,7 +207,7 @@ def theorem2_report(v, f, s, p1, p2, q, rou):
         f_div = Field(f.grid, f.values * divergence(v).values)
         f_div_besov = besov_norm(f_div, s, p, q, rou)
         f_p1 = luxemburg_norm(f, p1)
-        s_up = _shift_smoothness(s, 1.0)
+        s_up = ExponentField(s.grid, s.values + 1.0)
         v_besov_up = sum(besov_norm(comp, s_up, p2, q, rou) for comp in v)
         return {
             "negative": make_estimate_report(
@@ -276,10 +271,10 @@ def constant_sweep(grid, levels, exponents, theorem, trials, seed,
     instance is the same on both grids.
 
     Returns {"ratios": per-variant lists of the per-instance ratios,
-    "max_ratio": their per-variant max}; when refine is set, also
-    "refine_factors", the per-instance factor by which each ratio moves on
-    the refined grid, and "refine_stable", whether every factor lies within
-    [1/2, 2].
+    "max_ratio": their per-variant max, NaN where any ratio is NaN}; when
+    refine is set, also "refine_factors", the per-instance factor by which
+    each ratio moves on the refined grid, and "refine_stable", whether every
+    factor lies within [1/2, 2].
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -312,7 +307,7 @@ def constant_sweep(grid, levels, exponents, theorem, trials, seed,
                     1.0 if rep.ratio == 0.0 else math.inf)
                 refine_factors.setdefault(variant, []).append(factor)
     summary = {"ratios": ratios,
-               "max_ratio": {k: max(v) for k, v in ratios.items()}}
+               "max_ratio": {k: float(np.max(v)) for k, v in ratios.items()}}
     if refine:
         summary["refine_factors"] = refine_factors
         summary["refine_stable"] = all(

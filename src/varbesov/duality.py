@@ -22,7 +22,7 @@ from .grid import Field, integrate, require_same_grid
 from .exponents import ExponentField, conjugate, constant_exponent
 from .lebesgue import _norm_hint, luxemburg_norm
 from .mixed import FieldSequence, _LevelSolver, mixed_norm
-from .reports import CheckReport, graded_report
+from .reports import gated_report, graded_report
 
 logger = logging.getLogger(__name__)
 
@@ -200,12 +200,15 @@ def grade_witnesses(instances):
 def verify_norm_conjugate(f, p, trials, seed):
     """Scalar norm conjugate formula: the best pairing against conjugate
     unit-ball candidates should bracket the Luxemburg norm within a factor 2.
+    Two gates, in order: the ratio pairing / norm against 2 within 1e-6,
+    then its shortfall 0.5 - ratio against 0 within 1e-6.
     """
     require_same_grid(f, p)
     norm = luxemburg_norm(f, p)
     if norm == 0.0:
-        return CheckReport("duality.norm_conjugate", "trivial", 0.0, 2.0, 1e-6,
-                           {"norm": 0.0, "best_pairing": 0.0})
+        return graded_report("duality.norm_conjugate", 0.0, 2.0, 1e-6,
+                             details={"norm": 0.0, "best_pairing": 0.0},
+                             trivial=True)
     grid = f.grid
     q1 = constant_exponent(grid, 1.0)
     # witness the finite-p and the infinite-p part of f apart; where one
@@ -230,15 +233,9 @@ def verify_norm_conjugate(f, p, trials, seed):
         if gn > 0.0:
             best = max(best, integrate(Field(grid, np.abs(f.values) * np.abs(g.values) / gn)))
     ratio = best / norm
-    ok = 0.5 - 1e-6 <= ratio <= 2.0 + 1e-6
-    return CheckReport(
-        "duality.norm_conjugate",
-        "pass" if ok else "fail",
-        measured=ratio,
-        bound=2.0,
-        tolerance=1e-6,
-        details={"norm": norm, "best_pairing": best},
-    )
+    return gated_report(
+        "duality.norm_conjugate", [(ratio, 2.0, 1e-6), (0.5 - ratio, 0.0, 1e-6)],
+        details={"norm": norm, "best_pairing": best})
 
 
 def _masked_finite(p):

@@ -24,7 +24,8 @@ class ExponentField:
     """Sampled exponent with cached essential bounds.
 
     value_at_infinity is the decay target g_inf used by the log-Holder decay
-    constant; family constructors set it to the analytic limit where known.
+    constant; family constructors set it to the analytic limit where known,
+    and derived fields (conjugates, harmonic sums) leave it unset.
     """
 
     grid: Grid
@@ -145,16 +146,7 @@ def conjugate(p):
     v = p.values
     if np.any(v < 1.0):
         raise ValueError("conjugate requires values in [1, inf]")
-    vinf = None
-    if p.value_at_infinity is not None:
-        gi = p.value_at_infinity
-        if gi == 1.0:
-            vinf = math.inf
-        elif math.isinf(gi):
-            vinf = 1.0
-        else:
-            vinf = gi / (gi - 1.0)
-    dual = ExponentField(p.grid, _conjugate_values(v), value_at_infinity=vinf)
+    dual = ExponentField(p.grid, _conjugate_values(v))
     object.__setattr__(dual, "_dual", p)
     object.__setattr__(p, "_dual", dual)
     return dual
@@ -171,13 +163,7 @@ def harmonic_sum(p1, p2):
     with np.errstate(divide="ignore"):
         vals = 1.0 / r
     vals[r == 0.0] = np.inf
-    vinf = None
-    if p1.value_at_infinity is not None and p2.value_at_infinity is not None:
-        a = 0.0 if math.isinf(p1.value_at_infinity) else 1.0 / p1.value_at_infinity
-        b = 0.0 if math.isinf(p2.value_at_infinity) else 1.0 / p2.value_at_infinity
-        s = a + b
-        vinf = math.inf if s == 0.0 else 1.0 / s
-    return ExponentField(p1.grid, vals, value_at_infinity=vinf)
+    return ExponentField(p1.grid, vals)
 
 
 def _anchor_indices(node_count):

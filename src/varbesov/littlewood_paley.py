@@ -20,7 +20,7 @@ from .grid import (Field, _convolve_spectra, _eta_kernel, _filtered,
                    require_same_grid)
 from .lebesgue import luxemburg_norm
 from .mixed import FieldSequence, mixed_norm
-from .reports import CheckReport, graded_report
+from .reports import gated_report, graded_report
 
 ETA_TREND_BOUND = 4.0
 
@@ -202,8 +202,9 @@ def verify_eta_convolution(f, p, m, top_level):
 
     The discrete kernel masses h^n sum(eta_{j,m}) bound the constant-exponent
     case by Young's inequality; the budget c_report doubles the largest mass
-    to leave headroom for log-Holder variable exponents.  Also asserts the
-    ratios show no growth trend in j: max/min at most ETA_TREND_BOUND.
+    to leave headroom for log-Holder variable exponents.  Two gates, in
+    order: the largest ratio against c_report within 1e-6 (Young), then the
+    trend max/min of the ratios against ETA_TREND_BOUND (no growth in j).
     """
     grid = f.grid
     if m <= grid.dim:
@@ -215,23 +216,16 @@ def verify_eta_convolution(f, p, m, top_level):
     masses, smoothed = _eta_convolutions(grid, m, [f] * levels)
     c_report = 2.0 * max(masses)
     if base == 0.0:
-        return CheckReport(
-            "lp.eta_convolution", "trivial", 0.0, c_report, 1e-6,
-            {"ratios": [0.0] * levels, "masses": masses},
-        )
+        return graded_report(
+            "lp.eta_convolution", 0.0, c_report, 1e-6,
+            details={"ratios": [0.0] * levels, "masses": masses}, trivial=True)
     ratios = [luxemburg_norm(g, p) / base for g in smoothed]
     r_max, r_min = max(ratios), min(ratios)
     trend = r_max / r_min if r_min > 0 else math.inf
-    ok = r_max <= c_report + 1e-6 and trend <= ETA_TREND_BOUND
-    return CheckReport(
+    return gated_report(
         "lp.eta_convolution",
-        "pass" if ok else "fail",
-        measured=r_max,
-        bound=c_report,
-        tolerance=1e-6,
-        details={"ratios": ratios, "masses": masses, "trend": trend,
-                 "trend_bound": ETA_TREND_BOUND},
-    )
+        [(r_max, c_report, 1e-6), (trend, ETA_TREND_BOUND, 0.0)],
+        details={"ratios": ratios, "masses": masses, "trend": trend})
 
 
 def _mixed_eta_guard(rq, grid, m):
@@ -269,8 +263,8 @@ def verify_mixed_eta(fs, p, q, m):
     masses, smoothed = _eta_convolutions(grid, m, fs.entries)
     c_report = 2.0 * max(masses)
     if base == 0.0:
-        return CheckReport("lp.mixed_eta", "trivial", 0.0, c_report, 1e-6,
-                           {"ratio": 0.0, c_key: c_loc})
+        return graded_report("lp.mixed_eta", 0.0, c_report, 1e-6,
+                             details={"ratio": 0.0, c_key: c_loc}, trivial=True)
     ratio = mixed_norm(FieldSequence(tuple(smoothed)), p, q) / base
     return graded_report(
         "lp.mixed_eta", ratio, c_report, 1e-6,

@@ -101,7 +101,7 @@ from .exponents import harmonic_sum
 from .grid import Field, require_same_grid
 from .lebesgue import (NORM_REL_TOL, Modular, luxemburg_norm, _exp,
                        _norm_hint, _power_integral)
-from .reports import CheckReport, graded_report
+from .reports import gated_report, graded_report, ratio
 
 INNER_REL_TOL = 1e-10
 # the predictor hands over once its step in log mu is below a quarter of the
@@ -291,7 +291,9 @@ class _LevelSolver:
         du, dv = u - u0, v - v0
         lin_u, lin_v = d_lam * du, d_mu * dv
         first = abs(lin_u) + abs(lin_v)
-        spread = (widths[0] * abs(du) + widths[1] * abs(dv)) ** 2 / 8.0
+        # squared by a product, so an overflow reads inf and decides nothing
+        width = widths[0] * abs(du) + widths[1] * abs(dv)
+        spread = width * width / 8.0
         r = ev.raised(j, 0.0, u, v)
         kappa = 4.0 * r0 + 2.0 * ev.p.size * _EPS
         err = (r0 + 2.0 * kappa * first
@@ -396,7 +398,10 @@ def classical_mixed_norm(fs, p0, q0):
 
 def check_monotone_limit(fs, truncation_sets, p, q):
     """Verify that norms of mask-truncated sequences increase to the norm of
-    the full sequence, the largest within a relative 1e-6 of it.
+    the full sequence.  Two gates, in order: the relative gap between the
+    largest truncated norm and the full norm against 0 within 1e-6, then the
+    largest relative drop between consecutive truncated norms against 0
+    within 1e-8, the threshold solver's resolution on two nearly equal norms.
 
     truncation_sets is an increasing list of boolean node masks whose union
     covers the grid.
@@ -418,28 +423,11 @@ def check_monotone_limit(fs, truncation_sets, p, q):
     norms = [full if np.all(mk) else mixed_norm(fs.masked(mk), p, q)
              for mk in masks]
     scale = max(full, 1e-300)
-    # slack covers the threshold-solver resolution on two nearly equal norms
-    increasing = all(
-        norms[i + 1] >= norms[i] - 1e-8 * scale for i in range(len(norms) - 1)
-    )
+    drop = float(np.max(-np.diff(norms), initial=0.0)) / scale
     gap = abs(max(norms) - full) / scale if full > 0 else max(norms)
-    status_ok = increasing and gap <= 1e-6
-    return CheckReport(
-        check_id="mixed.monotone_limit",
-        status="pass" if status_ok else "fail",
-        measured=gap,
-        bound=0.0,
-        tolerance=1e-6,
-        details={"norms": norms, "full_norm": full, "increasing": increasing},
-    )
-
-
-def _ratio(lhs, rhs):
-    if lhs == 0.0:
-        return 0.0
-    if rhs == 0.0:
-        return math.inf
-    return lhs / rhs
+    return gated_report(
+        "mixed.monotone_limit", [(gap, 0.0, 1e-6), (drop, 0.0, 1e-8)],
+        details={"norms": norms, "full_norm": full, "drop": drop})
 
 
 def check_holder(fs, gs, p1, p2, q1, q2, norm=None):
@@ -472,9 +460,9 @@ def check_holder(fs, gs, p1, p2, q1, q2, norm=None):
     rhs_sup = max(level_norms) * mixed_norm(gs, p2, q)
 
     ratios = {
-        "scalar": _ratio(lhs_scalar, rhs_scalar),
-        "split": _ratio(lhs_seq, rhs_split),
-        "sup_form": _ratio(lhs_seq, rhs_sup),
+        "scalar": ratio(lhs_scalar, rhs_scalar),
+        "split": ratio(lhs_seq, rhs_split),
+        "sup_form": ratio(lhs_seq, rhs_sup),
     }
     trivial = fs.max_abs() == 0.0 or gs.max_abs() == 0.0
     measured = max(ratios.values()) if not trivial else 0.0

@@ -35,6 +35,24 @@ def graded_report(check_id, measured, bound, tolerance, details=None, trivial=Fa
                        float(tolerance), details or {})
 
 
+def gated_report(check_id, gates, details=None):
+    """One check graded on several gates, each a (measured, bound,
+    tolerance) triple graded by ``graded_report``: the record is the first
+    gate that fails, or the first gate when every gate passes."""
+    reports = [graded_report(check_id, *gate, details) for gate in gates]
+    return next((r for r in reports if not r.passed), reports[0])
+
+
+def ratio(lhs, rhs):
+    """The one ratio rule: a zero left side gives 0, a zero right side inf,
+    and otherwise the ratio is lhs / rhs (a NaN carries through)."""
+    if lhs == 0.0:
+        return 0.0
+    if rhs == 0.0:
+        return math.inf
+    return lhs / rhs
+
+
 @dataclass
 class EstimateReport:
     """One inequality instance: left side, named right-side terms, ratio."""
@@ -45,18 +63,8 @@ class EstimateReport:
 
 
 def make_estimate_report(lhs, rhs_terms):
-    """The ``EstimateReport`` of ``lhs`` against the sum of ``rhs_terms``;
-    a zero left side has ratio 0, and every value must be finite."""
-    total = sum(rhs_terms.values())
-    if lhs == 0.0:
-        ratio = 0.0
-    elif total > 0.0:
-        ratio = lhs / total
-    else:
-        raise ValueError("estimate has positive left side but zero right side")
-    if not (math.isfinite(lhs) and math.isfinite(ratio)):
-        raise ValueError("estimate report requires finite values")
-    for name, v in rhs_terms.items():
-        if not math.isfinite(v):
-            raise ValueError(f"right-side term {name} is not finite")
-    return EstimateReport(float(lhs), dict(rhs_terms), float(ratio))
+    """The ``EstimateReport`` of ``lhs`` against the sum of ``rhs_terms`` by
+    ``ratio``.  Nothing is rejected here: a non-finite ratio reaches the
+    record that grades it and fails there."""
+    return EstimateReport(float(lhs), dict(rhs_terms),
+                          float(ratio(lhs, sum(rhs_terms.values()))))

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import varbesov
-from varbesov import _kernels
+from varbesov import _kernels, commutator
 from varbesov.cli import (ConfigError, DEFAULT_CONFIG, emit, emit_plot_data,
                           main, run, validate_config)
 
@@ -115,6 +115,25 @@ class TestRun:
             ("commutator.theorem2_ratio_finite", 0.0, 0.0),
             ("commutator.theorem3_ratio_finite", 0.0, 0.0),
         ]
+
+    def test_every_verdict_follows_the_grading_rule(self, small_report):
+        # a record passes exactly when its printed measured value is at most
+        # bound + tolerance; the two small boxes fail a gate of
+        # lp.eta_convolution, and the record shows that gate
+        reports = [small_report] + [run(config) for config in (
+            {"grid": {"points_per_axis": 128, "half_width": 0.5}, "levels": 5,
+             "suites": ["littlewood_paley"]},
+            {"grid": {"points_per_axis": 1024, "half_width": 0.001},
+             "levels": 6, "trials": 1})]
+        for report in reports:
+            for r in report.records:
+                if r.status != "trivial":
+                    assert (r.status == "pass") == (
+                        float(r.measured) <= r.bound + r.tolerance), r
+        assert [(r.check_id, r.measured, r.bound, r.tolerance)
+                for rep in reports[1:] for r in rep.failed] == [
+            ("lp.eta_convolution", 4.27287233295, 4.0, 0.0),
+            ("lp.eta_convolution", 58.5704812486, 4.0, 0.0)]
 
     def test_every_selected_check_appears_once(self, small_report):
         ids = [r.check_id for r in small_report.records]
@@ -338,6 +357,13 @@ class TestMain:
         ({"exponents": {"s": {"family": "constant",
                               "params": {"value": float("inf")}}},
           "suites": ["littlewood_paley"]}, "exponents.s"),
+        # Theorem 1 needs positive smoothness
+        ({"exponents": {"s": {"family": "constant", "params": {"value": 0.0}}},
+          "suites": ["commutator"]},
+         "exponents.s: must be positive for the commutator suite"),
+        ({"exponents": {"s": {"family": "constant", "params": {"value": -0.5}}},
+          "suites": ["commutator"]},
+         "exponents.s: must be positive for the commutator suite"),
         # 1/p1 + 1/p2 = 2: the product's exponent would be 1/2
         ({"exponents": {"p1": {"family": "constant", "params": {"value": 1.0}},
                         "p2": {"family": "constant", "params": {"value": 1.0}}},
@@ -375,7 +401,8 @@ class TestMain:
          "grid.half_width: resolves no"),
     ], ids=["half_width_str", "half_width_bool", "half_width_inf", "param_str",
             "param_nan", "p_below_one", "q_below_one", "p1_below_one",
-            "p2_zero", "s_infinite", "p1_p2_harmonic_below_one", "levels_bool",
+            "p2_zero", "s_infinite", "commutator_s_zero",
+            "commutator_s_negative", "p1_p2_harmonic_below_one", "levels_bool",
             "seed_bool", "trials_bool", "dim_bool", "points_bool",
             "tolerances_unknown_key", "duality_p_inf", "duality_q_inf",
             "duality_q_two_level_inf", "band_levels", "band_points",
@@ -388,6 +415,18 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--out",
                      str(tmp_path / "r.json")]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
+
+    def test_zero_right_side_fails_its_record(self, tmp_path, monkeypatch):
+        # with every Luxemburg norm 0, grad_v and grad_f have a zero right
+        # side and a positive left side: ratio inf, a failed record, exit 1
+        monkeypatch.setattr(commutator, "luxemburg_norm", lambda f, p: 0.0)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL, "suites": ["commutator"]}))
+        out = tmp_path / "r.json"
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+        status = {r["id"]: r["status"]
+                  for r in json.loads(out.read_text())["records"]}
+        assert status["commutator.theorem1_ratio_finite"] == "fail"
 
     def test_importing_any_module_runs_nothing(self):
         names = [m.name for m in pkgutil.iter_modules(varbesov.__path__)]

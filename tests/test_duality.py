@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from varbesov import duality
 from varbesov.duality import (extremal_witness, grade_witnesses,
                               infinity_witness, pairing, random_dual_search,
                               verify_norm_conjugate)
@@ -230,6 +231,17 @@ class TestNormConjugate:
         rep = verify_norm_conjugate(f, constant_exponent(grid, 1.0), 2, 7)
         assert rep.status == "pass"
         assert rep.measured == pytest.approx(1.0, abs=1e-4)
+
+    def test_shortfall_gate_fails_alone(self, grid, monkeypatch):
+        # every candidate pairs to a quarter of the norm: the ratio 0.25
+        # is within the factor 2 above, so the record shows the shortfall
+        f = band_limited_field(grid, 40, 59)
+        p = constant_exponent(grid, 2.0)
+        norm = luxemburg_norm(f, p)
+        monkeypatch.setattr(duality, "integrate", lambda g: 0.25 * norm)
+        rep = verify_norm_conjugate(f, p, 2, 7)
+        assert (rep.status, rep.measured, rep.bound, rep.tolerance) == (
+            "fail", 0.25, 0.0, 1e-6)
 
     def test_zero_field_trivial(self, grid):
         rep = verify_norm_conjugate(Field(grid, np.zeros(grid.shape)),

@@ -190,6 +190,18 @@ class TestEtaConvolution:
             for j in range(7)
         ]
 
+    def test_trend_gate_fails_alone(self, small_grid, monkeypatch):
+        # ratios 0.1 ... 0.5 sit far below the Young budget, but their
+        # trend 5 exceeds ETA_TREND_BOUND: the record shows the trend gate
+        norms = iter([1.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+        monkeypatch.setattr(littlewood_paley, "luxemburg_norm",
+                            lambda f, p: next(norms))
+        f = field_from_function(small_grid, lambda x: np.exp(-x**2))
+        rep = verify_eta_convolution(f, constant_exponent(small_grid, 2.0), 3.0, 4)
+        assert max(rep.details["ratios"]) < 2.0 * max(rep.details["masses"])
+        assert (rep.status, rep.measured, rep.bound, rep.tolerance) == (
+            "fail", 5.0, littlewood_paley.ETA_TREND_BOUND, 0.0)
+
     def test_rejects_small_order(self, small_grid):
         f = band_limited_field(small_grid, 32, 3)
         with pytest.raises(ValueError, match="dimension"):

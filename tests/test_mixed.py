@@ -408,7 +408,21 @@ class TestMonotoneLimit:
         masks.append(np.ones(grid.shape, dtype=bool))
         rep = check_monotone_limit(seq, masks, p, q)
         assert rep.status == "pass"
-        assert rep.details["increasing"]
+        assert rep.details["drop"] == 0.0
+
+    def test_drop_gate_fails_alone(self, grid, seq, monkeypatch):
+        # the largest truncated norm is the full one (gap 0), but the
+        # second falls below the first by a tenth of it: the record shows
+        # the drop gate
+        norms = iter([1.0, 0.5, 0.4])
+        monkeypatch.setattr(mixed, "mixed_norm", lambda *args: next(norms))
+        radius = grid.min_image_radius()
+        masks = [radius <= 4.0, radius <= 8.0, np.ones(grid.shape, dtype=bool)]
+        rep = check_monotone_limit(seq, masks, constant_exponent(grid, 2.0),
+                                   constant_exponent(grid, 2.0))
+        assert rep.details["norms"] == [0.5, 0.4, 1.0]
+        assert (rep.status, rep.bound, rep.tolerance) == ("fail", 0.0, 1e-8)
+        assert rep.measured == pytest.approx(0.1, rel=1e-12)
 
     def test_covering_mask_reuses_the_full_norm(self, grid, seq, monkeypatch):
         # masking by every node leaves the values bitwise as they are, so

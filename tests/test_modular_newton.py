@@ -597,6 +597,18 @@ def test_certificate_bounds_on_two_terms(du, dv):
     assert hi == pytest.approx(mean + width ** 2 / 8.0, abs=1e-12)
 
 
+def test_certificate_survives_a_huge_exponent_spread():
+    # at p = 1e200 and 1e300 the width W of the terms' exponents overflows
+    # when squared; the bound then decides nothing, each point takes its
+    # raised pass, and the norm is the one found at p = 1e100
+    grid = Grid(1, 1024, 16.0)
+    fs = band_limited_sequence(grid, 7, 32, 3)
+    q = cos_bump_exponent(grid, 1.5, 1.0)
+    norms = [mixed_norm(fs, constant_exponent(grid, p0), q)
+             for p0 in (1e100, 1e150, 1e200, 1e300)]
+    assert norms == [1.3808024643674914] * 4
+
+
 # ---------------------------------------------------------------------------
 # the evaluator against a reference copy of its every-node form
 # ---------------------------------------------------------------------------
