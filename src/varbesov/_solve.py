@@ -25,20 +25,20 @@ Safeguard.  A Newton step that leaves the bracket, an endpoint value of 0 or
 inf (a jump of an endpoint exponent), or an ``fn`` that returns a plain
 float (no derivative) falls back to the Illinois variant of false position,
 and to geometric bisection when that stalls or an endpoint value is
-unusable; without a bracket yet, the search expands geometrically by 8.
+unusable; without a bracket yet, the search expands geometrically, by a
+factor 8 first and by the square of the previous factor after each step,
+so it reaches either end of its range within ten steps.
 
 A solve that reaches ``max_evals`` with the bracket still wider than
 ``rel_tol`` raises ``ThresholdNotConverged``.  When ``F`` stays <= 1 (or > 1)
-down to the smallest (up to the largest) normal float, or across 140
-geometric steps from the hint, 0.0 (or inf) is returned.
+down to the smallest (up to the largest) normal float, 0.0 (or inf) is
+returned.
 """
 
 import math
 import sys
 
-_EXPAND = 8.0
-_MAX_EXPANSION = 140  # geometric steps before giving up on a bracket
-_LOG_EXPAND = math.log(_EXPAND)
+_LOG_EXPAND = math.log(8.0)  # the first step of the bracket search
 # the search stays where exp(log x) is a normal positive float
 _LOG_TINY = math.log(sys.float_info.min)
 _LOG_HUGE = math.log(sys.float_info.max)
@@ -95,7 +95,7 @@ def solve_threshold(fn, hint, rel_tol=1e-9, max_evals=300):
     since_bisect = 0
     closing = False
     newton_step = math.inf
-    expansions = 0
+    expand = _LOG_EXPAND
 
     for _ in range(max_evals):
         x = math.exp(u)
@@ -167,15 +167,11 @@ def solve_threshold(fn, hint, rel_tol=1e-9, max_evals=300):
             u = umin
             last_side = 0
         elif not have_hi:
-            if expansions == _MAX_EXPANSION:
-                return math.inf
-            expansions += 1
-            u = min(ulo + _LOG_EXPAND, umax)
+            u = min(ulo + expand, umax)
+            expand *= 2.0
         elif not have_lo:
-            if expansions == _MAX_EXPANSION:
-                return 0.0
-            expansions += 1
-            u = max(uhi - _LOG_EXPAND, umin)
+            u = max(uhi - expand, umin)
+            expand *= 2.0
         else:
             u = _illinois_step(ulo, uhi, wlo_il, whi_il, since_bisect)
             if math.isnan(u):

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .grid import Field, integrate, require_same_grid
+from .grid import Field, _inverse, _work_array, integrate, require_same_grid
 from .exponents import ExponentField, conjugate, constant_exponent
 from .lebesgue import _norm_hint, luxemburg_norm
 from .mixed import FieldSequence, _LevelSolver, mixed_norm
@@ -122,19 +122,23 @@ def infinity_witness(fs, q, eps):
 
 def _shaped_candidate(fs, p, rng):
     """Band-limited positive noise shaped by |f_j|^{p-1}; pure white noise
-    pairs poorly and makes the randomized lower bound vacuous."""
+    pairs poorly and makes the randomized lower bound vacuous.  The noise is
+    Re ifftn of coefficients on the first row of modes (k_1 = 0 in 2-D),
+    synthesized from its half spectrum, the fold (S(k) + conj S(-k)) / 2."""
     grid = fs.grid
     n = grid.points_per_axis
     p_vals = np.where(np.isfinite(p.values), p.values, 4.0)
     out = []
     kmax = max(4, n // 64)
-    spec = np.empty(grid.shape, dtype=np.complex128)
+    spec = _work_array(grid)
+    row = spec[(0,) * (grid.dim - 1)]
     for f in fs:
         spec.fill(0.0)
-        flat = spec.ravel()
         coeff = rng.normal(size=2 * (kmax + 1)).view(np.complex128)
-        flat[: kmax + 1] = coeff
-        smooth = np.fft.ifftn(spec, out=spec).real
+        row[: kmax + 1] = 0.5 * coeff
+        # the self-conjugate modes 0 and N/2 keep Re S
+        row[:: n // 2] = 2.0 * row[:: n // 2].real
+        smooth = _inverse(spec, np.empty(grid.shape))
         smooth -= smooth.min()
         smooth += 0.05 * (smooth.max() - smooth.min() + 1e-30)
         scale = f.max_abs()

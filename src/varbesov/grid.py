@@ -14,12 +14,9 @@ and ``np.fft.irfftn`` restores them.  That is exact only for a Hermitian
 product, which holds here because every multiplier is even in k (the dyadic
 multipliers and the origin phase) or odd and purely imaginary with its
 Nyquist mode zeroed (the derivative).  This module owns the layout: the
-work arrays, the mode tables and the transforms on them.
-
-The random-input generators (``random_fields``, ``duality``) draw their
-spectra on the full complex lattice and keep full complex transforms on
-arrays of their own.  They define the inputs, and any change to their
-transforms would move every input by rounding.
+work arrays, the mode tables and the transforms on them.  The random-input
+generators (``random_fields``, ``duality``) write their coefficients into
+the same half-spectrum work arrays and synthesize through ``_inverse``.
 """
 
 import math
@@ -216,12 +213,18 @@ def _spectrum(values, work):
     return np.fft.rfftn(values, axes=range(values.ndim), out=work)
 
 
+def _inverse(spec, out):
+    """Real inverse transform of the half spectrum ``spec``, written into
+    ``out``; returns ``out``."""
+    return np.fft.irfftn(spec, s=out.shape, axes=range(out.ndim), out=out)
+
+
 def _filtered(multiplier, spec, work, out):
     """Inverse transform of ``multiplier * spec``, the product formed in the
     half-spectrum ``work`` (which may be ``spec``) and the real result
     written into ``out``; returns ``out``."""
     np.multiply(multiplier, spec, out=work)
-    return np.fft.irfftn(work, s=out.shape, axes=range(out.ndim), out=out)
+    return _inverse(work, out)
 
 
 def convolve(f, g):

@@ -127,13 +127,19 @@ class Modular:
                 self._floor_log.append(row[floor])
                 self._cap_log.append(float(np.max(row, where=cap, initial=-math.inf)))
                 row[infinite] = 0.0  # p is 0 there, and 0 * -inf is NaN
-            row *= self.p
+            # an overflow of p log|f| to -inf is the term's limit 0 where
+            # some term stays finite; otherwise it is raised below
+            with np.errstate(over="ignore"):
+                row *= self.p
             row += log_cell
             if not self.plain:
                 row[infinite] = -math.inf
             self.rows.append(row)
             # largest |a| over the live (nonzero-sample) nodes, 0 if none
             hi = float(row.max())
+            if hi == math.inf or (hi == -math.inf and np.any(
+                    f.values.ravel()[self.p > 0.0])):
+                raise ValueError("p log|f| of the largest term is out of range")
             size = 0.0
             if hi > -math.inf:
                 lo = float(row.min())
@@ -195,7 +201,7 @@ class Modular:
         slack = _ROUND * (self._row_size[j] + self._p_max * abs(log_mu) + self._sum_size)
         return log_rho + slack + _ROUND * self._c_max * abs(log_lam)
 
-    @np.errstate(over="ignore")
+    @np.errstate(over="ignore", invalid="ignore")
     def solve(self, j, log_mu=0.0, hint=1.0, rel_tol=NORM_REL_TOL):
         """lam = inf{lam > 0 : rho_j(lam, mu) <= 1} at mu = exp(log_mu).
 
@@ -204,6 +210,11 @@ class Modular:
         moves with lam), or a p = q = inf node exceeds mu.  A finite lam is
         a point evaluated on the feasible side, within rel_tol of one
         evaluated on the infeasible side.
+
+        At p near the top of the float range, a term whose exponent row
+        overflowed to -inf meets an overflowing c log lam far below the
+        crossing; its NaN makes log rho NaN, which reads infeasible.  At
+        constant p that is exact: the largest term is inf there.
         """
         floor = -math.inf
         if not self.plain:

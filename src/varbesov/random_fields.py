@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .grid import Field, integrate
+from .grid import Field, _filtered, _inverse, _spectrum, _work_array, integrate
 from .mixed import FieldSequence
 
 # sigma = L / 7.7 and a 19-mode margin balance the two error sources at
@@ -81,47 +81,50 @@ def band_limited_field(grid, kmax, rng_key, envelope=True):
 
 def _field_source(grid, kmax, envelope):
     """``band_limited_field`` at one (grid, kmax, envelope) as a function of
-    the rng key; the envelope and the out-of-band mask are built once for
-    every field it draws, and its transforms share one complex work array
-    over the full mode lattice."""
+    the rng key; the envelope and the in-band indicator are built once for
+    every field it draws, and its transforms share one half-spectrum work
+    array.
+
+    The coefficient table S is one-sided (k_1 >= 0), and the field is
+    Re ifftn(S) scaled by N^n.  Its half spectrum is the fold
+    (S(k) + conj S(-k)) / 2 on the modes whose last index is >= 0, so the
+    field is the same continuum function as the full complex synthesis, up
+    to rounding.
+    """
     if 2 * kmax > grid.nyquist_index:
         raise ValueError(f"kmax={kmax} incompatible with Nyquist index "
                          f"{grid.nyquist_index}")
-    draw_kmax = kmax - BAND_MARGIN if envelope else kmax
-    if draw_kmax < 1:
+    d = kmax - BAND_MARGIN if envelope else kmax  # the largest drawn mode
+    if d < 1:
         raise ValueError(
             f"kmax={kmax} leaves no modes under the projection margin "
             f"{BAND_MARGIN}; need kmax >= {BAND_MARGIN + 1}"
         )
     if envelope:
         env = gaussian_envelope(grid)
-        out_of_band = grid.mode_magnitude() > kmax
+        in_band = grid._half_mode_magnitude() <= kmax
     n = grid.points_per_axis
-    spec = np.empty(grid.shape, dtype=np.complex128)
+    spec = _work_array(grid)
 
     def draw(rng_key):
-        rng = np.random.default_rng(rng_key)
-        coeff = _coefficient_table(rng, draw_kmax, grid.dim)
+        coeff = _coefficient_table(np.random.default_rng(rng_key), d, grid.dim)
         spec.fill(0.0)
         if grid.dim == 1:
-            spec[: draw_kmax + 1] = coeff
+            spec[: d + 1] = 0.5 * coeff
+            spec[0] = coeff[0].real
         else:
-            spec[:draw_kmax + 1, np.arange(-draw_kmax, draw_kmax + 1) % n] = coeff
-        # undo the 1/N^n of ifftn so the continuum function is grid-independent
-        vals = np.fft.ifftn(spec, out=spec).real * grid.node_count
+            spec[: d + 1, : d + 1] = 0.5 * coeff[:, d:]
+            spec[-np.arange(d + 1) % n, : d + 1] += 0.5 * coeff[:, d::-1].conj()
+        # undo the 1/N^n of the inverse transform so the continuum function
+        # is grid-independent
+        vals = _inverse(spec, np.empty(grid.shape))
+        vals *= grid.node_count
         if envelope:
-            # project the enveloped field back onto |k| <= kmax, copied
-            # into the work array and transformed in place; vals is then a
-            # view of the work array
-            np.copyto(spec, vals * env)
-            np.fft.fftn(spec, out=spec)
-            spec[out_of_band] = 0.0
-            vals = np.fft.ifftn(spec, out=spec).real
-        f = Field(grid, vals)
-        scale = math.sqrt(integrate(Field(grid, f.values ** 2)))
-        if scale == 0.0:
-            return Field(grid, vals.copy())
-        return Field(grid, f.values / scale)
+            # project the enveloped field back onto |k| <= kmax
+            vals *= env
+            _filtered(in_band, _spectrum(vals, spec), spec, vals)
+        scale = math.sqrt(integrate(Field(grid, vals ** 2)))
+        return Field(grid, vals / scale if scale > 0.0 else vals)
 
     return draw
 

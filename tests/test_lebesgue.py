@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import varbesov
-from varbesov import lebesgue
+from varbesov import cli, lebesgue
 from varbesov.exponents import ExponentField, constant_exponent, log_smooth_exponent
 from varbesov.grid import Field, Grid
 from varbesov.lebesgue import (classical_norm, luxemburg_norm, modular, omega,
@@ -159,6 +160,31 @@ class TestLuxemburgNorm:
             nrm = luxemburg_norm(f, p)
             assert unit_ball_violations(
                 lambda s: modular(Field(grid, f.values * (s / nrm)), p)) == 0
+
+    def test_suite_at_the_top_exponent_is_quiet(self):
+        # at p = 1e308, p log|f| overflows to -inf where |f| < 0.17, the
+        # terms' true limit 0; the run passes with no RuntimeWarning
+        config = {"grid": {"points_per_axis": 1024}, "levels": 6,
+                  "suites": ["lebesgue"],
+                  "exponents": {"p": {"family": "constant",
+                                      "params": {"value": 1e308}}}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cli.run(config)
+        assert [r.status for r in report.records] == ["pass"] * 7
+
+    @pytest.mark.parametrize("top", [527.0, 0.01])
+    def test_overflowing_largest_term_raises(self, top):
+        # p log(527) overflows to +inf, and p log|f| <= p log(0.01) to -inf
+        # at every node; read through, the norm (527 and 0.01 at p = 1e300)
+        # would be inf and 0.0
+        grid = Grid(1, 1024, 16.0)
+        f = band_limited_field(grid, 32, 3)
+        f = Field(grid, f.values * (top / f.max_abs()))
+        assert luxemburg_norm(f, constant_exponent(grid, 1e300)) == \
+            pytest.approx(top, rel=1e-8)
+        with pytest.raises(ValueError, match="out of range"):
+            luxemburg_norm(f, constant_exponent(grid, 1e308))
 
     @pytest.mark.parametrize("radius, violations", [
         (1.0, 0), (1.0 + 2e-5, 1), (1.0 - 2e-5, 1), (0.5, 1), (3.0, 2)])

@@ -28,6 +28,19 @@ def test_never_feasible_returns_inf():
     assert solve_threshold(lambda x: 2.0, hint=1.0) == math.inf
 
 
+@pytest.mark.parametrize("crossing", [1e200, 1e-200, 1e300, 1e-300])
+@pytest.mark.parametrize("derivative", [False, True])
+def test_far_crossings_are_found(crossing, derivative):
+    # a map with no usable slope (or a true one) and its crossing far from
+    # the hint: the bracket search must reach it, not give up at a range
+    # end of its own
+    fn = ((lambda x: (crossing / x, -1.0)) if derivative
+          else (lambda x: crossing / x))
+    root = solve_threshold(fn, hint=1.0)
+    assert root == pytest.approx(crossing, rel=1e-8)
+    assert crossing / root <= 1.0
+
+
 def test_result_on_feasible_side():
     fn = lambda x: (3.7 / x) ** 1.3
     root = solve_threshold(fn, hint=100.0)

@@ -5,10 +5,12 @@ Every spectral operator transforms real fields over the half spectrum
 once and reuses.  Each result here is pinned bitwise against a copy of the
 fresh-output formula (every product formed in a new array, every transform
 writing a new output), kept in this file as the reference, on a 1-D
-4096-node grid and on 64^2 and 256^2 grids.  The input generators keep full
-complex transforms, pinned the same way.  The blocks are contiguous arrays
-that later levels leave alone, and the peak traced allocation of
-``block_sequence`` and ``verify_mixed_eta`` is bounded.
+4096-node grid and on 64^2 and 256^2 grids.  The input generators
+synthesize on the same half spectrum, pinned the same way, and every value
+they draw agrees with their full complex formulas within 16 eps max|f|.
+The blocks are contiguous arrays that later levels leave alone, and the
+peak traced allocation of ``block_sequence`` and ``verify_mixed_eta`` is
+bounded.
 """
 
 import math
@@ -17,6 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from varbesov import cli
 from varbesov.commutator import VectorField, _commutators, _gradient
 from varbesov.duality import _shaped_candidate
 from varbesov.exponents import (constant_exponent, cos_bump_exponent,
@@ -136,23 +139,72 @@ def ref_commutators(v, f, mults, half=True):
     return out
 
 
-def ref_draw(grid, kmax, key, envelope):
+def half_shape(grid):
+    return grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
+
+
+def folded(grid, table):
+    """The half spectrum of Re ifftn(S) for the coefficients ``table``, a
+    dict {mode tuple: S(mode)}: S(k) / 2 at k and conj S(k) / 2 at -k,
+    wherever the last index is 0..N/2 modulo N."""
+    n = grid.points_per_axis
+    spec = np.zeros(half_shape(grid), dtype=complex)
+    for k, c in table.items():
+        for mode, value in ((k, c / 2), (tuple(-i for i in k), np.conj(c) / 2)):
+            if mode[-1] % n <= n // 2:
+                spec[tuple(i % n for i in mode)] += value
+    return spec
+
+
+def ref_draw(grid, kmax, key, envelope, half=True):
     draw_kmax = kmax - BAND_MARGIN if envelope else kmax
     coeff = _coefficient_table(np.random.default_rng(key), draw_kmax, grid.dim)
-    spec = np.zeros(grid.shape, dtype=complex)
     n = grid.points_per_axis
     if grid.dim == 1:
-        spec[: draw_kmax + 1] = coeff
+        table = {(k,): coeff[k] for k in range(draw_kmax + 1)}
     else:
-        for i1 in range(draw_kmax + 1):
-            for idx2, k2 in enumerate(range(-draw_kmax, draw_kmax + 1)):
-                spec[i1, k2 % n] = coeff[i1, idx2]
-    vals = np.fft.ifftn(spec).real * grid.node_count
+        table = {(i1, k2): coeff[i1, idx2]
+                 for i1 in range(draw_kmax + 1)
+                 for idx2, k2 in enumerate(range(-draw_kmax, draw_kmax + 1))}
+    if half:
+        spec = folded(grid, table)
+    else:
+        spec = np.zeros(grid.shape, dtype=complex)
+        for k, c in table.items():
+            spec[tuple(i % n for i in k)] = c
+    vals = inverse(spec, grid, half) * grid.node_count
     if envelope:
-        spec = np.fft.fftn(vals * gaussian_envelope(grid))
-        spec[grid.mode_magnitude() > kmax] = 0.0
-        vals = np.fft.ifftn(spec).real
+        spec = forward(vals * gaussian_envelope(grid), half)
+        kmag = grid.mode_magnitude()
+        if half:
+            kmag = kmag[..., : n // 2 + 1]
+        spec[kmag > kmax] = 0.0
+        vals = inverse(spec, grid, half)
     return vals / math.sqrt(float(np.sum(vals ** 2)) * grid.cell)
+
+
+def ref_shaped(fs, p, seed, half=True):
+    grid = fs.grid
+    kmax = max(4, grid.points_per_axis // 64)
+    rng = np.random.default_rng(seed)
+    p_vals = np.where(np.isfinite(p.values), p.values, 4.0)
+    out = []
+    for f in fs:
+        coeff = rng.normal(size=2 * (kmax + 1)).view(np.complex128)
+        table = {(0,) * (grid.dim - 1) + (k,): c for k, c in enumerate(coeff)}
+        if half:
+            smooth = inverse(folded(grid, table), grid)
+        else:
+            spec = np.zeros(grid.shape, dtype=complex)
+            for k, c in table.items():
+                spec[k] = c
+            smooth = inverse(spec, grid, half=False)
+        smooth -= smooth.min()
+        smooth += 0.05 * (smooth.max() - smooth.min() + 1e-30)
+        scale = f.max_abs()
+        shape = (np.abs(f.values) + 1e-3 * (scale + 1e-30)) ** (p_vals - 1.0)
+        out.append(smooth * shape)
+    return out
 
 
 def ref_eta_smoothed(f, m, j):
@@ -247,19 +299,24 @@ def test_commutator_sequence_matches_fresh_outputs(case):
 def test_shaped_candidates_match_fresh_outputs(case):
     grid, p = case["grid"], case["p"]
     fs = band_limited_sequence(grid, 3, case["band"], 13, case["envelope"])
-    kmax = max(4, grid.points_per_axis // 64)
-    rng = np.random.default_rng(5)
-    p_vals = np.where(np.isfinite(p.values), p.values, 4.0)
     got = _shaped_candidate(fs, p, np.random.default_rng(5))
-    for g, f in zip(got, fs):
-        spec = np.zeros(grid.shape, dtype=complex)
-        spec.ravel()[: kmax + 1] = rng.normal(size=2 * (kmax + 1)).view(np.complex128)
-        smooth = np.fft.ifftn(spec).real
-        smooth -= smooth.min()
-        smooth += 0.05 * (smooth.max() - smooth.min() + 1e-30)
-        scale = f.max_abs()
-        shape = (np.abs(f.values) + 1e-3 * (scale + 1e-30)) ** (p_vals - 1.0)
-        assert same_bits(g.values, smooth * shape)
+    for g, want in zip(got, ref_shaped(fs, p, 5)):
+        assert same_bits(g.values, want)
+
+
+@pytest.mark.parametrize("config", [
+    {"grid": {"points_per_axis": 256}, "levels": 6, "trials": 1},
+    {"grid": {"dim": 2, "points_per_axis": 128}, "levels": 5, "trials": 1,
+     "suites": ["lebesgue", "littlewood_paley"]},
+], ids=["line256-all-suites", "plane128-plane-suites"])
+def test_runs_make_no_full_complex_transform(config, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("full complex transform")
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    report = cli.run(config)
+    assert report.records
 
 
 # ---- agreement with the full complex transforms -------------------------
@@ -305,6 +362,38 @@ def agreement_case(request):
     v = VectorField(tuple(border_constant_field(grid, rng) for _ in range(dim)))
     # the top level J with 2^(J+1) at the Nyquist index N/2
     return grid, n.bit_length() - 3, f, v
+
+
+def test_generators_match_complex_formulas(case):
+    # the fold is exact, so each drawn value is the full complex synthesis's
+    # up to the transforms' rounding
+    grid, band, envelope, p = (case["grid"], case["band"], case["envelope"],
+                               case["p"])
+    eps = np.finfo(float).eps
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 16 * eps * np.max(np.abs(want))
+
+    for key in ([3, 1], [11, 0], [11, 2]):
+        close(band_limited_field(grid, band, key, envelope).values,
+              ref_draw(grid, band, key, envelope, half=False))
+    fs = band_limited_sequence(grid, 3, band, 13, envelope)
+    for g, want in zip(_shaped_candidate(fs, p, np.random.default_rng(5)),
+                       ref_shaped(fs, p, 5, half=False)):
+        close(g.values, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_shaped_candidates_fold_the_nyquist_mode(dim):
+    # on 8 nodes the first row's kmax = 4 is the Nyquist mode, which the
+    # fold keeps at Re S like the zero mode
+    grid = Grid(dim, 8, 2.0)
+    fs = FieldSequence((border_constant_field(grid, np.random.default_rng(dim)),))
+    p = constant_exponent(grid, 2.0)
+    got = _shaped_candidate(fs, p, np.random.default_rng(5))[0].values
+    assert same_bits(got, ref_shaped(fs, p, 5)[0])
+    want = ref_shaped(fs, p, 5, half=False)[0]
+    assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 def test_operators_match_complex_formulas(agreement_case):
