@@ -31,25 +31,31 @@ log-smooth p and a cos-bump q as in the default configuration; the desk
 Two rows time the q-omitted form of ``luxemburg_norm`` (one level, c is p)
 at the constant p = inf that the CLI's ``lebesgue.constant_reduction_pinf``
 record runs: one ``Modular`` build, whose every node is a p = inf floor
-beside a zero term, and one ``luxemburg_norm``.
-Beside the ``mixed_norm`` time stands the number of ``_kernels.log_modular``
-passes per norm, the predictor's included, and the certificate's, which
-takes a pass only for a level point that the bound from the predictor's
-last pass cannot decide (none on these inputs): perfbench's
-``solve.solve_threshold.evals_total`` counts only the evaluations of
-threshold solves, and a certified mixed norm runs none, so it sees neither.
+beside a zero term, and one ``luxemburg_norm``, which returns that floor in
+closed form without building the evaluator.
+Beside each ``mixed_norm`` time stand the numbers of ``_kernels.log_modular``
+passes per norm: every-node passes (the predictor's near the crossing, the
+certificate's, which takes one only for a level point that the bound from
+the level's last every-node pass cannot decide, none on these inputs, and
+a fallback's), and passes over the predictor's strided subsample, which
+sweep an eighth of the desk nodes and a quarter of the plane's.
+perfbench's ``solve.solve_threshold.evals_total`` counts only the
+evaluations of threshold solves, and a certified mixed norm runs none, so
+it sees neither.
 The rows below it time one ``mixed_norm`` per input class on the same
 levels and p: q = inf on the inner band |x| < 0.4 L and on the outer band
 |x| >= 0.4 L, p = inf on the inner band, and the outer q = inf band
 with every odd level zero off it, so that those levels carry only q = inf
 terms.  A q = inf node is a term with zero slope in log lam, so the
-predictor and the certificate serve both q bands; the inner band's lines
-still leave the certificate short, and the norm falls back to the nested
-solve from the predictor's crossing.  The predictor declines p = inf (a
-floor in closed form) and levels whose terms all sit at q = inf nodes; those
-norms are the nested solve from the crude hint.  Every row of the evaluator
-spans every node, a p = inf node being a zero term, so each pass of the
-p = inf row sweeps all the nodes, not only those with finite p.
+predictor and the certificate serve both q bands.  On the plane the inner
+band leaves two levels whose q = inf terms nearly fill the unit ball; their
+lines still move when the predictor reaches its pass limit, and the norm
+falls back to the nested solve from the predictor's crossing.  The predictor
+declines p = inf (a floor in closed form) and levels whose terms all sit
+at q = inf nodes; those norms are the nested solve from the crude hint.
+Every row of the evaluator spans every node, a p = inf node being a zero
+term, so each pass of the p = inf row sweeps all the nodes, not only those
+with finite p.
 """
 
 import math
@@ -163,32 +169,37 @@ def bench_modular():
         t = bench(lambda: luxemburg_norm(f, p_inf), reps=reps)
         print(f"    {'luxemburg_norm, p = inf':<44}{t * 1e3:>9.2f} ms",
               flush=True)
+        print(f"    {'':<44}{'time':>12}{'passes/norm: every-node':>25}"
+              f"{'subsample':>11}", flush=True)
         for name, gs, pe, qe in evaluator_rows(grid, fs, p, q):
-            passes = kernel_passes(lambda: mixed_norm(gs, pe, qe))
+            full, sub = kernel_passes(lambda: mixed_norm(gs, pe, qe),
+                                      grid.node_count)
             # norms of hundreds of passes are timed 3 times
-            norm_reps = max(reps // 5, 3) if passes < 200 else 3
+            norm_reps = max(reps // 5, 3) if full < 200 else 3
             t = bench(lambda: mixed_norm(gs, pe, qe), reps=norm_reps)
-            print(f"    {name:<44}{t * 1e3:>9.2f} ms{passes:>8} passes/norm",
+            print(f"    {name:<44}{t * 1e3:>9.2f} ms{full:>25}{sub:>11}",
                   flush=True)
 
 
-def kernel_passes(fn):
-    """Number of ``_kernels.log_modular`` passes one call of ``fn`` makes;
+def kernel_passes(fn, nodes):
+    """(every-node, subsample) numbers of ``_kernels.log_modular`` passes
+    one call of ``fn`` makes on a grid of ``nodes`` nodes: a pass over
+    fewer nodes sweeps the mixed-norm predictor's strided subsample.
     ``lebesgue.Modular`` reaches the kernel through ``_kernels`` at call
     time, so wrapping the module attribute sees every pass."""
-    count = [0]
+    count = [0, 0]
     log_modular = K.log_modular
 
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return log_modular(*args, **kwargs)
+    def counted(base, *args):
+        count[base.size < nodes] += 1
+        return log_modular(base, *args)
 
     K.log_modular = counted
     try:
         fn()
     finally:
         K.log_modular = log_modular
-    return count[0]
+    return tuple(count)
 
 
 def minor_faults():

@@ -4,8 +4,9 @@
 ``lebesgue.Modular``) and behind ``scaled_modular``.  It returns log rho,
 its slope in log lam (the Newton slope of every evaluation) and the scale
 of the terms it leaves in its buffer; the slope in log mu, which only the
-mixed norm's predictor reads (``lebesgue.Modular.partials``), is a
-weighted sum of those terms that the caller takes from them.  Both slopes
+mixed norm's predictor reads (``lebesgue.Modular.partials`` and
+``mixed._Subsample.partials``), is a weighted sum of those terms that the
+caller takes from them.  Both slopes
 are dot products taken by ``dot``, which hands BLAS no dot longer than
 8192 elements.  OpenBLAS (the BLAS of numpy's wheels) keeps a dot of up to
 10,000 elements on one thread, so under OpenBLAS the slopes' bits do not
@@ -97,11 +98,14 @@ def log_modular(base, c, log_lam, buf):
 
 
 def dot(a, b):
-    """The dot product of two 1-D float64 arrays, with bits that do not
-    depend on the OpenBLAS thread count: one ``np.dot`` up to
-    ``_DOT_BLOCK`` elements, else the sum, in order, of the dots of
-    consecutive ``_DOT_BLOCK``-element pieces and then of the shorter
-    tail."""
+    """The dot product of two float64 arrays of one shape, with bits that
+    do not depend on the OpenBLAS thread count.  Of 1-D arrays: one
+    ``np.dot`` up to ``_DOT_BLOCK`` elements, else the sum, in order, of
+    the dots of consecutive ``_DOT_BLOCK``-element pieces and then of the
+    shorter tail.  Of 2-D arrays (a strided view of a lattice, which has
+    no 1-D view), the sum of their rows' dots."""
+    if a.ndim == 2:
+        return float(np.sum(np.vecdot(a, b)))
     n = a.shape[0]
     if n <= _DOT_BLOCK:
         return float(np.dot(a, b))

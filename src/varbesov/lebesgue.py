@@ -252,12 +252,17 @@ def luxemburg_norm(f, p):
 
     Any finite sample on a finite box has a finite norm; f = 0 gives 0.  The
     returned value lies on the feasible side (modular(f/result) <= 1) within
-    ``NORM_REL_TOL`` of the infimum.
+    ``NORM_REL_TOL`` of the infimum.  Where every p is inf it is max|f|
+    raised by ``_floor_slack``, the p = inf floor that ``Modular.solve``
+    returns there, bit for bit, without building the evaluator.
     """
     require_same_grid(f, p)
     m = f.max_abs()
     if m == 0.0:
         return 0.0
+    if np.isinf(p.values).all():
+        log_m = float(_log_abs(f.values).max())
+        return _exp(log_m + _floor_slack(1.0, log_m, 0.0))
     return Modular((f,), p).solve(0, hint=_norm_hint(f.grid, m, 1))
 
 

@@ -7,8 +7,8 @@ The norm is the gauge of that modular in the scale parameter mu.  Both work
 on one ``lebesgue.Modular`` evaluator per (sequence, p, q): the modular is
 one threshold solve (``_solve.solve_threshold``) in lambda per level, and
 the norm is certified at both ends of a bracket in mu from the predictor's
-last pass per level, or solved by an outer threshold solve around the level
-solves.
+last every-node pass per level, or solved by an outer threshold solve
+around the level solves.
 
 Every log rho_j is a log-sum-exp of functions affine in (u, v) =
 (log lam, log mu), so it is convex in (u, v) jointly and decreasing in
@@ -22,16 +22,28 @@ the plane is 0, log rho_j >= 0: its zero line u = r_j + s_j (v' - v)
 lies at or below log lam_j(v') for every v'.  Hence
 sum_j exp(r_j + s_j (v' - v)) <= sum_j lam_j(v'), and the crossing of the
 left side with 1, a scalar Newton solve in plain Python, is at most
-log(norm).  The next pass is taken at that crossing, on each level's line;
-such a point is on the level's infeasible side, so from the second pass on
-the predicted v rises monotonically.  Once its step is below a quarter of
-the inner solves' gap, the last lines seed the levels' tangents at the
-crossing, and the last passes are kept for the certificate.  The predictor
-runs only where every node has finite p (``Modular.plain``): p = inf floors
-and p = q = inf caps are not affine in (u, v), and there the solve starts
-from the crude ``lebesgue._norm_hint`` with no tangents.  Its
-``d_lam < 0`` test declines a level whose nonzero terms all sit at q = inf
-nodes, whose lam_j is 0 or inf.
+log(norm).  The next passes are taken at that crossing, on each level's
+line.  A far-field step needs only the accuracy of the distance it
+travels (inexact Newton; Dembo, Eisenstat and Steihaug 1982), so while the
+crossing step is at least 0.1 the passes sweep a strided subsample of the
+nodes (``_Subsample``: every 8th node in 1-D, every 2nd per axis in 2-D,
+zero-copy views, where it holds at least 512 nodes), whose log-sum-exp
+plus the log of the nodes per subsample node estimates log rho_j; those
+lines bound nothing.  After that every pass sweeps every node, and a level
+takes one only while its point has moved by at least a quarter of the
+inner solves' gap since its last every-node pass; otherwise it keeps its
+line, which is still a bound.  A subsample pass with no usable plane is
+replaced by an every-node pass.  The predictor stops once the crossing step
+and every level's move are below that quarter gap; the lines then seed the
+levels' tangents at the crossing, every one of them from an every-node
+pass, so the crossing is at most log(norm), and each level's last
+every-node pass, within that quarter gap of its point, is kept for the
+certificate, which reads no other pass.  The predictor runs only where
+every node has finite p (``Modular.plain``): p = inf floors and p = q = inf
+caps are not affine in (u, v), and there the solve starts from the crude
+``lebesgue._norm_hint`` with no tangents.  Its ``d_lam < 0`` test declines
+a level whose nonzero terms all sit at q = inf nodes, whose lam_j is 0 or
+inf.
 
 Certificate (decides the value).  A scale mu is feasible iff
 sum_j lam_j(mu) <= 1, and lam_j(mu) is at most any lam where
@@ -48,10 +60,11 @@ rho_j raised by its rounding bound R (``Modular.raised``), as in every
 threshold solve: raised log rho_j <= 0 at mu_hi, > 0 at mu_lo.  The
 returned value is mu_hi.
 
-A point (u, v) is decided without a pass, from its level's last predictor
-pass at (u0, v0), which read L0 = log rho_j and the slopes g = (g_u, g_v).
-With d = (u - u0, v - v0), log rho_j(u, v) = L0 + log E exp(X), where E is
-the mean under the weights w_i / rho_j of that pass's terms and
+A point (u, v) is decided without a pass, from its level's last
+every-node predictor pass at (u0, v0), which read L0 = log rho_j and the
+slopes g = (g_u, g_v).  With d = (u - u0, v - v0),
+log rho_j(u, v) = L0 + log E exp(X), where E is the mean under the
+weights w_i / rho_j of that pass's terms and
 X = -c_i d_u - p_i d_v (c_i = p_i / q_i), so E X = g . d.  Jensen gives
 log E exp(X) >= E X, and Hoeffding's lemma (Hoeffding 1963) gives
 log E exp(X) <= E X + W^2 / 8 for X in an interval of width
@@ -96,6 +109,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from ._solve import _LOG_HUGE, _LOG_TINY, solve_threshold
 from .exponents import harmonic_sum
 from .grid import Field, require_same_grid
@@ -104,12 +118,17 @@ from .lebesgue import (NORM_REL_TOL, Modular, luxemburg_norm, _exp,
 from .reports import gated_report, graded_report, ratio
 
 INNER_REL_TOL = 1e-10
-# the predictor hands over once its step in log mu is below a quarter of the
-# inner solves' gap, or after _PREDICTOR_PASSES passes per level; each of its
-# scalar crossings stops at a rounding-level step or after _CROSSING_STEPS
+# the predictor hands over once its step in log mu and every level's move
+# since its last every-node pass are below a quarter of the inner solves'
+# gap, or after _PREDICTOR_PASSES passes per level; each of its scalar
+# crossings stops at a rounding-level step or after _CROSSING_STEPS
 _PREDICTOR_STOP = 0.25 * math.log1p(INNER_REL_TOL)
 _PREDICTOR_PASSES = 12
 _CROSSING_STEPS = 60
+# its passes sweep a strided subsample of the nodes while its crossing step
+# is at least _SUBSAMPLE_STEP, where that subsample has _SUBSAMPLE_MIN nodes
+_SUBSAMPLE_STEP = 0.1
+_SUBSAMPLE_MIN = 512
 _EPS = sys.float_info.epsilon
 
 #: Asserted constant for the generalized Holder inequalities.  The scalar
@@ -162,14 +181,57 @@ def sequence_from_values(grid, arrays):
     return FieldSequence(tuple(Field(grid, a) for a in arrays))
 
 
+class _Subsample:
+    """Every s-th node per axis of a plain evaluator, s the largest power of
+    two with s^n <= 8: zero-copy strided views of its rows, p and c, whose
+    passes estimate the evaluator's for the predictor's far-field steps."""
+
+    def __init__(self, ev, shape):
+        cut = (slice(None, None, 2 ** (3 // len(shape))),) * len(shape)
+        self.rows = [row.reshape(shape)[cut] for row in ev.rows]
+        self.p = ev.p.reshape(shape)[cut]
+        self.c = ev.c.reshape(shape)[cut]
+        # log of the nodes per subsample node: the subsample's sum times
+        # that many estimates rho
+        self.log_weight = math.log(ev.p.size / self.p.size)
+        self._base = np.empty(self.p.shape)
+        self._buf = np.empty(self.p.shape)
+
+    def partials(self, j, log_lam, log_mu):
+        """``Modular.partials`` of level j, estimated from the subsample."""
+        base = np.multiply(self.p, -log_mu, out=self._base)
+        base += self.rows[j]
+        log_rho, d_lam, scale = _kernels.log_modular(base, self.c, log_lam,
+                                                     self._buf)
+        return (log_rho + self.log_weight, d_lam,
+                -_kernels.dot(self.p, self._buf) * scale)
+
+
+def _usable(plane):
+    """Whether a pass's (log rho, d_lam, d_mu) gives a tangent plane with a
+    zero line: finite, and decreasing in both log lam and log mu."""
+    log_rho, d_lam, d_mu = plane
+    return d_lam < 0.0 and d_mu < 0.0 and math.isfinite(log_rho)
+
+
+def _moved(last, log_lam, log_mu):
+    """How far the point (log lam, log mu) is from the pass ``last`` = (log
+    mu, log lam, ...), in the larger of its two coordinates; inf with no
+    pass."""
+    if last is None:
+        return math.inf
+    return max(abs(log_lam - last[1]), abs(log_mu - last[0]))
+
+
 class _LevelSolver:
     """Per-level lambda solves on one Modular, and the mixed norm over them.
 
     ``norm`` runs in the two phases of the module docstring: on a plain
     evaluator ``_predict`` seeds one line per live level, below its
-    log lam_j, and keeps the level's last pass; ``_certify`` brackets the
-    norm from those lines and decides each level point at each end from
-    that pass, taking a raised pass only where the bound cannot decide.
+    log lam_j, and keeps the level's last every-node pass; ``_certify``
+    brackets the norm from those lines and decides each level point at
+    each end from that pass, taking a raised pass only where the bound
+    cannot decide.
     Where it declines, or the predictor does, ``solve_threshold`` over
     ``modular`` decides the value, from the predictor's crossing or the
     crude hint.  The predictor's lines are the only tangents: ``_predict``
@@ -180,10 +242,11 @@ class _LevelSolver:
     def __init__(self, fs, p, q):
         self.evaluator = Modular(fs, p, q)
         self.levels = fs.levels
+        self.shape = fs.grid.shape
         # the levels with a nonzero term, each with one line and one point
         self.live = [j for j, live in enumerate(self.evaluator._live) if live]
         self._tangents = [None] * fs.levels  # (log mu, log lam, slope)
-        # the predictor's last pass per live level:
+        # the predictor's last every-node pass per live level:
         # (log mu, log lam, log rho, d_lam, d_mu)
         self._last = None
 
@@ -305,32 +368,51 @@ class _LevelSolver:
     def _predict(self, log_mu):
         """Joint-Newton lower estimate of log(norm), starting at log mu =
         ``log_mu`` with every lam_j = 1; seeds the tangent of every level
-        with a nonzero sample and keeps the last pass of each.  Returns
-        None, seeding nothing, when a pass gives no usable plane."""
+        with a nonzero sample and keeps the last every-node pass of each.
+        While the crossing step is at least ``_SUBSAMPLE_STEP`` the passes
+        sweep a ``_Subsample``; after that a level takes an every-node pass
+        only while its point has moved by ``_PREDICTOR_STOP`` since its
+        last one, and otherwise keeps its line.  Returns None, seeding
+        nothing, when an every-node pass gives no usable plane."""
         ev, live = self.evaluator, self.live
         if not live:
             return None
+        sub = _Subsample(ev, self.shape)
+        coarse = sub.p.size >= _SUBSAMPLE_MIN
         log_lams = [0.0] * len(live)
-        for _ in range(_PREDICTOR_PASSES):
-            lines, passes = [], []
-            for j, log_lam in zip(live, log_lams):
-                log_rho, d_lam, d_mu = ev.partials(j, log_lam, log_mu)
-                if not (d_lam < 0.0 and d_mu < 0.0 and math.isfinite(log_rho)):
-                    return None
+        last = [None] * len(live)  # each level's last every-node pass
+        lines = []
+        for k in range(_PREDICTOR_PASSES):
+            coarse = coarse and k + 1 < _PREDICTOR_PASSES  # the last on every node
+            kept, lines = lines, []
+            for i, (j, log_lam) in enumerate(zip(live, log_lams)):
+                if not coarse and _moved(last[i], log_lam, log_mu) < _PREDICTOR_STOP:
+                    lines.append((log_lam, kept[i][1]))  # its line stays
+                    continue
+                plane = sub.partials(j, log_lam, log_mu) if coarse else None
+                if plane is None or not _usable(plane):
+                    plane = ev.partials(j, log_lam, log_mu)
+                    if not _usable(plane):
+                        return None
+                    last[i] = (log_mu, log_lam) + plane
+                log_rho, d_lam, d_mu = plane
                 # the tangent plane's zero line:
                 # log lam = r + s (log mu' - log mu)
                 lines.append((log_lam - log_rho / d_lam, -d_mu / d_lam))
-                passes.append((log_mu, log_lam, log_rho, d_lam, d_mu))
             step = _crossing(lines)
             if not math.isfinite(step):
                 return None
             log_mu += step
             log_lams = [r + s * step for r, s in lines]
-            if abs(step) < _PREDICTOR_STOP:
+            if coarse:
+                coarse = abs(step) >= _SUBSAMPLE_STEP
+            elif abs(step) < _PREDICTOR_STOP and all(
+                    _moved(at, u, log_mu) < _PREDICTOR_STOP
+                    for at, u in zip(last, log_lams)):
                 break
         for j, log_lam, (_, slope) in zip(live, log_lams, lines):
             self._tangents[j] = (log_mu, log_lam, slope)
-        self._last = passes
+        self._last = last
         return log_mu
 
 

@@ -97,6 +97,16 @@ def test_dot_sums_8192_node_pieces_in_order(n):
         assert K.dot(a, b) == float(np.dot(a, b))
 
 
+def test_dot_of_a_strided_lattice_view():
+    # every second node per axis of a 256^2 lattice has no 1-D view: the
+    # dot is taken row by row
+    rng = np.random.default_rng(5)
+    a = rng.random((256, 256))[::2, ::2]
+    b = rng.random((128, 128))
+    assert not a.flags["C_CONTIGUOUS"]
+    assert K.dot(a, b) == pytest.approx(math.fsum((a * b).ravel()), rel=1e-13)
+
+
 def test_log_holder_twins_agree(sample):
     g = np.cos(sample["coords"][:, 0] / 3.0)
     anchors = np.arange(0, 512, 7, dtype=np.int64)

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 import varbesov
 from varbesov import cli, lebesgue
 from varbesov.exponents import ExponentField, constant_exponent, log_smooth_exponent
-from varbesov.grid import Field, Grid
+from varbesov.grid import Field, Grid, default_grid
 from varbesov.lebesgue import (classical_norm, luxemburg_norm, modular, omega,
                                two_level_gauge, unit_ball_violations)
 from varbesov.random_fields import band_limited_field
@@ -120,6 +120,21 @@ class TestLuxemburgNorm:
         f = band_limited_field(grid, 40, 3)
         nrm = luxemburg_norm(f, constant_exponent(grid, math.inf))
         assert nrm == pytest.approx(f.max_abs(), rel=1e-8)
+
+    @pytest.mark.parametrize("case", ["desk", "plane", "zeros"])
+    def test_infinity_matches_the_evaluator_bitwise(self, case):
+        # at p = inf everywhere the norm is max|f| raised to its feasible
+        # side in closed form: the bits the evaluator's p = inf floor gives
+        g = default_grid(1) if case != "plane" else Grid(2, 256, 16.0)
+        f = band_limited_field(g, 40, 3)
+        if case == "zeros":
+            f = Field(g, np.where(g.axis_coordinates() > 3.0, 0.0, f.values))
+        p = constant_exponent(g, math.inf)
+        want = lebesgue.Modular((f,), p).solve(
+            0, hint=lebesgue._norm_hint(g, f.max_abs(), 1))
+        got = luxemburg_norm(f, p)
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+        assert f.max_abs() < got
 
     def test_zero_field(self, grid):
         assert luxemburg_norm(Field(grid, np.zeros(grid.shape)),

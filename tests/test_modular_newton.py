@@ -6,6 +6,7 @@ the modular.  Every result is also checked on its feasible side with the
 natural-power evaluator ``_kernels.plain_modular``.
 """
 
+import collections
 import math
 import sys
 
@@ -337,18 +338,34 @@ def _count_certificate_passes(monkeypatch, passes):
     return counts
 
 
+def _count_passes_by_nodes(monkeypatch):
+    """Count the ``_kernels.log_modular`` passes by the number of nodes
+    they sweep, one entry per size."""
+    passes = collections.Counter()
+    log_modular = _kernels.log_modular
+
+    def counted(base, *args):
+        passes[base.size] += 1
+        return log_modular(base, *args)
+
+    monkeypatch.setattr(_kernels, "log_modular", counted)
+    return passes
+
+
 @pytest.mark.parametrize("outer_q_inf", [False, True], ids=["q", "q_inf_outside"])
-@pytest.mark.parametrize("grid, levels, band, per_level", [
-    (default_grid(1), 9, 64, 5), (Grid(2, 256, 16.0), 7, 20, 4)],
+@pytest.mark.parametrize("grid, levels, band, subsample", [
+    (default_grid(1), 9, 64, 512), (Grid(2, 256, 16.0), 7, 20, 128 ** 2)],
     ids=["4096x9", "256^2x7"])
 def test_mixed_norms_certify_without_threshold_solves(grid, levels, band,
-                                                     per_level, outer_q_inf,
+                                                     subsample, outer_q_inf,
                                                      monkeypatch):
     # desk and plane scale, log-smooth p, cos-bump q, also with q = inf on
     # |x| >= 0.4 L: the certificate brackets the norm from the predictor's
     # lines and decides every level point at both ends from the level's
-    # last predictor pass, so it takes no pass and no threshold solve runs;
-    # the predictor's passes are all, at most ``per_level`` per level
+    # last every-node pass, so it takes no pass and no threshold solve
+    # runs.  The predictor's far-field passes sweep the strided subsample
+    # (every 8th node of the line, every 2nd per axis of the plane), and
+    # it takes at most two every-node passes per level
     fs = band_limited_sequence(grid, levels, band, 3)
     p = log_smooth_exponent(grid, 2.0, 1.5)
     q = cos_bump_exponent(grid, 1.5, 1.0)
@@ -360,12 +377,45 @@ def test_mixed_norms_certify_without_threshold_solves(grid, levels, band,
                         _counting(_solve.solve_threshold, solves))
     monkeypatch.setattr(mixed, "solve_threshold",
                         _counting(_solve.solve_threshold, solves))
+    by_nodes = _count_passes_by_nodes(monkeypatch)
     passes = _count_passes(monkeypatch)
     in_certificate = _count_certificate_passes(monkeypatch, passes)
     mixed_norm(fs, p, q)
     assert solves == []
     assert in_certificate == [0]
-    assert passes[0] <= per_level * fs.levels
+    assert set(by_nodes) == {grid.node_count, subsample}
+    assert by_nodes[grid.node_count] <= 2 * fs.levels
+
+
+def test_subsample_without_a_plane_takes_every_node_passes(monkeypatch):
+    # the subsample is a set of zero-copy views of the evaluator's arrays;
+    # a level whose nonzero samples all sit off it reads log rho = -inf
+    # there, takes an every-node pass in its place, and the norm certifies
+    grid = default_grid(1)
+    fs = band_limited_sequence(grid, 3, 64, 3)
+    off = np.arange(grid.node_count) % 8 != 0
+    fs = FieldSequence((fs[0], Field(grid, np.where(off, fs[1].values, 0.0)),
+                        fs[2]))
+    p = log_smooth_exponent(grid, 2.0, 1.5)
+    q = cos_bump_exponent(grid, 1.5, 1.0)
+    solver = _LevelSolver(fs, p, q)
+    ev, sub = solver.evaluator, mixed._Subsample(solver.evaluator, grid.shape)
+    for view, array in [(sub.p, ev.p), (sub.c, ev.c)] + list(zip(sub.rows, ev.rows)):
+        assert np.shares_memory(view, array)
+    with np.errstate(over="ignore"):
+        assert sub.partials(1, 0.0, 0.0)[0] == -math.inf
+    by_nodes = _count_passes_by_nodes(monkeypatch)
+    _, crossing, bracket = _certify(fs, p, q)
+    assert bracket is not None
+    # level 1 takes an every-node pass beside each subsample pass of the
+    # others, on top of the at most two per level near the crossing
+    assert by_nodes[512] > 0
+    assert by_nodes[grid.node_count] > 2 * fs.levels
+    nested = _solve.solve_threshold(
+        lambda mu: _LevelSolver(fs, p, q).modular(math.log(mu)),
+        math.exp(crossing))
+    assert math.log(mixed_norm(fs, p, q)) == pytest.approx(math.log(nested),
+                                                         abs=1e-8)
 
 
 def _smooth_sequence(grid, log10_scale, seed, levels, zero_levels):
@@ -479,13 +529,7 @@ def test_certificate_brackets_the_norm(case):
     # mu_hi each is feasible, so lam_j(mu_hi) is at most it, and the points
     # sum to at most 1; at mu_lo each is infeasible and they sum above 1
     fs, p, q, zero_levels = _sequence_case(*case)
-    solver, crossing, bracket = _certify(fs, p, q)
-    if bracket is None:
-        # with q across 1.5..400, a level far below the others in lam can
-        # keep an unconverged line when the crossing has converged: its
-        # point at mu_hi is infeasible, and the norm takes the fallback
-        _assert_fallback(solver, crossing, fs, p, q)
-        return
+    _, _, bracket = _certify(fs, p, q)
     (mu_lo, lo), (mu_hi, hi) = bracket
     assert mu_hi / mu_lo - 1.0 <= mixed.NORM_REL_TOL
     assert _bits(mixed_norm(fs, p, q)) == _bits(mu_hi)
@@ -498,6 +542,51 @@ def test_certificate_brackets_the_norm(case):
             # |f_j| / (mu lam^{1/q}) in logs: 1e+-300 samples stay in range
             t = np.exp(_log_abs(fs[j]) - math.log(mu) - u * rq)
             assert (_plain(t, p.values, fs.grid.cell) <= 1.0) == feasible, (j, mu)
+
+
+def _brentq_root(h):
+    """The root of a decreasing h by scipy brentq, after doubling [-1, 1]
+    until it brackets a sign change."""
+    lo, hi = -1.0, 1.0
+    while h(lo) < 0.0:
+        lo *= 2.0
+    while h(hi) > 0.0:
+        hi *= 2.0
+    return brentq(h, lo, hi, xtol=1e-13, rtol=1e-15)
+
+
+def _brentq_log_norm(fs, p, q):
+    """log of the mixed norm at finite p and q by scipy brentq nesting on
+    log-sum-exps in (log lam, log mu): no code shared with the solver."""
+    pv = p.values.ravel()
+    c = pv / q.values.ravel()
+    log_cell = math.log(fs.grid.cell)
+
+    def log_lam(log_f, u):
+        x = pv * (log_f - u) + log_cell  # -inf at zero samples
+        if not np.any(x > -math.inf):
+            return -math.inf
+        return _brentq_root(lambda v: logsumexp(x - c * v))
+
+    logs = [_log_abs(f).ravel() for f in fs]
+    return _brentq_root(lambda u: logsumexp([log_lam(la, u) for la in logs]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(
+    st.sampled_from([GRID, GRID2]),
+    st.sampled_from([-300.0, 300.0]) | st.floats(-300.0, 300.0), seeds,
+    st.integers(2, 4), st.sets(st.integers(0, 3), max_size=2),
+    st.sampled_from(_P_FAMILIES), st.just((cos_bump_exponent, (1.5, 398.5)))))
+def test_wide_q_norms_certify_against_brentq(case):
+    # q across 1.5..400 leaves levels e^-17..e^-366 of the sum beside the
+    # top one; each takes every-node passes until its point stops moving,
+    # so the certificate brackets the norm, and brentq nesting agrees
+    fs, p, q, _ = _sequence_case(*case)
+    _, _, bracket = _certify(fs, p, q)
+    assert bracket is not None
+    assert math.log(mixed_norm(fs, p, q)) == pytest.approx(
+        _brentq_log_norm(fs, p, q), abs=1e-8)
 
 
 def test_certificate_declines_after_an_unconverged_predictor(monkeypatch):
@@ -882,20 +971,20 @@ def test_declined_inputs_start_from_the_crude_hint(make, scale, kind):
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e300])
-@pytest.mark.parametrize("make, certified", [(_line_sequence, False),
-                                             (_plane_blocks, True)])
-def test_q_infinity_inputs_run_the_predictor(make, certified, scale):
+@pytest.mark.parametrize("make", [_line_sequence, _plane_blocks])
+def test_q_infinity_inputs_run_the_predictor(make, scale):
     # a q = inf node is a term with c = 0, affine in (log lam, log mu), so
-    # the evaluator is plain and the predictor runs.  The plane blocks
-    # certify; on the line, levels far below the others keep lines short of
-    # their log lam_j when the crossing has converged, and the norm is the
-    # threshold solve from that crossing, bit for bit
+    # the evaluator is plain and the predictor runs.  Both inputs certify,
+    # the line too, where levels far below the others take every-node
+    # passes until their points stop moving; the certified norm agrees
+    # with the plain nested threshold solve from the predictor's crossing
     fs = make(scale)
     p, q = _exponents(fs.grid, "q_inf")
     solver, crossing, bracket = _certify(fs, p, q)
     assert solver.evaluator.plain
-    if certified:
-        assert _bits(mixed_norm(fs, p, q)) == _bits(bracket[1][0])
-    else:
-        assert bracket is None
-        _assert_fallback(solver, crossing, fs, p, q)
+    assert bracket is not None
+    got = mixed_norm(fs, p, q)
+    assert _bits(got) == _bits(bracket[1][0])
+    nested = _solve.solve_threshold(lambda mu: solver.modular(math.log(mu)),
+                                    math.exp(crossing))
+    assert math.log(got) == pytest.approx(math.log(nested), abs=1e-8)
