@@ -79,10 +79,8 @@ def _round12(x):
     if isinstance(x, (int, np.integer)):
         return int(x)
     x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    if not math.isfinite(x):
+        return str(x)  # "inf", "-inf" or "nan": JSON has none of them
     return float(f"{x:.12g}")
 
 
@@ -294,8 +292,10 @@ def _suite_littlewood_paley(cfg, grid, records, curves):
     curves["lp.eta_convolution"] = rep.details["ratios"]
 
     fs = band_limited_sequence(grid, top + 1, kmax, [cfg["seed"], 9])
-    rep = verify_mixed_eta(fs, p, q, float(grid.dim + 2))
-    records.append(rep)
+    try:
+        records.append(verify_mixed_eta(fs, p, q, float(grid.dim + 2)))
+    except ValueError as exc:  # q too rough for the fixed kernel order n + 2
+        raise ConfigError(f"exponents.q: {exc.args[0]}") from exc
 
 
 def _suite_hardy(cfg, grid, records, curves):

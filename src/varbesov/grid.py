@@ -77,10 +77,8 @@ class Grid:
 
     def coordinate_mesh(self):
         """Tuple of broadcast coordinate arrays, one per axis."""
-        x = self.axis_coordinates()
-        if self.dim == 1:
-            return (x,)
-        return tuple(np.meshgrid(x, x, indexing="ij"))
+        return tuple(np.meshgrid(*[self.axis_coordinates()] * self.dim,
+                                 indexing="ij"))
 
     def flat_coordinates(self):
         """(node_count, dim) array of node coordinates."""
@@ -316,13 +314,10 @@ def boundary_deviation(f):
     v = f.values
     n = f.grid.points_per_axis
     w = max(1, int(n * BOUNDARY_SLAB))
-    idx = np.zeros(n, dtype=bool)
-    idx[:w] = True
-    idx[n - w:] = True
-    if f.grid.dim == 1:
-        slab = v[idx]
-    else:
-        slab = np.concatenate([v[idx, :].ravel(), v[:, idx].ravel()])
+    interior = np.zeros(n)
+    interior[w:n - w] = 1.0
+    # a node is in the slab unless every one of its coordinates is interior
+    slab = v[f.grid.axis_product(interior) == 0.0]
     corner = v[(0,) * f.grid.dim]
     dev = float(np.max(np.abs(slab - corner)))
     scale = f.max_abs()

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import pkgutil
@@ -12,6 +13,7 @@ import varbesov
 from varbesov import _kernels, commutator
 from varbesov.cli import (ConfigError, DEFAULT_CONFIG, emit, emit_plot_data,
                           main, run, validate_config)
+from varbesov.reports import graded_report
 
 SMALL = {
     "grid": {"dim": 1, "points_per_axis": 1024, "half_width": 16.0},
@@ -399,6 +401,15 @@ class TestMain:
         ({"grid": {"dim": 2, "points_per_axis": 128, "half_width": 100.0},
           "levels": 5, "suites": ["littlewood_paley"]},
          "grid.half_width: resolves no"),
+        # a jump in q too rough for the fixed kernel order n + 2 of the
+        # mixed eta convolution
+        ({"exponents": {"q": {"family": "two_level", "params": {
+            "inner": 1.0, "outer": 20.0, "radius": 4.0}}},
+          "suites": ["littlewood_paley"]}, "exponents.q: kernel order"),
+        # a misspelled family parameter
+        ({"exponents": {"p": {"family": "log_smooth",
+                              "params": {"a": 2.0, "bb": 1.0}}},
+          "suites": ["lebesgue"]}, "exponents.p: family 'log_smooth'"),
     ], ids=["half_width_str", "half_width_bool", "half_width_inf", "param_str",
             "param_nan", "p_below_one", "q_below_one", "p1_below_one",
             "p2_zero", "s_infinite", "commutator_s_zero",
@@ -406,7 +417,8 @@ class TestMain:
             "seed_bool", "trials_bool", "dim_bool", "points_bool",
             "tolerances_unknown_key", "duality_p_inf", "duality_q_inf",
             "duality_q_two_level_inf", "band_levels", "band_points",
-            "eta_unresolved_1d", "eta_unresolved_2d"])
+            "eta_unresolved_1d", "eta_unresolved_2d", "mixed_eta_q_rough",
+            "param_misspelled"])
     def test_exit_two_on_malformed_values(self, tmp_path, capsys, config, field):
         # malformed values are configuration errors (exit 2), not failed
         # checks (exit 1); the message names the field
@@ -458,6 +470,41 @@ class TestMain:
         doc = json.loads(out.read_text())
         prefixes = {r["id"].split(".")[0] for r in doc["records"]}
         assert prefixes == {"lebesgue", "hardy"}
+
+    @pytest.mark.parametrize("value, written, status, code", [
+        (math.inf, "inf", "fail", 1), (-math.inf, "-inf", "pass", 0),
+        (math.nan, "nan", "fail", 1)])
+    def test_non_finite_measured_values_are_written_as_strings(
+            self, tmp_path, monkeypatch, value, written, status, code):
+        # JSON has no inf or nan, so the report writes them as strings; a
+        # record that fails makes the run exit 1
+        from varbesov import cli
+
+        monkeypatch.setattr(cli, "two_level_gauge", lambda grid: graded_report(
+            "lebesgue.two_level_gauge", value, 0.0, 1e-8))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL, "suites": ["lebesgue"]}))
+        out = tmp_path / "r.json"
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == code
+        record = json.loads(out.read_text())["records"][0]
+        assert (record["id"], record["status"], record["measured"]) == (
+            "lebesgue.two_level_gauge", status, written)
+
+    def test_seed_and_trials_flags_override_the_config(self, tmp_path,
+                                                       capsysbinary):
+        # with no --out the report goes to stdout; --plot-out writes the
+        # curves of the same run
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL,
+                                        "suites": ["littlewood_paley"]}))
+        plot = tmp_path / "curves.csv"
+        assert main(["--config", str(cfg_path), "--seed", "7", "--trials",
+                     "2", "--plot-out", str(plot)]) == 0
+        report = run({**SMALL, "suites": ["littlewood_paley"], "seed": 7,
+                      "trials": 2})
+        assert capsysbinary.readouterr().out == emit(report, "json")
+        assert plot.read_bytes() == emit_plot_data(report)
+        assert plot.read_bytes().count(b"\n") > 1
 
     def test_csv_output(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

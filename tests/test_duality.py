@@ -105,6 +105,19 @@ class TestExtremalWitness:
             scaled = Field(grid, np.abs(f.values) / (k_norm * beta ** rq))
             assert modular(scaled, p) == pytest.approx(1.0, abs=1e-6)
 
+    def test_drops_a_level_below_the_beta_floor(self, grid, caplog):
+        # at q = 2 a level 1e-6 the size of the others has beta about 1e-12:
+        # its witness is zero, with one warning
+        fs = band_limited_sequence(grid, 3, 40, 31)
+        fs = FieldSequence((fs[0], Field(grid, 1e-6 * fs[1].values), fs[2]))
+        two = constant_exponent(grid, 2.0)
+        with caplog.at_level("WARNING", logger="varbesov.duality"):
+            hs, _, betas = extremal_witness(fs, two, two)
+        assert betas[1] == 0.0 and 0.0 < min(betas[0], betas[2])
+        assert not np.any(hs[1].values)
+        assert len(caplog.records) == 1
+        assert caplog.records[0].getMessage().startswith("dropping level 1:")
+
     def test_rejects_infinite_p(self, grid):
         fs = band_limited_sequence(grid, 2, 40, 5)
         with pytest.raises(ValueError, match="infinity_witness"):
@@ -255,6 +268,22 @@ class TestNormConjugate:
         rep = verify_norm_conjugate(f, p, 2, 11)
         assert rep.status == "pass"
         assert 0.5 <= rep.measured <= 2.0
+
+    @pytest.mark.parametrize("infinite_half", [False, True])
+    def test_solves_no_mixed_norm(self, grid, monkeypatch, infinite_half):
+        # both witnesses come in closed form from the Luxemburg norm the
+        # check has solved, so no level solver is built
+        def refuse(*args):
+            raise AssertionError("the check built a mixed-norm solver")
+
+        monkeypatch.setattr(duality, "_LevelSolver", refuse)
+        x = grid.axis_coordinates()
+        p = log_smooth_exponent(grid, 2.0, 1.0)
+        if infinite_half:
+            p = ExponentField(grid, np.where(np.abs(x) < 8.0, 2.0, np.inf))
+        rep = verify_norm_conjugate(band_limited_field(grid, 40, 67), p, 2, 11)
+        assert rep.status == "pass"
+        assert rep.measured == pytest.approx(1.0, abs=1e-6)
 
 
 class TestThreeRegionSplitting:

@@ -605,6 +605,61 @@ def test_certificate_declines_after_an_unconverged_predictor(monkeypatch):
     _assert_fallback(solver, crossing, fs, p, q)
 
 
+def _end_beyond_the_float_range(monkeypatch, crossing):
+    # the feasible end lies at or above the largest log mu an end may take
+    monkeypatch.setattr(mixed, "_LOG_HUGE", crossing)
+
+
+def _lines_sum_overflows(monkeypatch, crossing):
+    monkeypatch.setattr(mixed, "_exp", lambda u: math.inf)
+
+
+def _crossing_one_below(monkeypatch, crossing):
+    # below the predictor's crossing the lines sum above 1 at both ends
+    predict = _LevelSolver._predict
+    monkeypatch.setattr(_LevelSolver, "_predict",
+                        lambda self, log_mu: predict(self, log_mu) - 1.0)
+
+
+def _crossing_not_finite(monkeypatch, crossing):
+    monkeypatch.setattr(mixed, "_crossing", lambda lines: math.nan)
+
+
+@pytest.mark.parametrize("patch, declines", [
+    (_end_beyond_the_float_range, "end"), (_lines_sum_overflows, "end"),
+    (_crossing_one_below, "sum"), (_crossing_not_finite, "predictor")])
+def test_declined_norms_take_the_nested_solve(monkeypatch, patch, declines):
+    # each patch reaches one exit where the certificate or the predictor
+    # declines: an end that _end rejects, a feasible end whose points sum
+    # above 1, or a non-finite crossing step.  The norm is then the nested
+    # threshold solve from the predictor's crossing, or from the crude hint
+    # where the predictor declined, and lies on its feasible side
+    fs = band_limited_sequence(default_grid(1), 9, 64, 3)
+    p, q = _exponents(fs.grid, "finite")
+    hint = lebesgue._norm_hint(fs.grid, fs.max_abs(), fs.levels)
+    log_hint = math.log(hint)
+    patch(monkeypatch, _LevelSolver(fs, p, q)._predict(log_hint))
+    solver = _LevelSolver(fs, p, q)
+    crossing = solver._predict(log_hint)
+    if declines == "predictor":
+        assert crossing is None
+        start = hint
+    else:
+        end = solver._end(crossing + 0.0625 * math.log1p(mixed.NORM_REL_TOL))
+        if declines == "end":
+            assert end is None
+        else:
+            assert sum(math.exp(u) for _, u in end[2]) > 1.0
+        assert solver._certify(crossing) is None
+        assert crossing < log_hint
+        start = math.exp(crossing)
+    want = _solve.solve_threshold(lambda mu: solver.modular(math.log(mu)),
+                                  start)
+    norm = mixed_norm(fs, p, q)
+    assert _bits(norm) == _bits(want)
+    assert solver.modular(math.log(norm)) <= 1.0
+
+
 def _end_points(solver, crossing):
     """(log mu, points) at each end of the certificate's bracket that is in
     the float range, from ``solver``'s lines around ``crossing``."""
