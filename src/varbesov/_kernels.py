@@ -4,9 +4,9 @@
 ``lebesgue.Modular``) and behind ``scaled_modular``.  It returns log rho,
 its slope in log lam (the Newton slope of every evaluation) and the scale
 of the terms it leaves in its buffer; the slope in log mu, which only the
-mixed norm's predictor reads (``lebesgue.Modular.partials`` and
-``mixed._Subsample.partials``), is a weighted sum of those terms that the
-caller takes from them.  Both slopes
+mixed norm's predictor reads (``lebesgue.Modular.partials``, also on the
+``strided`` evaluator), is a weighted sum of those terms that the caller
+takes from them.  Both slopes
 are dot products taken by ``dot``, which hands BLAS no dot longer than
 8192 elements.  OpenBLAS (the BLAS of numpy's wheels) keeps a dot of up to
 10,000 elements on one thread, so under OpenBLAS the slopes' bits do not

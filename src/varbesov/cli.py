@@ -179,10 +179,11 @@ def _suite_band(cfg, grid):
 
 
 def _suite_lebesgue(cfg, grid, records, curves):
+    band = _suite_band(cfg, grid)
     if grid.dim == 1:
         records.append(two_level_gauge(grid))
 
-    f = band_limited_field(grid, _suite_band(cfg, grid), [cfg["seed"], 1])
+    f = band_limited_field(grid, band, [cfg["seed"], 1])
     for p0 in (1.0, 1.5, 2.0, 3.0, math.inf):
         nrm = luxemburg_norm(f, constant_exponent(grid, p0))
         direct = classical_norm(f, p0)
@@ -192,7 +193,7 @@ def _suite_lebesgue(cfg, grid, records, curves):
     p = _build_exponent(cfg, grid, "p")
     violations = 0
     for t in range(cfg["trials"]):
-        ft = band_limited_field(grid, _suite_band(cfg, grid), [cfg["seed"], 2, t])
+        ft = band_limited_field(grid, band, [cfg["seed"], 2, t])
         nrm = luxemburg_norm(ft, p)
         violations += unit_ball_violations(
             lambda s: modular(Field(grid, ft.values * (s / nrm)), p))
@@ -320,6 +321,7 @@ _COMMUTATOR_SWEEPS = (
 
 
 def _suite_commutator(cfg, grid, records, curves):
+    _suite_band(cfg, grid)  # the sweep's band; a bad one exits 2 here
     # built here, each exponent is checked once, and the product's exponent
     # p with 1/p = 1/p1 + 1/p2 must lie in [1, inf]; the sweep builds its
     # own from the descriptors, as it would on a refined grid
@@ -333,7 +335,6 @@ def _suite_commutator(cfg, grid, records, curves):
         raise ConfigError(f"exponents.p1, exponents.p2: {exc.args[0]}") from exc
     base = {role: (cfg["exponents"][role]["family"],
                    cfg["exponents"][role]["params"]) for role in built}
-    _suite_band(cfg, grid)  # the sweep's band; a bad one exits 2 here
     for theorem, roles, offset in _COMMUTATOR_SWEEPS:
         summary = constant_sweep(grid, cfg["levels"], base | roles, theorem,
                                  trials=cfg["trials"],

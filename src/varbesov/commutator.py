@@ -258,6 +258,12 @@ _THEOREMS = {
 }
 
 
+def _refine_factor(coarse, fine):
+    """The factor by which a ratio moves on the refined grid: 1.0 where
+    both are 0, inf where only the coarse one is."""
+    return fine / coarse if coarse > 0 else 1.0 if fine == 0.0 else math.inf
+
+
 def constant_sweep(grid, levels, exponents, theorem, trials, seed,
                    refine=True):
     """Randomized (V, f) sweep for one estimate family on ``grid`` at
@@ -265,10 +271,10 @@ def constant_sweep(grid, levels, exponents, theorem, trials, seed,
 
     ``exponents`` maps each role ``_THEOREMS`` lists for the theorem to a
     (family_name, params) descriptor, so the same family is sampled again on
-    the refined grid (2N, J+1).  Each grid's resolution and exponents are
-    built once; trial t draws V and f from the key (seed, t) on the band
-    ``input_band(grid, levels)`` at every resolution, so the continuum
-    instance is the same on both grids.
+    the refined grid (2N, J+1).  One loop per grid builds its resolution and
+    exponents once and runs every trial; trial t draws V and f from the key
+    (seed, t) on the band ``input_band(grid, levels)`` at every resolution,
+    so the continuum instance is the same on both grids.
 
     Returns {"ratios": per-variant lists of the per-instance ratios,
     "max_ratio": their per-variant max, NaN where any ratio is NaN}; when
@@ -283,34 +289,26 @@ def constant_sweep(grid, levels, exponents, theorem, trials, seed,
             f"theorem must be one of {tuple(_THEOREMS)}, got {theorem!r}")
     report, roles = _THEOREMS[theorem]
     band = input_band(grid, levels)
-    scales = [(grid, levels)]
-    if refine:
-        scales.append((Grid(grid.dim, 2 * grid.points_per_axis,
-                            grid.half_width), levels + 1))
-    setups = [(g, build_resolution(g, top),
-               [exponent_from_family(g, *exponents[r]) for r in roles])
-              for g, top in scales]
-    ratios = {}
-    refine_factors = {}
-    for t in range(trials):
-        key = [int(seed), t]
-        base, *fine = [
-            report(VectorField(tuple(band_limited_vector_field(g, band, key))),
-                   band_limited_field(g, band, _key(key, 7919)), *exps, rou)
-            for g, rou, exps in setups]
-        for variant, rep in base.items():
-            ratios.setdefault(variant, []).append(rep.ratio)
-        if refine:
-            for variant, rep in fine[0].items():
-                coarse = base[variant].ratio
-                factor = rep.ratio / coarse if coarse > 0 else (
-                    1.0 if rep.ratio == 0.0 else math.inf)
-                refine_factors.setdefault(variant, []).append(factor)
+
+    def instances(g, top):
+        """Every trial's report on grid ``g`` at J = ``top``."""
+        rou = build_resolution(g, top)
+        exps = [exponent_from_family(g, *exponents[r]) for r in roles]
+        keys = ([int(seed), t] for t in range(trials))
+        return [report(VectorField(tuple(band_limited_vector_field(g, band, k))),
+                       band_limited_field(g, band, _key(k, 7919)), *exps, rou)
+                for k in keys]
+
+    base = instances(grid, levels)
+    ratios = {v: [reps[v].ratio for reps in base] for v in base[0]}
     summary = {"ratios": ratios,
                "max_ratio": {k: float(np.max(v)) for k, v in ratios.items()}}
     if refine:
-        summary["refine_factors"] = refine_factors
+        fine = instances(Grid(grid.dim, 2 * grid.points_per_axis,
+                              grid.half_width), levels + 1)
+        factors = {v: [_refine_factor(c[v].ratio, f[v].ratio)
+                       for c, f in zip(base, fine)] for v in fine[0]}
+        summary["refine_factors"] = factors
         summary["refine_stable"] = all(
-            0.5 <= fac <= 2.0 for v in refine_factors.values() for fac in v
-        )
+            0.5 <= fac <= 2.0 for v in factors.values() for fac in v)
     return summary

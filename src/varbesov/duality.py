@@ -17,10 +17,11 @@ import math
 
 import numpy as np
 
-from .grid import Field, _inverse, _work_array, integrate, require_same_grid
+from .grid import Field, integrate, require_same_grid
 from .exponents import conjugate, constant_exponent
 from .lebesgue import _norm_hint, luxemburg_norm
 from .mixed import FieldSequence, _LevelSolver, mixed_norm
+from .random_fields import _field_source, _key
 from .reports import gated_report, graded_report
 
 logger = logging.getLogger(__name__)
@@ -119,25 +120,18 @@ def infinity_witness(fs, q, eps):
     return FieldSequence(tuple(hs))
 
 
-def _shaped_candidate(fs, p, rng):
+def _shaped_candidate(fs, p, key):
     """Band-limited positive noise shaped by |f_j|^{p-1}; pure white noise
-    pairs poorly and makes the randomized lower bound vacuous.  The noise is
-    Re ifftn of coefficients on the first row of modes (k_1 = 0 in 2-D),
-    synthesized from its half spectrum, the fold (S(k) + conj S(-k)) / 2."""
+    pairs poorly and makes the randomized lower bound vacuous.  Level j's
+    noise is the ``random_fields`` draw at the key (key, j), with no
+    envelope, on min(max(4, N / 64), N / 4) modes."""
     grid = fs.grid
     n = grid.points_per_axis
+    draw = _field_source(grid, min(max(4, n // 64), n // 4), False)
     p_vals = np.where(np.isfinite(p.values), p.values, 4.0)
     out = []
-    kmax = max(4, n // 64)
-    spec = _work_array(grid)
-    row = spec[(0,) * (grid.dim - 1)]
-    for f in fs:
-        spec.fill(0.0)
-        coeff = rng.normal(size=2 * (kmax + 1)).view(np.complex128)
-        row[: kmax + 1] = 0.5 * coeff
-        # the self-conjugate modes 0 and N/2 keep Re S
-        row[:: n // 2] = 2.0 * row[:: n // 2].real
-        smooth = _inverse(spec, np.empty(grid.shape))
+    for j, f in enumerate(fs):
+        smooth = draw(_key(key, j)).values
         smooth -= smooth.min()
         smooth += 0.05 * (smooth.max() - smooth.min() + 1e-30)
         scale = f.max_abs()
@@ -146,14 +140,12 @@ def _shaped_candidate(fs, p, rng):
     return FieldSequence(tuple(out))
 
 
-def random_dual_search(fs, p, q, trials, seed, witness=None):
+def random_dual_search(fs, p, q, trials, seed):
     """Monte-Carlo lower bound for the duality supremum.
 
-    Samples shaped candidates, rescales each to the conjugate unit ball and
-    records the best pairing; the closed-form witness joins the pool whenever
-    its preconditions hold.  ``witness`` is that witness, the ``hs`` of
-    ``extremal_witness(fs, p, q)``, when the caller has it; otherwise it is
-    built here.  Deterministic given the seed.
+    Samples ``trials`` shaped candidates, rescales each to the conjugate
+    unit ball and returns the best pairing, 0.0 where none has a finite
+    nonzero conjugate norm.  Deterministic given the seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -162,12 +154,9 @@ def random_dual_search(fs, p, q, trials, seed, witness=None):
         return 0.0
     pc = conjugate(p)
     qc = conjugate(q)
-    if witness is None and np.all(np.isfinite(p.values)) and q.is_finite_valued():
-        witness = extremal_witness(fs, p, q)[0]
-    best = 0.0 if witness is None else pairing(fs, witness)
+    best = 0.0
     for trial in range(trials):
-        rng = np.random.default_rng([int(seed), trial])
-        gs = _shaped_candidate(fs, p, rng)
+        gs = _shaped_candidate(fs, p, [int(seed), trial])
         norm = mixed_norm(gs, pc, qc)
         if norm == 0.0 or math.isinf(norm):
             continue
@@ -178,13 +167,13 @@ def random_dual_search(fs, p, q, trials, seed, witness=None):
 
 def witness_measures(fs, p, q, seed):
     """(|sum_j beta_j - 1|, conjugate mixed norm, pairing / K) of the
-    closed-form witness of ``fs``, and the best pairing / K of a randomized
-    search over two candidates from ``seed`` and the witness."""
+    closed-form witness of ``fs``, and the best pairing / K of a pool of
+    the witness and a randomized search over two candidates from ``seed``."""
     hs, k_norm, betas = extremal_witness(fs, p, q)
     witness_norm = mixed_norm(hs, conjugate(p), conjugate(q))
-    pairing_ratio = pairing(fs, hs) / k_norm
-    best = random_dual_search(fs, p, q, trials=2, seed=seed, witness=hs)
-    return abs(sum(betas) - 1.0), witness_norm, pairing_ratio, best / k_norm
+    paired = pairing(fs, hs)
+    best = max(paired, random_dual_search(fs, p, q, trials=2, seed=seed))
+    return abs(sum(betas) - 1.0), witness_norm, paired / k_norm, best / k_norm
 
 
 def grade_witnesses(instances):
@@ -234,8 +223,8 @@ def verify_norm_conjugate(f, p, trials, seed):
         near = ~fin & (af > top - 2e-9 * norm)
         candidates.append(Field(grid, near.astype(np.float64)))
     for trial in range(trials):
-        rng = np.random.default_rng([int(seed), trial])
-        candidates.append(_shaped_candidate(FieldSequence((f,)), p, rng)[0])
+        candidates.append(
+            _shaped_candidate(FieldSequence((f,)), p, [int(seed), trial])[0])
     pc = conjugate(p)
     best = 0.0
     for g in candidates:

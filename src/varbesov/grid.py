@@ -14,9 +14,9 @@ and ``np.fft.irfftn`` restores them.  That is exact only for a Hermitian
 product, which holds here because every multiplier is even in k (the dyadic
 multipliers and the origin phase) or odd and purely imaginary with its
 Nyquist mode zeroed (the derivative).  This module owns the layout: the
-work arrays, the mode tables and the transforms on them.  The random-input
-generators (``random_fields``, ``duality``) write their coefficients into
-the same half-spectrum work arrays and synthesize through ``_inverse``.
+work arrays, the mode tables and the transforms on them.  Only the
+random-input generators of ``random_fields`` write coefficients into the
+same half-spectrum work arrays and synthesize through ``_inverse``.
 """
 
 import math

@@ -8,6 +8,7 @@ threshold solving on lambda, using the unit ball property
 "norm <= 1 iff modular <= 1" as the bracket test.
 """
 
+import copy
 import math
 import sys
 
@@ -84,9 +85,9 @@ class Modular:
     lam by Newton in log lam, where each evaluation is one pass over a
     preallocated buffer returning log rho and its slope in log lam.  The
     slope in log mu is taken only by ``partials``, for the mixed norm's
-    predictor.  A level whose nonzero terms all have c = 0 is decided from
-    one pass: lam is inf where that sum is above 1, else 0 or the p = inf
-    floor below.
+    predictor, which also reads the ``strided`` evaluator.  A level whose
+    nonzero terms all have c = 0 is decided from one pass: lam is inf where
+    that sum is above 1, else 0 or the p = inf floor below.
 
     p = inf nodes enter in closed form: they put a floor on log lam at
     q (log|f| - log mu), or make the level infeasible where q = inf too.
@@ -156,6 +157,22 @@ class Modular:
         self._sum_size = math.log2(self.p.size)
         self._base = np.empty_like(self.p)
         self._buf = np.empty_like(self.p)
+        self._shape = p.grid.shape
+        self._log_weight = 0.0  # log of the nodes per node swept
+
+    def strided(self):
+        """This evaluator on every s-th node per axis, s the largest power
+        of two with s^n <= 8 (every 8th node in 1-D, every 2nd per axis in
+        2-D), as zero-copy strided views of its rows, p and c.  Its
+        ``partials`` add the log of the nodes per kept node, so they
+        estimate this evaluator's; they are all it is for."""
+        sub, shape = copy.copy(self), self._shape
+        cut = (slice(None, None, 2 ** (3 // len(shape))),) * len(shape)
+        sub.rows = [row.reshape(shape)[cut] for row in self.rows]
+        sub.p, sub.c = (a.reshape(shape)[cut] for a in (self.p, self.c))
+        sub._base, sub._buf = np.empty(sub.p.shape), np.empty(sub.p.shape)
+        sub._log_weight = math.log(self.p.size / sub.p.size)
+        return sub
 
     def _at(self, j, log_mu):
         """Level j's term exponents a - p log mu at log mu, in ``_base``
@@ -183,7 +200,8 @@ class Modular:
         not raised by its rounding bound, so it certifies nothing.
         """
         log_rho, d_lam, scale = self._pass(j, log_lam, log_mu)
-        return log_rho, d_lam, -_kernels.dot(self.p, self._buf) * scale
+        return (log_rho + self._log_weight, d_lam,
+                -_kernels.dot(self.p, self._buf) * scale)
 
     def raised_log_rho(self, j, log_lam, log_mu):
         """log rho_j at (log lam, log mu) from one pass, raised by its

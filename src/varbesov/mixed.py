@@ -26,13 +26,13 @@ log(norm).  The next passes are taken at that crossing, on each level's
 line.  A far-field step needs only the accuracy of the distance it
 travels (inexact Newton; Dembo, Eisenstat and Steihaug 1982), so while the
 crossing step is at least 0.1 the passes sweep a strided subsample of the
-nodes (``_Subsample``: every 8th node in 1-D, every 2nd per axis in 2-D,
-zero-copy views, where it holds at least 512 nodes), whose log-sum-exp
-plus the log of the nodes per subsample node estimates log rho_j; those
-lines bound nothing.  After that every pass sweeps every node, and a level
-takes one only while its point has moved by at least a quarter of the
-inner solves' gap since its last every-node pass; otherwise it keeps its
-line, which is still a bound.  A subsample pass with no usable plane is
+nodes (``Modular.strided``: every 8th node in 1-D, every 2nd per axis in
+2-D, zero-copy views, where it holds at least 512 nodes), whose
+log-sum-exp plus the log of the nodes per kept node estimates log rho_j;
+those lines bound nothing.  After that every pass sweeps every node, and a
+level takes one only while its point has moved by at least a quarter of
+the inner solves' gap since its last every-node pass; otherwise it keeps
+its line, which is still a bound.  A subsample pass with no usable plane is
 replaced by an every-node pass.  The predictor stops once the crossing step
 and every level's move are below that quarter gap; the lines then seed the
 levels' tangents at the crossing, every one of them from an every-node
@@ -109,7 +109,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from ._solve import _LOG_HUGE, _LOG_TINY, solve_threshold
 from .exponents import harmonic_sum
 from .grid import Field, require_same_grid
@@ -181,32 +180,6 @@ def sequence_from_values(grid, arrays):
     return FieldSequence(tuple(Field(grid, a) for a in arrays))
 
 
-class _Subsample:
-    """Every s-th node per axis of a plain evaluator, s the largest power of
-    two with s^n <= 8: zero-copy strided views of its rows, p and c, whose
-    passes estimate the evaluator's for the predictor's far-field steps."""
-
-    def __init__(self, ev, shape):
-        cut = (slice(None, None, 2 ** (3 // len(shape))),) * len(shape)
-        self.rows = [row.reshape(shape)[cut] for row in ev.rows]
-        self.p = ev.p.reshape(shape)[cut]
-        self.c = ev.c.reshape(shape)[cut]
-        # log of the nodes per subsample node: the subsample's sum times
-        # that many estimates rho
-        self.log_weight = math.log(ev.p.size / self.p.size)
-        self._base = np.empty(self.p.shape)
-        self._buf = np.empty(self.p.shape)
-
-    def partials(self, j, log_lam, log_mu):
-        """``Modular.partials`` of level j, estimated from the subsample."""
-        base = np.multiply(self.p, -log_mu, out=self._base)
-        base += self.rows[j]
-        log_rho, d_lam, scale = _kernels.log_modular(base, self.c, log_lam,
-                                                     self._buf)
-        return (log_rho + self.log_weight, d_lam,
-                -_kernels.dot(self.p, self._buf) * scale)
-
-
 def _usable(plane):
     """Whether a pass's (log rho, d_lam, d_mu) gives a tangent plane with a
     zero line: finite, and decreasing in both log lam and log mu."""
@@ -242,7 +215,6 @@ class _LevelSolver:
     def __init__(self, fs, p, q):
         self.evaluator = Modular(fs, p, q)
         self.levels = fs.levels
-        self.shape = fs.grid.shape
         # the levels with a nonzero term, each with one line and one point
         self.live = [j for j, live in enumerate(self.evaluator._live) if live]
         self._tangents = [None] * fs.levels  # (log mu, log lam, slope)
@@ -370,14 +342,15 @@ class _LevelSolver:
         ``log_mu`` with every lam_j = 1; seeds the tangent of every level
         with a nonzero sample and keeps the last every-node pass of each.
         While the crossing step is at least ``_SUBSAMPLE_STEP`` the passes
-        sweep a ``_Subsample``; after that a level takes an every-node pass
-        only while its point has moved by ``_PREDICTOR_STOP`` since its
-        last one, and otherwise keeps its line.  Returns None, seeding
+        sweep the ``Modular.strided`` evaluator; after that a level takes
+        an every-node pass only while its point has moved by
+        ``_PREDICTOR_STOP`` since its last one, and otherwise keeps its
+        line.  Returns None, seeding
         nothing, when an every-node pass gives no usable plane."""
         ev, live = self.evaluator, self.live
         if not live:
             return None
-        sub = _Subsample(ev, self.shape)
+        sub = ev.strided()
         coarse = sub.p.size >= _SUBSAMPLE_MIN
         log_lams = [0.0] * len(live)
         last = [None] * len(live)  # each level's last every-node pass

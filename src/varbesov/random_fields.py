@@ -22,13 +22,25 @@ from .mixed import FieldSequence
 # band projection of the envelope's spectral smear.
 ENVELOPE_FRACTION = 7.7
 BAND_MARGIN = 19
+# the envelope squares coordinates |x| <= L, and 2 sigma^2 with sigma =
+# L / ENVELOPE_FRACTION: L^2 is finite up to sqrt(max), and from
+# ENVELOPE_FRACTION sqrt(tiny / 2) up 2 sigma^2 is a normal float, so that
+# x^2 / (2 sigma^2) carries rounding error only
+HALF_WIDTH_RANGE = (ENVELOPE_FRACTION * math.sqrt(np.finfo(float).tiny / 2.0),
+                    math.sqrt(np.finfo(float).max))
 
 
 def input_band(grid, levels):
     """Mode budget for inputs to a J = ``levels`` analysis on ``grid``: the
     dealiasing margin 2^J / 4, at least BAND_MARGIN + 1 so the envelope's
     margin leaves modes to draw, and at most min(2^J, N / 4).  Raises
-    ValueError naming the binding cap when that ceiling is too low."""
+    ValueError naming the binding cap when that ceiling is too low, and
+    naming the half-width where it is outside ``HALF_WIDTH_RANGE``."""
+    lo, hi = HALF_WIDTH_RANGE
+    if not lo <= grid.half_width <= hi:
+        raise ValueError(f"grid.half_width: the inputs' Gaussian envelope "
+                         f"needs {lo:.3g} <= half_width <= {hi:.3g}, "
+                         f"got {grid.half_width:g}")
     need = BAND_MARGIN + 1
     ceiling = min(2 ** levels, grid.nyquist_index // 2)
     if ceiling < need:

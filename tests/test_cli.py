@@ -401,6 +401,10 @@ class TestMain:
         ({"grid": {"dim": 2, "points_per_axis": 128, "half_width": 100.0},
           "levels": 5, "suites": ["littlewood_paley"]},
          "grid.half_width: resolves no"),
+        # the inputs' Gaussian envelope squares x and sigma = L / 7.7:
+        # L^2 overflows, or 2 sigma^2 leaves the normal floats
+        ({"grid": {"half_width": 1e300}}, "grid.half_width: the inputs'"),
+        ({"grid": {"half_width": 1e-300}}, "grid.half_width: the inputs'"),
         # a jump in q too rough for the fixed kernel order n + 2 of the
         # mixed eta convolution
         ({"exponents": {"q": {"family": "two_level", "params": {
@@ -417,7 +421,8 @@ class TestMain:
             "seed_bool", "trials_bool", "dim_bool", "points_bool",
             "tolerances_unknown_key", "duality_p_inf", "duality_q_inf",
             "duality_q_two_level_inf", "band_levels", "band_points",
-            "eta_unresolved_1d", "eta_unresolved_2d", "mixed_eta_q_rough",
+            "eta_unresolved_1d", "eta_unresolved_2d", "half_width_huge",
+            "half_width_tiny", "mixed_eta_q_rough",
             "param_misspelled"])
     def test_exit_two_on_malformed_values(self, tmp_path, capsys, config, field):
         # malformed values are configuration errors (exit 2), not failed
@@ -473,15 +478,18 @@ class TestMain:
 
     @pytest.mark.parametrize("value, written, status, code", [
         (math.inf, "inf", "fail", 1), (-math.inf, "-inf", "pass", 0),
-        (math.nan, "nan", "fail", 1)])
+        (math.nan, "nan", "fail", 1), (None, None, "trivial", 0),
+        (False, False, "pass", 0), (True, True, "fail", 1)])
     def test_non_finite_measured_values_are_written_as_strings(
             self, tmp_path, monkeypatch, value, written, status, code):
-        # JSON has no inf or nan, so the report writes them as strings; a
-        # record that fails makes the run exit 1
+        # JSON has no inf or nan, so the report writes them as strings, and
+        # None and bools as they are; a record that fails makes the run
+        # exit 1
         from varbesov import cli
 
         monkeypatch.setattr(cli, "two_level_gauge", lambda grid: graded_report(
-            "lebesgue.two_level_gauge", value, 0.0, 1e-8))
+            "lebesgue.two_level_gauge", value, 0.0, 1e-8,
+            trivial=value is None))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**SMALL, "suites": ["lebesgue"]}))
         out = tmp_path / "r.json"

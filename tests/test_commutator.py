@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,10 +51,12 @@ class TestVectorField:
         v = VectorField((Field(grid, np.full(grid.shape, 3.0)),))
         assert v.grid is grid
 
-    def test_component_count(self, grid):
+    @pytest.mark.parametrize("count, match", [
+        (2, "expected 1 components"), (0, "at least one component")])
+    def test_component_count(self, grid, count, match):
         f = Field(grid, np.zeros(grid.shape))
-        with pytest.raises(ValueError, match="components"):
-            VectorField((f, f))
+        with pytest.raises(ValueError, match=match):
+            VectorField((f,) * count)
 
     def test_generated_fields_not_divergence_free(self, grid, vfield):
         div = divergence(vfield)
@@ -355,12 +358,14 @@ class TestTheoremReports:
         assert set(reports["split"].rhs_terms) == {
             "grad_f_p1 * V_besov", "grad_f_besov_s1 * V_besov_s2"}
 
-    def test_theorem3_rejects_large_s2(self, grid, rou, vfield, sample_f):
-        s1 = constant_exponent(grid, 0.6)
-        s2 = constant_exponent(grid, 1.2)
+    @pytest.mark.parametrize("s1, s2, match", [
+        (0.6, 1.2, "s2 < 1"), (-0.6, 0.3, r"\(s1\+s2\) > 0")])
+    def test_theorem3_rejects_large_s2(self, grid, rou, vfield, sample_f,
+                                       s1, s2, match):
         p = constant_exponent(grid, 4.0)
-        with pytest.raises(ValueError, match="s2"):
-            theorem3_report(vfield, sample_f, s1, s2, p, p, p, p, rou)
+        with pytest.raises(ValueError, match=match):
+            theorem3_report(vfield, sample_f, constant_exponent(grid, s1),
+                            constant_exponent(grid, s2), p, p, p, p, rou)
 
     def test_divergence_free_2d_loses_div_term(self):
         # stream-function construction: V = (d2 psi, -d1 psi), div V = 0,
@@ -424,6 +429,24 @@ class TestSweep:
         assert set(refined) == {"ratios", "max_ratio", "refine_factors",
                                 "refine_stable"}
         assert set(refined["refine_factors"]) == set(refined["ratios"])
+
+    @pytest.mark.parametrize("fine, factor", [(0.0, 1.0), (0.5, math.inf)])
+    def test_refine_factor_at_a_zero_coarse_ratio(self, monkeypatch, fine,
+                                                  factor):
+        # a ratio of 0 on the coarse grid moves by 1.0 to a fine ratio of 0,
+        # and by inf to any other
+        def report(v, f, *args):
+            ratio = 0.0 if f.grid.points_per_axis == 512 else fine
+            return {"only": SimpleNamespace(ratio=ratio)}
+
+        roles = commutator_module._THEOREMS["theorem1"][1]
+        monkeypatch.setitem(commutator_module._THEOREMS, "theorem1",
+                            (report, roles))
+        summary = constant_sweep(Grid(1, 512, 16.0), 6, _SWEEP_EXPONENTS,
+                                 "theorem1", trials=2, seed=5)
+        assert summary["ratios"] == {"only": [0.0, 0.0]}
+        assert summary["refine_factors"] == {"only": [factor, factor]}
+        assert summary["refine_stable"] == (factor == 1.0)
 
     def test_six_levels_draw_on_the_cli_band(self, grid, monkeypatch):
         # 2^6 / 4 = 16 modes leave none under the generator's margin; the

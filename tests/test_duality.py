@@ -6,7 +6,7 @@ import pytest
 from varbesov import duality
 from varbesov.duality import (extremal_witness, grade_witnesses,
                               infinity_witness, pairing, random_dual_search,
-                              verify_norm_conjugate)
+                              verify_norm_conjugate, witness_measures)
 from varbesov.exponents import (ExponentField, conjugate, constant_exponent,
                                 cos_bump_exponent, log_smooth_exponent)
 from varbesov.grid import Field, Grid, integrate
@@ -154,10 +154,12 @@ class TestInfinityWitness:
         assert np.sum(support) == 1
         assert np.argmax(support) == np.argmax(np.abs(f.values))
 
-    def test_two_level_pairing_guarantee(self, grid):
+    @pytest.mark.parametrize("zero_level", [False, True])
+    def test_two_level_pairing_guarantee(self, grid, zero_level):
+        # a zero level has beta = 0 and a zero witness
         f = band_limited_field(grid, 40, 43)
         g = band_limited_field(grid, 40, 44)
-        g = Field(grid, g.values * (f.max_abs() / g.max_abs()))
+        g = Field(grid, g.values * (0.0 if zero_level else f.max_abs() / g.max_abs()))
         fs = FieldSequence((f, g))
         q = constant_exponent(grid, 2.0)
         eps = 1e-4
@@ -166,6 +168,19 @@ class TestInfinityWitness:
         assert pairing(fs, hs) >= k_norm - 3.0 * eps
         feas = mixed_norm(hs, constant_exponent(grid, 1.0), conjugate(q))
         assert feas <= 1.0 + 1e-4
+        assert np.any(hs[1].values) != zero_level
+
+    @pytest.mark.parametrize("eps, q0, match", [
+        (0.0, 2.0, "eps"), (-1e-8, 2.0, "eps"), (1e-8, math.inf, "finite-valued")])
+    def test_rejects_bad_arguments(self, grid, eps, q0, match):
+        fs = FieldSequence((unit_indicator(grid),))
+        with pytest.raises(ValueError, match=match):
+            infinity_witness(fs, constant_exponent(grid, q0), eps=eps)
+
+    def test_zero_sequence_gives_zero_witnesses(self, grid):
+        zeros = FieldSequence(tuple(Field(grid, np.zeros(grid.shape)) for _ in range(2)))
+        hs = infinity_witness(zeros, constant_exponent(grid, 2.0), eps=1e-8)
+        assert hs.levels == 2 and not any(np.any(h.values) for h in hs)
 
 
 class TestRandomDualSearch:
@@ -174,14 +189,15 @@ class TestRandomDualSearch:
         assert random_dual_search(zeros, constant_exponent(grid, 2.0),
                                   constant_exponent(grid, 2.0), 2, 1) == 0.0
 
-    def test_witness_floor_and_upper_bound(self, grid):
+    def test_witness_pool_floor_and_upper_bound(self, grid):
+        # witness_measures pools the witness with the search: the best
+        # pairing is at least the witness's, which is near K, and at most 8 K
         fs = band_limited_sequence(grid, 5, 40, 47)
         p = log_smooth_exponent(grid, 2.0, 1.0)
         q = cos_bump_exponent(grid, 1.5, 1.0)
-        k_norm = mixed_norm(fs, p, q)
-        best = random_dual_search(fs, p, q, trials=3, seed=12)
-        assert best >= k_norm * (1.0 - 1e-4)
-        assert best <= 8.0 * k_norm
+        _, _, paired, best = witness_measures(fs, p, q, seed=12)
+        assert best >= paired >= 1.0 - 1e-4
+        assert best <= 8.0
 
     def test_deterministic_given_seed(self, grid):
         fs = band_limited_sequence(grid, 4, 40, 53)
@@ -191,15 +207,24 @@ class TestRandomDualSearch:
         b = random_dual_search(fs, p, q, trials=3, seed=99)
         assert a == b
 
-    def test_passed_witness_gives_the_same_best_bitwise(self, grid):
+    def test_witness_pool_is_the_larger_of_witness_and_search_bitwise(self, grid):
         fs = band_limited_sequence(grid, 5, 40, 61)
         p = log_smooth_exponent(grid, 2.0, 1.0)
         q = cos_bump_exponent(grid, 1.5, 1.0)
-        hs, _, _ = extremal_witness(fs, p, q)
+        hs, k_norm, _ = extremal_witness(fs, p, q)
         for seed in (3, 12):
-            best = random_dual_search(fs, p, q, trials=2, seed=seed)
-            assert random_dual_search(fs, p, q, trials=2, seed=seed,
-                                      witness=hs) == best
+            search = random_dual_search(fs, p, q, trials=2, seed=seed)
+            assert witness_measures(fs, p, q, seed)[3] == max(
+                pairing(fs, hs), search) / k_norm
+
+    def test_skips_candidates_without_a_finite_nonzero_norm(self, grid,
+                                                            monkeypatch):
+        # a candidate whose conjugate norm is 0 or inf adds nothing
+        fs = band_limited_sequence(grid, 2, 40, 5)
+        p = constant_exponent(grid, 2.0)
+        norms = iter([0.0, math.inf])
+        monkeypatch.setattr(duality, "mixed_norm", lambda *args: next(norms))
+        assert random_dual_search(fs, p, p, trials=2, seed=1) == 0.0
 
     def test_rejects_zero_trials(self, grid):
         fs = band_limited_sequence(grid, 2, 40, 5)
@@ -255,6 +280,14 @@ class TestNormConjugate:
         rep = verify_norm_conjugate(f, p, 2, 7)
         assert (rep.status, rep.measured, rep.bound, rep.tolerance) == (
             "fail", 0.25, 0.0, 1e-6)
+
+    def test_four_node_grid(self):
+        # the shaped candidates' noise draws on N / 4 = 1 mode there
+        g = Grid(1, 4, 2.0)
+        rep = verify_norm_conjugate(Field(g, np.array([0.0, 1.0, 2.0, 1.0])),
+                                    constant_exponent(g, 2.0), 2, 7)
+        assert rep.status == "pass"
+        assert rep.measured == pytest.approx(1.0, abs=1e-4)
 
     def test_zero_field_trivial(self, grid):
         rep = verify_norm_conjugate(Field(grid, np.zeros(grid.shape)),

@@ -77,10 +77,11 @@ class TestBounds:
         assert np.all(np.isinf(e.values))
         assert np.all(e.reciprocals() == 0.0)
 
-    def test_nan_rejected(self, grid):
-        vals = np.full(grid.shape, 2.0)
-        vals[0] = np.nan
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("vals, match", [
+        (np.where(np.arange(512) == 0, np.nan, 2.0), "NaN"),
+        (np.full(256, 2.0), "grid shape")], ids=["nan", "wrong_shape"])
+    def test_bad_values_rejected(self, grid, vals, match):
+        with pytest.raises(ValueError, match=match):
             ExponentField(grid, vals)
 
 
@@ -113,9 +114,11 @@ class TestLogHolder:
         _, c_decay = log_holder_constants(g)
         assert c_decay == pytest.approx(1.0, abs=1e-9)
 
-    def test_decay_requires_limit_value(self, grid):
-        g = ExponentField(grid, np.full(grid.shape, 2.0))
-        with pytest.raises(ValueError, match="value_at_infinity"):
+    @pytest.mark.parametrize("value, match", [
+        (2.0, "value_at_infinity"), (math.inf, "finite-valued")])
+    def test_decay_requires_limit_value(self, grid, value, match):
+        g = ExponentField(grid, np.full(grid.shape, value))
+        with pytest.raises(ValueError, match=match):
             log_holder_constants(g)
 
     def test_decay_check_comes_before_the_pair_sweep(self, grid, monkeypatch):
@@ -161,9 +164,11 @@ class TestFamilies:
         with pytest.raises(KeyError, match="unknown exponent family"):
             exponent_from_family(grid, "nope", {})
 
-    def test_missing_parameter(self, grid):
-        with pytest.raises(KeyError, match="missing"):
-            exponent_from_family(grid, "constant", {})
+    @pytest.mark.parametrize("params, match", [
+        ({}, "missing"), ({"value": 2.0, "bogus": 1.0}, "unknown parameters")])
+    def test_missing_parameter(self, grid, params, match):
+        with pytest.raises(KeyError, match=match):
+            exponent_from_family(grid, "constant", params)
 
     def test_cos_bump_range(self, grid):
         e = cos_bump_exponent(grid, 1.5, 1.0)
@@ -185,6 +190,10 @@ class TestHarmonicSum:
                          constant_exponent(grid, math.inf))
         np.testing.assert_allclose(p.values, 3.0)
 
-    def test_rejects_sum_below_one(self, grid):
-        with pytest.raises(ValueError):
-            harmonic_sum(constant_exponent(grid, 1.5), constant_exponent(grid, 2.0))
+    @pytest.mark.parametrize("other, match", [
+        (lambda g: constant_exponent(g, 2.0), "harmonic sum"),
+        (lambda g: constant_exponent(Grid(1, 256, 16.0), 4.0), "grid mismatch")],
+        ids=["below_one", "two_grids"])
+    def test_rejects_sum_below_one(self, grid, other, match):
+        with pytest.raises(ValueError, match=match):
+            harmonic_sum(constant_exponent(grid, 1.5), other(grid))

@@ -25,9 +25,12 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             Grid(1, 1000, 16.0)
 
-    def test_rejects_bad_dim(self):
-        with pytest.raises(ValueError):
-            Grid(3, 64, 1.0)
+    @pytest.mark.parametrize("make", [lambda: Grid(3, 64, 1.0),
+                                      lambda: default_grid(3)],
+                             ids=["grid", "default_grid"])
+    def test_rejects_bad_dim(self, make):
+        with pytest.raises(ValueError, match="dim must be 1 or 2"):
+            make()
 
     @pytest.mark.parametrize("half_width", [math.inf, math.nan, 0.0, -1.0])
     def test_rejects_half_width_not_finite_positive(self, half_width):
@@ -40,12 +43,12 @@ class TestGridConstruction:
         assert g.cell == g.spacing
         assert g.node_count == 4096
 
-    def test_field_requires_finite(self):
-        g = Grid(1, 64, 1.0)
-        vals = np.zeros(64)
-        vals[3] = np.inf
-        with pytest.raises(ValueError):
-            Field(g, vals)
+    @pytest.mark.parametrize("vals, match", [
+        (np.where(np.arange(64) == 3, np.inf, 0.0), "finite"),
+        (np.zeros(32), "grid shape")], ids=["infinite", "wrong_shape"])
+    def test_field_requires_finite(self, vals, match):
+        with pytest.raises(ValueError, match=match):
+            Field(Grid(1, 64, 1.0), vals)
 
     def test_defaults(self):
         assert default_grid(1) == Grid(1, 4096, 16.0)

@@ -71,11 +71,14 @@ def test_plain_modular_twins_agree(sample):
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_esssup_twins_agree(sample):
-    for log_mu in (-0.5, 0.0, 1.0):
-        got = K.esssup_modular(sample["log_af"], sample["q"], log_mu)
+@pytest.mark.parametrize("all_inf", [False, True], ids=["q", "q_inf"])
+def test_esssup_twins_agree(sample, all_inf):
+    # with q = inf everywhere and no t above 1 the supremum is 0.0
+    q = np.full_like(sample["q"], np.inf) if all_inf else sample["q"]
+    for log_mu in (-0.5, 0.0, 1.0, float(sample["log_af"].max())):
+        got = K.esssup_modular(sample["log_af"], q, log_mu)
         want = max(omega(ti, qi) for ti, qi in
-                   zip(np.exp(sample["log_af"] - log_mu), sample["q"]))
+                   zip(np.exp(sample["log_af"] - log_mu), q))
         if math.isinf(got) or math.isinf(want):
             assert got == want
         else:
@@ -305,10 +308,10 @@ def test_log_holder_bound_dominates_the_measured_constant(
     assert K.log_holder_bound(rq, grid) >= local_log_holder(rq, grid)
 
 
-@pytest.mark.parametrize("grid", _BOUND_GRIDS)
+@pytest.mark.parametrize("grid", _BOUND_GRIDS + [Grid(1, 1, 8.0), Grid(2, 1, 3.0)])
 def test_log_holder_bound_dominates_nearest_neighbour_noise(grid):
     # noise puts the largest difference next to the smallest distance,
-    # where the bound is tightest
+    # where the bound is tightest; one node per axis weighs no pair
     rng = np.random.default_rng(7)
     for _ in range(5):
         g = rng.random(grid.node_count)
@@ -317,6 +320,7 @@ def test_log_holder_bound_dominates_nearest_neighbour_noise(grid):
         assert bound >= K.log_holder_max(g, grid.flat_coordinates(),
                                          np.arange(grid.node_count),
                                          2.0 * grid.half_width)
+        assert (bound == 0.0) == (grid.points_per_axis == 1)
 
 
 def test_pair_kernel_signatures_are_pinned():

@@ -58,9 +58,10 @@ class TestResolution:
             assert np.all(mult[outside] == 0.0)
         assert np.all(small_rou.multipliers[0][kmag > 2.0] == 0.0)
 
-    def test_rejects_levels_beyond_nyquist(self, small_grid):
-        with pytest.raises(ValueError, match="Nyquist"):
-            build_resolution(small_grid, 9)
+    @pytest.mark.parametrize("top, match", [(9, "Nyquist"), (-1, "top_level")])
+    def test_rejects_levels_beyond_nyquist(self, small_grid, top, match):
+        with pytest.raises(ValueError, match=match):
+            build_resolution(small_grid, top)
 
 
 class TestBlocks:
@@ -122,6 +123,13 @@ class TestBesovNorm:
                          constant_exponent(small_grid, q0), small_rou)
         assert got == pytest.approx(direct, rel=1e-6)
 
+    def test_rejects_non_finite_smoothness(self, small_grid, small_rou):
+        f = band_limited_field(small_grid, 32, 15)
+        p = constant_exponent(small_grid, 2.0)
+        with pytest.raises(ValueError, match="smoothness exponent"):
+            besov_norm(f, constant_exponent(small_grid, math.inf), p, p,
+                       small_rou)
+
     def test_negative_smoothness(self, small_grid, small_rou):
         f = band_limited_field(small_grid, 32, 15)
         s = constant_exponent(small_grid, -0.5)
@@ -153,10 +161,13 @@ class TestEtaShift:
         assert rep.details["c_max"] == max(curve)
         assert rep.measured == max(curve) / min(curve) <= 2.0
 
-    def test_rejects_small_shift(self, small_grid):
-        alpha = cos_bump_exponent(small_grid, 0.5, 2.0)
-        with pytest.raises(ValueError, match="log-Holder"):
-            check_lemma_eta_shift(alpha, 0.0, 6)
+    @pytest.mark.parametrize("alpha, match", [
+        (lambda g: cos_bump_exponent(g, 0.5, 2.0), "log-Holder"),
+        (lambda g: constant_exponent(g, math.inf), "finite-valued")],
+        ids=["small_shift", "infinite_alpha"])
+    def test_rejects_small_shift(self, small_grid, alpha, match):
+        with pytest.raises(ValueError, match=match):
+            check_lemma_eta_shift(alpha(small_grid), 0.0, 6)
 
 
 class TestEtaConvolution:
@@ -313,10 +324,15 @@ class TestHardy:
                             [constant_exponent(small_grid, 2.0)], [0.5])
         assert rep.status == "trivial"
 
-    def test_rejects_bad_weight(self, small_grid):
+    @pytest.mark.parametrize("call, match", [
+        (lambda gs, p: hardy_transform(gs, 1.5), "a must"),
+        (lambda gs, p: hardy_bound(0.5, 0.0), "q\\^- must be positive"),
+        (lambda gs, p: hardy_sweep([gs], p, [p], [1.0]), "a must lie in")],
+        ids=["transform", "bound_q_minus", "sweep"])
+    def test_rejects_bad_weight(self, small_grid, call, match):
         gs = band_limited_sequence(small_grid, 3, 32, 41)
-        with pytest.raises(ValueError):
-            hardy_transform(gs, 1.5)
+        with pytest.raises(ValueError, match=match):
+            call(gs, constant_exponent(small_grid, 2.0))
 
     def test_explicit_constant_formula(self):
         # a = 1/2, q = 2: the gamma grid is 0.1, 0.2, ..., 1.9; at gamma = 1,

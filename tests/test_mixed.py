@@ -83,10 +83,16 @@ class TestInnerLambda:
 
 class TestMixedModular:
     def test_all_zero(self, grid):
+        # the modular is 0, and the predictor has no live level to seed
         p = constant_exponent(grid, 2.0)
         q = constant_exponent(grid, 2.0)
         fs = FieldSequence(tuple(Field(grid, np.zeros(grid.shape)) for _ in range(3)))
         assert mixed_modular(fs, p, q) == 0.0
+        assert mixed._LevelSolver(fs, p, q)._predict(0.0) is None
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="at least one level"):
+            FieldSequence(())
 
     def test_single_entry_constant_exponents(self, grid):
         f = band_limited_field(grid, 40, 7)
@@ -468,13 +474,15 @@ class TestMonotoneLimit:
         assert rep.passed
         assert rep.details["norms"] == [0.0, 0.0]
 
-    def test_rejects_non_nested(self, grid, seq):
+    @pytest.mark.parametrize("masks, match", [
+        (lambda x: [x < 0, x > 0], "nested"),
+        (lambda x: [], "at least one"),
+        (lambda x: [x[::2] < 0], "shape")], ids=["non_nested", "none", "shape"])
+    def test_rejects_non_nested(self, grid, seq, masks, match):
         p = constant_exponent(grid, 2.0)
         q = constant_exponent(grid, 2.0)
-        x = grid.axis_coordinates()
-        masks = [x < 0, x > 0]
-        with pytest.raises(ValueError, match="nested"):
-            check_monotone_limit(seq, masks, p, q)
+        with pytest.raises(ValueError, match=match):
+            check_monotone_limit(seq, masks(grid.axis_coordinates()), p, q)
 
     def test_rejects_partial_union(self, grid, seq):
         p = constant_exponent(grid, 2.0)

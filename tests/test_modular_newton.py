@@ -387,10 +387,11 @@ def test_mixed_norms_certify_without_threshold_solves(grid, levels, band,
     assert by_nodes[grid.node_count] <= 2 * fs.levels
 
 
-def test_subsample_without_a_plane_takes_every_node_passes(monkeypatch):
-    # the subsample is a set of zero-copy views of the evaluator's arrays;
-    # a level whose nonzero samples all sit off it reads log rho = -inf
-    # there, takes an every-node pass in its place, and the norm certifies
+def test_strided_evaluator_without_a_plane_takes_every_node_passes(monkeypatch):
+    # the strided evaluator is a set of zero-copy views of the evaluator's
+    # arrays; a level whose nonzero samples all sit off it reads log rho =
+    # -inf there, takes an every-node pass in its place, and the norm
+    # certifies
     grid = default_grid(1)
     fs = band_limited_sequence(grid, 3, 64, 3)
     off = np.arange(grid.node_count) % 8 != 0
@@ -399,9 +400,11 @@ def test_subsample_without_a_plane_takes_every_node_passes(monkeypatch):
     p = log_smooth_exponent(grid, 2.0, 1.5)
     q = cos_bump_exponent(grid, 1.5, 1.0)
     solver = _LevelSolver(fs, p, q)
-    ev, sub = solver.evaluator, mixed._Subsample(solver.evaluator, grid.shape)
+    ev = solver.evaluator
+    sub = ev.strided()
     for view, array in [(sub.p, ev.p), (sub.c, ev.c)] + list(zip(sub.rows, ev.rows)):
         assert np.shares_memory(view, array)
+    assert (sub.p.size, sub._log_weight, ev._log_weight) == (512, math.log(8), 0.0)
     with np.errstate(over="ignore"):
         assert sub.partials(1, 0.0, 0.0)[0] == -math.inf
     by_nodes = _count_passes_by_nodes(monkeypatch)

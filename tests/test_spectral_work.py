@@ -183,30 +183,6 @@ def ref_draw(grid, kmax, key, envelope, half=True):
     return vals / math.sqrt(float(np.sum(vals ** 2)) * grid.cell)
 
 
-def ref_shaped(fs, p, seed, half=True):
-    grid = fs.grid
-    kmax = max(4, grid.points_per_axis // 64)
-    rng = np.random.default_rng(seed)
-    p_vals = np.where(np.isfinite(p.values), p.values, 4.0)
-    out = []
-    for f in fs:
-        coeff = rng.normal(size=2 * (kmax + 1)).view(np.complex128)
-        table = {(0,) * (grid.dim - 1) + (k,): c for k, c in enumerate(coeff)}
-        if half:
-            smooth = inverse(folded(grid, table), grid)
-        else:
-            spec = np.zeros(grid.shape, dtype=complex)
-            for k, c in table.items():
-                spec[k] = c
-            smooth = inverse(spec, grid, half=False)
-        smooth -= smooth.min()
-        smooth += 0.05 * (smooth.max() - smooth.min() + 1e-30)
-        scale = f.max_abs()
-        shape = (np.abs(f.values) + 1e-3 * (scale + 1e-30)) ** (p_vals - 1.0)
-        out.append(smooth * shape)
-    return out
-
-
 def ref_eta_smoothed(f, m, j):
     k = eta_kernel(j, m, f.grid)
     return Field(f.grid, ref_convolve(k, f))
@@ -296,12 +272,21 @@ def test_commutator_sequence_matches_fresh_outputs(case):
         assert same_bits(g.values, w)
 
 
-def test_shaped_candidates_match_fresh_outputs(case):
+def test_shaped_candidates_shape_the_random_fields_draws(case):
+    # level j of a candidate is the unenveloped random_fields draw at the
+    # key (key, j) on min(max(4, N / 64), N / 4) modes, shifted to a
+    # positive floor and shaped by |f_j|^{p-1}
     grid, p = case["grid"], case["p"]
+    n = grid.points_per_axis
     fs = band_limited_sequence(grid, 3, case["band"], 13, case["envelope"])
-    got = _shaped_candidate(fs, p, np.random.default_rng(5))
-    for g, want in zip(got, ref_shaped(fs, p, 5)):
-        assert same_bits(g.values, want)
+    got = _shaped_candidate(fs, p, [5, 1])
+    for j, (g, f) in enumerate(zip(got, fs)):
+        smooth = band_limited_field(grid, min(max(4, n // 64), n // 4),
+                                    [5, 1, j], envelope=False).values
+        smooth = smooth - smooth.min()
+        smooth = smooth + 0.05 * (smooth.max() - smooth.min() + 1e-30)
+        shape = (np.abs(f.values) + 1e-3 * (f.max_abs() + 1e-30)) ** (p.values - 1.0)
+        assert same_bits(g.values, smooth * shape)
 
 
 @pytest.mark.parametrize("config", [
@@ -367,33 +352,11 @@ def agreement_case(request):
 def test_generators_match_complex_formulas(case):
     # the fold is exact, so each drawn value is the full complex synthesis's
     # up to the transforms' rounding
-    grid, band, envelope, p = (case["grid"], case["band"], case["envelope"],
-                               case["p"])
-    eps = np.finfo(float).eps
-
-    def close(got, want):
-        assert np.max(np.abs(got - want)) <= 16 * eps * np.max(np.abs(want))
-
+    grid, band, envelope = case["grid"], case["band"], case["envelope"]
     for key in ([3, 1], [11, 0], [11, 2]):
-        close(band_limited_field(grid, band, key, envelope).values,
-              ref_draw(grid, band, key, envelope, half=False))
-    fs = band_limited_sequence(grid, 3, band, 13, envelope)
-    for g, want in zip(_shaped_candidate(fs, p, np.random.default_rng(5)),
-                       ref_shaped(fs, p, 5, half=False)):
-        close(g.values, want)
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_shaped_candidates_fold_the_nyquist_mode(dim):
-    # on 8 nodes the first row's kmax = 4 is the Nyquist mode, which the
-    # fold keeps at Re S like the zero mode
-    grid = Grid(dim, 8, 2.0)
-    fs = FieldSequence((border_constant_field(grid, np.random.default_rng(dim)),))
-    p = constant_exponent(grid, 2.0)
-    got = _shaped_candidate(fs, p, np.random.default_rng(5))[0].values
-    assert same_bits(got, ref_shaped(fs, p, 5)[0])
-    want = ref_shaped(fs, p, 5, half=False)[0]
-    assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(want))
+        got = band_limited_field(grid, band, key, envelope).values
+        want = ref_draw(grid, band, key, envelope, half=False)
+        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 def test_operators_match_complex_formulas(agreement_case):
