@@ -39,23 +39,22 @@ MUTANTS = (
     # [V.grad, block_j] f loses its - block_j(V.grad f) term, so nothing
     # cancels
     ("commutator without its -block_j(V.grad f) term", "commutator.py",
-     "            acc -= _filtered(multiplier, inner_specs[k], work, real)\n",
+     "                acc -= _filtered(multiplier, inner_specs[k], work, real)\n",
      ""),
     # the second block of the commutator at level j+1 instead of j
     ("commutator's second block at level j+1", "commutator.py",
      "acc -= _filtered(multiplier, inner_specs[k], work, real)",
-     "acc -= _filtered(rou.multipliers[min(j + 1, rou.top_level)], "
+     "acc -= _filtered(self.rou.multipliers[min(j + 1, self.rou.top_level)], "
      "inner_specs[k], work, real)"),
-    # Theorem 1's divergence form needs V in B^{s+1}, not B^s
-    ("Theorem 1 V_besov_up at s instead of s + 1", "commutator.py",
-     "v_besov_up = _vector_besov(v_blocks, ExponentField(s.grid, "
-     "s.values + 1.0),",
-     "v_besov_up = _vector_besov(v_blocks, ExponentField(s.grid, "
-     "s.values + 0.0),"),
+    # the divergence forms (Theorem 1 and Theorem 2's negative band) need V
+    # in B^{s+1}, not B^s; s + 1 has one site, which both read
+    ("V_besov_up at s instead of s + 1", "commutator.py",
+     "return ExponentField(s.grid, s.values + 1.0)",
+     "return ExponentField(s.grid, s.values + 0.0)"),
     # Theorem 1 measures grad V in L^{p1}, not in L^p, 1/p = 1/p1 + 1/p2
     ("Theorem 1 grad_V norm at p instead of p1", "commutator.py",
-     "grad_v_p1 = sum(luxemburg_norm(d, p1) for grad in grad_v for d in grad)",
-     "grad_v_p1 = sum(luxemburg_norm(d, p) for grad in grad_v for d in grad)"),
+     "lambda k: range(f.grid.dim), (p1,))",
+     "lambda k: range(f.grid.dim), (p,))"),
     # a right-hand side term a million times too large
     ("Theorem 3 split term x 1e6", "commutator.py",
      '"grad_f_besov_s1 * V_besov_s2": grad_f_besov_s1 * v_besov_s2}',

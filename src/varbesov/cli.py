@@ -5,7 +5,9 @@ selection, trials and seed; each record's bound and tolerance are fixed in
 code, so no configuration moves a gate.  ``run`` executes the selected
 suites deterministically and ``emit`` serializes the report (stable key
 order, values at 12 significant digits).  Exit codes: 0 all checks pass, 1
-at least one check failed, 2 configuration error.
+at least one check failed, 2 configuration error (an unreadable
+configuration file, or an ``--out`` or ``--plot-out`` path in a directory
+that does not exist, checked before the run).
 """
 
 import argparse
@@ -13,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -441,17 +444,17 @@ def main(argv=None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-    if args.suite:
-        config["suites"] = args.suite
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.trials is not None:
-        config["trials"] = args.trials
+    overrides = {"suites": args.suite, "seed": args.seed, "trials": args.trials}
+    if isinstance(config, dict):  # run rejects any other document
+        config.update((k, v) for k, v in overrides.items() if v is not None)
 
     try:
+        for option, path in (("--out", args.out), ("--plot-out", args.plot_out)):
+            _expect(not path or os.path.isdir(os.path.dirname(os.path.abspath(path))),
+                    option, f"no such directory for {path}")
         report = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -62,9 +62,10 @@ class EstimateReport:
     ratio: float
 
 
-def make_estimate_report(lhs, rhs_terms):
-    """The ``EstimateReport`` of ``lhs`` against the sum of ``rhs_terms`` by
-    ``ratio``.  Nothing is rejected here: a non-finite ratio reaches the
-    record that grades it and fails there."""
-    return EstimateReport(float(lhs), dict(rhs_terms),
-                          float(ratio(lhs, sum(rhs_terms.values()))))
+def estimate_reports(lhs, variants):
+    """One ``EstimateReport`` per variant of an estimate: ``lhs`` against
+    the sum of the variant's right-hand side terms, by ``ratio``.  Nothing
+    is rejected here: a non-finite ratio reaches the record that grades it
+    and fails there."""
+    return {k: EstimateReport(float(lhs), dict(t), float(ratio(lhs, sum(t.values()))))
+            for k, t in variants.items()}

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import varbesov
-from varbesov import _kernels, commutator
+from varbesov import _kernels, cli, commutator
 from varbesov.cli import (ConfigError, DEFAULT_CONFIG, emit, emit_plot_data,
                           main, run, validate_config)
 from varbesov.reports import graded_report
@@ -464,6 +464,35 @@ class TestMain:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
         assert main(["--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--trials", "1"],
+                                      ["--suite", "lebesgue"]])
+    @pytest.mark.parametrize("document", ["[1, 2]", '"abc"', "null"])
+    def test_exit_two_on_a_document_that_is_not_an_object(
+            self, tmp_path, capsys, document, flag):
+        # an override flag does not assign into a list, string or null
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(document)
+        assert main(["--config", str(cfg_path), *flag]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: config: must be a JSON object\n"
+
+    def test_exit_two_on_a_file_that_is_not_utf8(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'\xff\xfe{"seed": 1}')
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option", ["--out", "--plot-out"])
+    def test_exit_two_on_an_output_in_a_missing_directory(
+            self, tmp_path, capsys, monkeypatch, option):
+        # refused before the run, which is not started
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("ran"))
+        path = str(tmp_path / "missing" / "r.json")
+        assert main([option, path]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {option}: no such directory for {path}\n")
 
     def test_suite_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -119,11 +120,11 @@ class TestCommutatorSpectra:
     @pytest.mark.parametrize("theorem", ["theorem1", "theorem2", "theorem3"])
     def test_reports_transform_each_v_component_once(self, transport_case,
                                                      theorem, monkeypatch):
-        # beyond the commutator sequence (lhs): each V_k is transformed once
-        # for its blocks (n forward, n * levels inverse) where two terms
-        # read them, and once for its gradient (n forward, n^2 inverse),
-        # whose diagonal is the divergence; f and each d_k f are
-        # transformed once per term
+        # f is transformed once and differentiated once, inside the
+        # commutator sequence's count (lhs); beyond it, each V_k is
+        # transformed once, for its blocks and the derivatives a report
+        # reads (n forward), each d_k f once where its blocks are read, and
+        # f div V once
         v, f, rou = transport_case
         g = f.grid
         one, s_neg = constant_exponent(g, 1.0), constant_exponent(g, -0.5)
@@ -132,27 +133,44 @@ class TestCommutatorSpectra:
         lhs = (1 + n + levels, n + levels * (2 * n + 1))
         counts = _count_transforms(monkeypatch)
         if theorem == "theorem1":
-            # grad f, V blocks, grad V, then f, d_k f and f div V blocks
+            # V blocks and grad V, d_k f blocks, f blocks from f's spectrum,
+            # f div V blocks with div V from grad V's diagonal
             theorem1_report(v, f, one, p, p, q, rou)
-            extra = (1 + n + n + 1 + n + 1,
-                     n + n * levels + n * n + levels + n * levels + levels)
-            want = {1: (17, 66), 2: (18, 74)}[n]
+            extra = (n + n + 1,
+                     n * levels + n * n + n * levels + levels + levels)
+            want = {1: (14, 65), 2: (14, 72)}[n]
         elif theorem == "theorem2":
-            # each band transforms V once: blocks at s or at s + 1
+            # positive band: V blocks at s; negative band: V blocks at s + 1
+            # and the n diagonal derivatives, then f div V blocks
             theorem2_report(v, f, constant_exponent(g, 0.5), p, p, q, rou)
             theorem2_report(v, f, s_neg, p, p, q, rou)
             lhs = (2 * lhs[0], 2 * lhs[1])
-            extra = (1 + n + n + 1 + n, n + n * levels + n + levels + n * levels)
-            want = {1: (27, 85), 2: (26, 98)}[n]
+            extra = (n + n + 1, n * levels + n * levels + n + levels)
+            want = {1: (25, 84), 2: (23, 96)}[n]
         else:
-            # grad f, V blocks (read at s and at s2), d_k f blocks
+            # V blocks (read at s and at s2), d_k f blocks
             theorem3_report(v, f, constant_exponent(g, 0.6),
                             constant_exponent(g, 0.3), p, p, q, q, rou)
-            extra = (1 + n + n, n + n * levels + n * levels)
-            want = {1: (14, 47), 2: (14, 58)}[n]
+            extra = (n + n, n * levels + n * levels)
+            want = {1: (13, 46), 2: (13, 56)}[n]
         assert counts == {"rfftn": lhs[0] + extra[0], "irfftn": lhs[1] + extra[1],
                           "fftn": 0, "ifftn": 0}
         assert (counts["rfftn"], counts["irfftn"]) == want
+
+    def test_commutator_suite_transforms_no_input_twice(self, monkeypatch):
+        # f, each V_k, each d_k f and each f div V are transformed once per
+        # report; the inputs are told apart by the hash of their bytes
+        hashes, rfftn = [], np.fft.rfftn
+
+        def hashed(values, *args, **kwargs):
+            hashes.append(hashlib.sha256(
+                np.ascontiguousarray(values).tobytes()).hexdigest())
+            return rfftn(values, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", hashed)
+        cli.run({"grid": {"points_per_axis": 256}, "levels": 6, "trials": 1,
+                 "suites": ["commutator"]})
+        assert hashes and len(set(hashes)) == len(hashes)
 
     def test_level_out_of_range(self, grid, rou, vfield, sample_f):
         with pytest.raises(ValueError, match="out of range"):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from varbesov import cli
-from varbesov.commutator import VectorField, _commutators, _gradient
+from varbesov.commutator import VectorField, _commutators, _Pair
 from varbesov.duality import _shaped_candidate
 from varbesov.exponents import (constant_exponent, cos_bump_exponent,
                                 log_smooth_exponent)
@@ -222,16 +222,24 @@ def test_besov_norm_blocks_match_fresh_outputs(case):
 
 
 def test_convolve_and_derivatives_match_fresh_outputs(case):
-    f = case["f"]
+    # the pair's gradient of f, and the derivatives then blocks that one
+    # spectrum gives (the route of V's terms), are the fresh outputs
+    f, rou = case["f"], case["rou"]
     grid = f.grid
     kernel = eta_kernel(2, grid.dim + 2.0, grid)
     assert same_bits(convolve(kernel, f).values, ref_convolve(kernel, f))
     spec = forward(f.values)
-    gradient = _gradient(f)
+    pair = _Pair(vector_field(case), f, rou)
+    pieces = list(pair._pieces(forward(f.values), range(grid.dim)))
+    gradient = pair.grad_f
     for axis in range(grid.dim):
         want = ref_derivative(grid, spec, axis)
         assert same_bits(spectral_derivative(f, axis).values, want)
         assert same_bits(gradient[axis].values, want)
+        assert same_bits(pieces[axis].values, want)
+    for got, want in zip(pieces[grid.dim:], ref_blocks(f, rou.multipliers),
+                         strict=True):
+        assert same_bits(got.values, want)
 
 
 def test_eta_checks_match_fresh_outputs(case):
